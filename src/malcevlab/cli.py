@@ -38,7 +38,8 @@ from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (load_algebra, load_class, load_signature,
                          save_algebra)
-from .malcev import (detect_biternary, malcev_search, translation_group)
+from .malcev import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
+                     detect_biternary, malcev_search, translation_group)
 from .quasigroups import (LatinSquare, equasigroup_from_latin,
                           malcev_polynomial, multiplication_group,
                           rectification_check)
@@ -377,6 +378,19 @@ def _cmd_quotient(args, inputs):
     return result, checks, True
 
 
+_SEARCH_BUDGETS = {"table": (DEFAULT_TABLE_BUDGET, "distinct tables"),
+                   "candidate": (DEFAULT_CANDIDATE_BUDGET, "candidates")}
+
+
+def _search_budget_error(res, depth: int, cap_note: str):
+    limit, unit = _SEARCH_BUDGETS[res.exhausted]
+    return SearchBudgetExceeded(
+        f"{res.exhausted} budget of {limit} {unit} exhausted after "
+        f"{res.tables_explored} derived operations, before settling depth "
+        f"{depth}{cap_note}; a lower --depth or a positive --max-size "
+        f"narrows the search")
+
+
 def _cmd_malcev(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     cap = _effective_cap(args)
@@ -400,9 +414,7 @@ def _cmd_malcev(args, inputs):
         ]
         return result, checks, True
     if res.truncated:
-        raise SearchBudgetExceeded(
-            f"work budget exhausted after {res.tables_explored} derived "
-            f"operations, before settling depth {args.depth}{cap_note}")
+        raise _search_budget_error(res, args.depth, cap_note)
     result = {
         "summary": f"no Mal'cev term within depth {args.depth}",
         "found": False,
@@ -443,9 +455,7 @@ def _cmd_biternary(args, inputs):
         ]
         return result, checks, True
     if res.truncated:
-        raise SearchBudgetExceeded(
-            f"work budget exhausted after {res.tables_explored} derived "
-            f"operations, before settling depth {args.depth}{cap_note}")
+        raise _search_budget_error(res, args.depth, cap_note)
     result = {
         "summary": f"no biternary pair within depth {args.depth}",
         "found": False,

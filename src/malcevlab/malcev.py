@@ -3,14 +3,19 @@
 The searches walk the derived operations of an algebra breadth-first by
 term depth: level 0 holds the variable projections, and level d+1 holds
 every basic operation applied to vectors from earlier levels.  Distinct
-derived operations are deduplicated by their full value table, so each
-table is represented by the first term that produced it.  Qualification
-(the Mal'cev identities, or the biternary identities) depends only on
-the value table, which makes the deduplicated search exact as a decision
-procedure within the depth bound; deterministic work budgets cap the
-exploration, and a budget-truncated search reports absence within
-bounds.  Every returned witness is re-verified exhaustively through the
-term evaluator, independently of the table arithmetic used during the
+derived operations are deduplicated by their full value table, and each
+table is represented by the canonically least term among the candidates
+of the level that first produced it.  A candidate's canonical key is
+built in constant time from the stored keys of its children, and its
+term is built only when it is kept (a new table, or a key beating the
+stored one).  Qualification (the Mal'cev identities, or the biternary
+identities) depends only on the value table and is tested on each
+level's new tables at once, which makes the deduplicated search exact
+as a decision procedure within the depth bound; deterministic work
+budgets cap the exploration, and a budget-truncated search reports
+absence within bounds and names the budget that ran out.  Every
+returned witness is re-verified exhaustively through the term
+evaluator, independently of the table arithmetic used during the
 search.
 
 TermEnumeration, by contrast, enumerates raw terms one by one in the
@@ -102,8 +107,13 @@ class _TableSearch:
     """Breadth-first closure of k-ary derived operations of an algebra.
 
     Vectors are value tables over all n^k assignments (x0 most
-    significant).  reps/terms/levels grow in discovery order; the first
-    term reaching a table is kept as its representative.
+    significant).  vectors/terms/keys/sizes/levels grow in discovery
+    order; each table keeps the canonically least term among the
+    candidates of its discovery level.  A candidate's canonical key is
+    assembled from its children's stored keys, which are final because
+    children always come from earlier levels, and its term is built only
+    when the table is new or the key beats the stored one.  exhausted
+    names the budget ("table" or "candidate") that truncated the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -118,15 +128,16 @@ class _TableSearch:
         self.candidate_budget = candidate_budget
         self.max_term_size = max_term_size
         self.candidates_used = 0
-        self.truncated = False
+        self.exhausted: Optional[str] = None
         self.vectors: list[np.ndarray] = []
         self.terms: list[Term] = []
         self.keys: list[tuple] = []
         self.sizes: list[int] = []
         self.levels: list[int] = []
         self.index: dict[bytes, int] = {}
+        # values fit in uint8, so looked-up tables need no conversion
         self.op_arrays = {
-            name: np.array(alg.op_tables[name], dtype=np.int64)
+            name: np.array(alg.op_tables[name], dtype=np.uint8)
             for name, _ in alg.sig.ops}
         self.digits = [
             ((np.arange(self.length) // (self.n**(self.k - 1 - i))) % self.n)
@@ -134,120 +145,151 @@ class _TableSearch:
             for i in range(self.k)]
         self._level_start: dict[int, int] = {}
         for i in range(self.k):
-            self._add(self.digits[i], Var(i), 0)
+            self._add(self.digits[i], (1, (0, i), ()), 0, Var, i)
 
-    def _add(self, vec: np.ndarray, term: Term, level: int) -> Optional[int]:
-        key = vec.tobytes()
-        idx = self.index.get(key)
-        if idx is not None:
-            # a table keeps the canonically least term among the
-            # candidates of its discovery level
-            if self.levels[idx] == level:
-                ck = term_key(term, self.alg.sig)
-                if ck < self.keys[idx]:
-                    self.terms[idx] = term
-                    self.keys[idx] = ck
-                    self.sizes[idx] = ck[0]
-            return None
-        idx = len(self.vectors)
-        self.vectors.append(vec)
-        self.terms.append(term)
-        ck = term_key(term, self.alg.sig)
-        self.keys.append(ck)
-        self.sizes.append(ck[0])
-        self.levels.append(level)
-        self.index[key] = idx
-        return idx
+    @property
+    def truncated(self) -> bool:
+        return self.exhausted is not None
+
+    def _add(self, vec: np.ndarray, key: tuple, level: int, make,
+             *args) -> None:
+        """Offer table vec, reached by the term make(*args) with canonical
+        key key; the term is built only if the table keeps it."""
+        code = vec.tobytes()
+        idx = self.index.get(code)
+        if idx is None:
+            self.index[code] = len(self.vectors)
+            self.vectors.append(vec)
+            self.terms.append(make(*args))
+            self.keys.append(key)
+            self.sizes.append(key[0])
+            self.levels.append(level)
+        elif self.levels[idx] == level and key < self.keys[idx]:
+            self.terms[idx] = make(*args)
+            self.keys[idx] = key
+            self.sizes[idx] = key[0]
 
     def _spend(self, count: int) -> bool:
-        """Charge the candidate budget; False once exhausted."""
+        """Charge the candidate budget; False once a budget is exhausted."""
         if self.truncated:
             return False
         self.candidates_used += count
-        if (self.candidates_used > self.candidate_budget
-                or len(self.vectors) > self.table_budget):
-            self.truncated = True
-            return False
-        return True
+        if self.candidates_used > self.candidate_budget:
+            self.exhausted = "candidate"
+        elif len(self.vectors) > self.table_budget:
+            self.exhausted = "table"
+        return not self.truncated
 
-    def run_level(self, depth: int) -> list[int]:
+    def satisfying(self, indices: range, cols: np.ndarray,
+                   values: np.ndarray) -> list[int]:
+        """The indices whose tables take values at positions cols."""
+        hits: list[int] = []
+        # stack about 64 KiB of tables at a time, so that testing a level
+        # adds no copy of the level to the search's peak memory
+        step = max(1, (1 << 16) // self.length)
+        for lo in range(indices.start, indices.stop, step):
+            block = np.stack(self.vectors[lo:min(lo + step, indices.stop)])
+            ok = np.all(block[:, cols] == values, axis=1)
+            hits.extend((np.flatnonzero(ok) + lo).tolist())
+        return hits
+
+    def run_level(self, depth: int) -> range:
         """Expand one level; returns indices of newly found tables."""
         frontier_start = 0 if depth == 1 else self._level_start[depth - 1]
         start = len(self.vectors)
-        n = self.n
-        for name, arity in self.alg.sig.ops:
+        for op_index, (name, arity) in enumerate(self.alg.sig.ops):
             if self.truncated:
                 break
             ftab = self.op_arrays[name]
+            head_key = (1, op_index)
             if arity == 0:
                 if depth == 1:
                     vec = np.full(self.length, self.alg.op_tables[name][0],
                                   dtype=np.uint8)
                     if self._spend(1):
-                        self._add(vec, App(name), 1)
+                        self._add(vec, (1, head_key, ()), 1, App, name)
                 continue
             if arity == 1:
-                lo, hi = frontier_start, start
-                cap = self.max_term_size
-                for a in range(lo, hi):
-                    if cap is not None and self.sizes[a] + 1 > cap:
-                        continue
-                    if not self._spend(1):
-                        break
-                    vec = ftab[self.vectors[a].astype(np.int64)].astype(np.uint8)
-                    self._add(vec, App(name, (self.terms[a],)), depth)
+                self._unary_level(name, head_key, ftab, frontier_start,
+                                  start, depth)
                 continue
             if arity == 2:
-                self._binary_level(name, ftab, frontier_start, start, depth)
+                self._binary_level(name, head_key, ftab, frontier_start,
+                                   start, depth)
                 continue
-            self._generic_level(name, arity, ftab, frontier_start, start, depth)
+            self._generic_level(name, head_key, arity, ftab, frontier_start,
+                                start, depth)
         self._level_start[depth] = start
-        return list(range(start, len(self.vectors)))
+        return range(start, len(self.vectors))
 
-    def _binary_level(self, name, ftab, f0, r, depth):
+    def _unary_level(self, name, head_key, ftab, f0, r, depth):
+        cap = self.max_term_size
+        for a in range(f0, r):
+            size = 1 + self.sizes[a]
+            if cap is not None and size > cap:
+                continue
+            if not self._spend(1):
+                return
+            vec = ftab[self.vectors[a]]
+            self._add(vec, (size, head_key, (self.keys[a],)), depth,
+                      App, name, (self.terms[a],))
+
+    def _binary_level(self, name, head_key, ftab, f0, r, depth):
         n = self.n
         cap = self.max_term_size
+        vectors, terms, keys, sizes = (
+            self.vectors, self.terms, self.keys, self.sizes)
+        add = self._add
+        # sizes below r are final for the whole level
+        size_array = np.array(sizes[:r]) if cap is not None else None
         # blocks: (frontier x all), then (old x frontier)
-        for a_range, b_range in (((f0, r), (0, r)), ((0, f0), (f0, r))):
+        for a_range, (b_lo, b_hi) in (((f0, r), (0, r)), ((0, f0), (f0, r))):
+            # the b that fit beside a, by 1 + size of a
+            partners: dict[int, list[int]] = {}
             for a in range(*a_range):
-                va = self.vectors[a].astype(np.int64) * n
-                b_lo, b_hi = b_range
-                if cap is not None:
-                    allowed = cap - 1 - self.sizes[a]
-                    b_list: Sequence[int] = [
-                        b for b in range(b_lo, b_hi)
-                        if self.sizes[b] <= allowed]
+                size_a = 1 + sizes[a]
+                if cap is None:
+                    b_list: Sequence[int] = range(b_lo, b_hi)
                 else:
-                    b_list = range(b_lo, b_hi)
+                    if size_a not in partners:
+                        fits = size_array[b_lo:b_hi] <= cap - size_a
+                        partners[size_a] = (
+                            np.flatnonzero(fits) + b_lo).tolist()
+                    b_list = partners[size_a]
+                # a * n + b < n * n <= 2**16
+                va = vectors[a].astype(np.uint16) * n
+                term_a, key_a = terms[a], keys[a]
                 slab = 4096
                 for c0 in range(0, len(b_list), slab):
-                    batch = list(b_list[c0:c0 + slab])
+                    batch = b_list[c0:c0 + slab]
                     if not self._spend(len(batch)):
                         return
-                    block = np.stack([self.vectors[b] for b in batch])
-                    out = ftab[va[None, :] + block].astype(np.uint8)
-                    ta = self.terms[a]
-                    for j, b in enumerate(batch):
-                        self._add(out[j], App(name, (ta, self.terms[b])), depth)
+                    block = np.stack([vectors[b] for b in batch])
+                    out = ftab[va[None, :] + block]
+                    for b, vec in zip(batch, out):
+                        add(vec, (size_a + sizes[b], head_key,
+                                  (key_a, keys[b])),
+                            depth, App, name, (term_a, terms[b]))
 
-    def _generic_level(self, name, arity, ftab, f0, r, depth):
+    def _generic_level(self, name, head_key, arity, ftab, f0, r, depth):
         n = self.n
         cap = self.max_term_size
         for lead in range(arity):
             ranges = [range(0, f0)] * lead + [range(f0, r)] + \
                      [range(0, r)] * (arity - 1 - lead)
             for combo in product(*ranges):
-                if cap is not None and (
-                        1 + sum(self.sizes[i] for i in combo) > cap):
+                size = 1 + sum(self.sizes[i] for i in combo)
+                if cap is not None and size > cap:
                     continue
                 if not self._spend(1):
                     return
                 idx = self.vectors[combo[0]].astype(np.int64)
                 for b in combo[1:]:
                     idx = idx * n + self.vectors[b]
-                vec = ftab[idx].astype(np.uint8)
-                self._add(vec, App(name, tuple(self.terms[i] for i in combo)),
-                          depth)
+                vec = ftab[idx]
+                key = (size, head_key, tuple(self.keys[i] for i in combo))
+                self._add(vec, key, depth, App, name,
+                          tuple(self.terms[i] for i in combo))
 
 
 def _canonical_min(search: _TableSearch, indices: list[int]) -> Optional[int]:
@@ -260,13 +302,15 @@ class MalcevSearchResult:
 
     term is None when no derived operation within the depth bound (and
     work budget) satisfies the identities; truncated reports whether the
-    budget cut the exploration short of the full depth.
+    budget cut the exploration short of the full depth, and exhausted
+    names that budget ("table" or "candidate").
     """
 
     term: Optional[Term]
     truncated: bool
     tables_explored: int
     max_depth: int
+    exhausted: Optional[str] = None
 
 
 def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
@@ -292,27 +336,26 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
                           max_term_size)
     d0, d1, d2 = search.digits
     m1 = np.where(d0 == d1)[0]
-    t1 = d2[m1]
     m2 = np.where(d1 == d2)[0]
-    t2 = d0[m2] if second_identity == "x" else d2[m2]
-
-    def qualifies(vec: np.ndarray) -> bool:
-        return bool(np.all(vec[m1] == t1) and np.all(vec[m2] == t2))
-
-    new = list(range(len(search.vectors)))
+    cols = np.concatenate([m1, m2])
+    values = np.concatenate(
+        [d2[m1], d0[m2] if second_identity == "x" else d2[m2]])
+    new = range(len(search.vectors))
     depth = 0
     while True:
-        hits = [i for i in new if qualifies(search.vectors[i])]
+        hits = search.satisfying(new, cols, values)
         if hits:
             best = _canonical_min(search, hits)
             term = search.terms[best]
             _verify_malcev(alg, term, second_identity)
             return MalcevSearchResult(term, search.truncated,
-                                      len(search.vectors), max_depth)
+                                      len(search.vectors), max_depth,
+                                      search.exhausted)
         depth += 1
         if depth > max_depth or search.truncated:
             return MalcevSearchResult(None, search.truncated,
-                                      len(search.vectors), max_depth)
+                                      len(search.vectors), max_depth,
+                                      search.exhausted)
         new = search.run_level(depth)
 
 
@@ -404,12 +447,14 @@ class BiternarySearchResult:
     """Outcome of a bounded biternary-pair search.
 
     pair is None when no (alpha, beta) pair exists within the depth
-    bound (or the scan truncated; see truncated)."""
+    bound (or the scan truncated; see truncated, and exhausted for the
+    budget that ran out)."""
 
     pair: Optional[BiternaryPair]
     truncated: bool
     tables_explored: int
     max_depth: int
+    exhausted: Optional[str] = None
 
 
 def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
@@ -433,9 +478,6 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     diag_t = search.digits[2][diag]
     tail = d1 * n + d2
 
-    def is_alpha(vec: np.ndarray) -> bool:
-        return bool(np.all(vec[diag] == diag_t))
-
     def cross(va: np.ndarray, vb: np.ndarray) -> bool:
         inner = vb.astype(np.int64) * (n * n) + tail
         if not np.array_equal(va[inner], search.digits[0]):
@@ -448,10 +490,10 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
 
     alphas: list[int] = []
     prev_total = 0
-    new = list(range(len(search.vectors)))
+    new = range(len(search.vectors))
     depth = 0
     while True:
-        new_alphas = [i for i in new if is_alpha(search.vectors[i])]
+        new_alphas = search.satisfying(new, diag, diag_t)
         total = len(search.vectors)
         # only pairs completed at this level: a new alpha against any
         # table, or an older alpha against a new table
@@ -469,13 +511,15 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
             pair = BiternaryPair(search.terms[a], search.terms[b])
             _verify_biternary(alg, pair)
             return BiternarySearchResult(pair, search.truncated,
-                                         len(search.vectors), max_depth)
+                                         len(search.vectors), max_depth,
+                                         search.exhausted)
         alphas.extend(new_alphas)
         prev_total = total
         depth += 1
         if depth > max_depth or search.truncated:
             return BiternarySearchResult(None, search.truncated,
-                                         len(search.vectors), max_depth)
+                                         len(search.vectors), max_depth,
+                                         search.exhausted)
         new = search.run_level(depth)
 
 

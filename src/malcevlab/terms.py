@@ -8,7 +8,8 @@ The concrete syntax is deliberately small:
     quasi    :=  formula ("&" formula)* "=>" formula  |  formula
 
 Nullary operation symbols are written bare ("e", not "e()").  Whitespace
-is insignificant.  An identifier matching x<digits> is always a variable,
+is insignificant.  Terms may nest at most MAX_TERM_DEPTH applications
+deep; deeper input is a syntax error.  An identifier matching x<digits> is always a variable,
 so operation and predicate names must not collide with that shape.
 
 Premises of a quasiidentity are read conjunctively: the conclusion must
@@ -32,6 +33,11 @@ from .errors import (
 
 _VAR_RE = re.compile(r"^x[0-9]+$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# Deepest term_depth the parser accepts.  Printing, evaluating and
+# comparing terms recurse once or twice per level, so this keeps every
+# parsed term well inside Python's default recursion limit of 1000.
+MAX_TERM_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -278,12 +284,18 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.sig = sig
 
-    def parse_term(self) -> Term:
+    def parse_term(self, depth: int = 0) -> Term:
+        """depth counts the applications enclosing this term."""
         kind, word, col = self.toks.peek()
         if kind == "var":
             self.toks.next()
             return Var(int(word[1:]))
         if kind == "name":
+            if depth == MAX_TERM_DEPTH:
+                raise TermSyntaxError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} levels"
+                    f" at column {col}", col,
+                    expected=f"at most {MAX_TERM_DEPTH} nested applications")
             self.toks.next()
             arity = self.sig.op_arity(word)
             if arity is None:
@@ -299,10 +311,10 @@ class _Parser:
             self.toks.next()
             args = []
             if self.toks.peek()[0] != "rparen":
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth + 1))
                 while self.toks.peek()[0] == "comma":
                     self.toks.next()
-                    args.append(self.parse_term())
+                    args.append(self.parse_term(depth + 1))
             self.toks.expect("rparen", "')' or ','")
             if len(args) != arity:
                 raise ArityMismatch(

@@ -204,13 +204,34 @@ def test_budget_exhaustion_is_exit_three(capsys):
     assert code == 3
     assert out == ""
     assert "exceed" in err
+    assert "size bound 3" in err
 
 
 def test_truncated_search_is_exit_three(capsys):
-    code, _, err = run(
+    code, out, err = run(
         ["malcev", "demos/data/tangle5.alg", "--max-size", "0"], capsys)
     assert code == 3
-    assert "budget" in err
+    assert out == ""
+    assert "table budget of 150000 distinct tables" in err
+    assert "--depth" in err and "--max-size" in err
+
+
+def test_truncated_biternary_is_exit_three(capsys):
+    code, out, err = run(
+        ["biternary", "demos/data/tangle5.alg", "--max-size", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "table budget of 150000 distinct tables" in err
+
+
+def test_too_deep_term_is_exit_two(capsys):
+    text = "inv(" * 3000 + "x0" + ")" * 3000
+    code, out, err = run(
+        ["eval", "demos/data/z4.alg", text, "--at", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "column 801" in err
 
 
 def test_capped_search_resolves_cleanly(capsys):

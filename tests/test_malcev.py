@@ -1,14 +1,19 @@
 """Derived-operation searches: Mal'cev terms, biternary pairs, translations."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from malcevlab import (App, TermEnumeration, Var, check_permutability_theorem,
-                       composition_closure, detect_biternary, eval_term,
-                       find_biternary_pair, find_malcev_term,
-                       malcev_from_biternary, malcev_search, parse_term,
-                       print_term, term_key, term_size, translation_group)
+from malcevlab import (App, FiniteAlgebra, Signature, TermEnumeration, Var,
+                       check_permutability_theorem, composition_closure,
+                       detect_biternary, eval_term, find_biternary_pair,
+                       find_malcev_term, malcev_from_biternary,
+                       malcev_search, parse_term, print_term, term_key,
+                       term_size, translation_group)
+from malcevlab.malcev import _TableSearch
 
 from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, chain_semilattice,
                       cyclic_group, klein_group, symmetric_group_3, tangle5)
@@ -75,6 +80,50 @@ def test_tangle5_truncates_without_cap_on_small_budget():
     res = malcev_search(tangle5(), max_depth=4, table_budget=2000)
     assert res.term is None
     assert res.truncated
+    assert res.exhausted == "table"
+
+
+def test_tangle5_candidate_truncation_count():
+    res = malcev_search(tangle5(), 4, candidate_budget=20_000)
+    assert res.term is None
+    assert res.truncated
+    assert res.exhausted == "candidate"
+    assert res.tables_explored == 18270
+
+
+@st.composite
+def small_algebras(draw):
+    """One binary operation, optionally a unary one and a constant."""
+    n = draw(st.integers(1, 4))
+    ops = [("mul", 2)]
+    if draw(st.booleans()):
+        ops.append(("inv", 1))
+    if draw(st.booleans()):
+        ops.append(("e", 0))
+    values = st.integers(0, n - 1)
+    tables = {name: draw(st.lists(values, min_size=n**arity,
+                                  max_size=n**arity))
+              for name, arity in ops}
+    return FiniteAlgebra(Signature(tuple(ops)), n, tables)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras(), st.integers(1, 3), st.sampled_from([None, 5, 7]))
+def test_table_search_invariants(alg, depth, cap):
+    # stored keys and sizes are those of the stored terms, and every
+    # term evaluates to its table, after each level and after truncation
+    search = _TableSearch(alg, 3, candidate_budget=1000, max_term_size=cap)
+    assignments = list(product(range(alg.size), repeat=3))
+    for level in range(1, depth + 1):
+        search.run_level(level)
+        for i, term in enumerate(search.terms):
+            assert search.keys[i] == term_key(term, alg.sig)
+            assert search.sizes[i] == term_size(term)
+            assert cap is None or search.sizes[i] <= cap
+            values = [eval_term(term, a, alg) for a in assignments]
+            assert values == search.vectors[i].tolist()
+        if search.truncated:
+            break
 
 
 def test_second_identity_variant_admits_projection(z4):

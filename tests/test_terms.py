@@ -13,6 +13,7 @@ from malcevlab import (App, Quasiidentity, Signature, Var,
 from malcevlab.errors import (ArityMismatch, AssignmentTooShort,
                               SignatureMismatch, TermSyntaxError,
                               UnknownSymbol)
+from malcevlab.terms import MAX_TERM_DEPTH
 
 from conftest import GROUP_SIG, MEET_SIG, cyclic_group, random_algebra
 
@@ -74,6 +75,22 @@ def test_parse_error_positions(text, exc, position):
     with pytest.raises(exc) as info:
         parse_term(text, GROUP_SIG)
     assert info.value.position == position
+
+
+def test_nesting_bound_is_inclusive(z4):
+    text = "inv(" * MAX_TERM_DEPTH + "x0" + ")" * MAX_TERM_DEPTH
+    t = parse_term(text, GROUP_SIG)
+    assert term_depth(t) == MAX_TERM_DEPTH
+    assert print_term(t) == text
+    # inv is negation in Z4 and the bound is even
+    assert eval_term(t, (3,), z4) == 3
+    constant = "inv(" * (MAX_TERM_DEPTH - 1) + "e" + ")" * (MAX_TERM_DEPTH - 1)
+    assert term_depth(parse_term(constant, GROUP_SIG)) == MAX_TERM_DEPTH
+    with pytest.raises(TermSyntaxError) as info:
+        parse_term("inv(" + text + ")", GROUP_SIG)
+    assert info.value.position == 4 * MAX_TERM_DEPTH + 1
+    with pytest.raises(TermSyntaxError):
+        parse_term("inv(" + constant + ")", GROUP_SIG)
 
 
 def test_formula_parse_and_errors():
