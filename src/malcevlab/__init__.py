@@ -22,9 +22,8 @@ from .algebras import (
 )
 from .congruences import (
     Congruence, identity_congruence, full_congruence, partition_congruence,
-    congruence_generated_by, join, all_congruences, all_stable_partitions,
-    is_stable_partition, compose_relation, compose_permute,
-    relation_is_congruence, quotient, kernel,
+    congruence_generated_by, join, all_congruences, is_stable_partition,
+    compose_relation, compose_permute, quotient, kernel,
 )
 from .malcev import (
     TermEnumeration, MalcevSearchResult, malcev_search, find_malcev_term,

@@ -31,9 +31,9 @@ from .algebras import (FiniteAlgebra, find_homomorphisms,
                        is_strong_homomorphism)
 from .classes import (free_algebra, membership_in_closure, presented_algebra,
                       replica, verify_universal_property)
-from .congruences import (all_congruences, compose_permute,
-                          is_stable_partition, partition_congruence,
-                          quotient)
+from .congruences import (DEFAULT_LATTICE_BUDGET, all_congruences,
+                          compose_permute, is_stable_partition,
+                          partition_congruence, quotient)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (load_algebra, load_class, load_signature,
@@ -307,9 +307,19 @@ def _cmd_homs(args, inputs):
     return result, checks, bool(maps)
 
 
+def _lattice(args, alg):
+    """all_congruences with --max-product as its join budget."""
+    budget = args.max_product if args.max_product else DEFAULT_LATTICE_BUDGET
+    try:
+        return all_congruences(alg, budget=budget)
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(
+            f"{exc}; a larger --max-product raises it") from None
+
+
 def _cmd_congruences(args, inputs):
     alg = _load_alg(args.algebra, inputs)
-    congs = all_congruences(alg)
+    congs = _lattice(args, alg)
     for c in congs:
         if not is_stable_partition(alg, c.block_of):  # pragma: no cover
             raise AssertionError("listed partition is not stable")
@@ -328,7 +338,7 @@ def _cmd_congruences(args, inputs):
 
 def _cmd_permutable(args, inputs):
     alg = _load_alg(args.algebra, inputs)
-    congs = all_congruences(alg)
+    congs = _lattice(args, alg)
     bad = []
     pair_count = 0
     for i, j in combinations(range(len(congs)), 2):
@@ -751,7 +761,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-product", type=int, default=None, metavar="N",
         help="bound on constructed widths and search budgets; overrides a "
-             "class file's size_bound (default 1000000 for map searches)")
+             "class file's size_bound (default 1000000 for map searches "
+             "and congruence-lattice joins)")
     common.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="machine prints deterministic JSON with no timing data")

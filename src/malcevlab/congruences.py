@@ -6,16 +6,26 @@ its block; that tuple doubles as the canonical sort key.  Predicates
 play no role in stability, but they do transfer to quotients: a
 predicate holds on blocks iff it holds on some choice of representatives
 (one per block, independently).
+
+Con(A) is a sublattice of the partition lattice Eq(A): the join of two
+congruences is their plain partition join, and the whole lattice is the
+join-closure of the principal congruences Cg(a, b) (Freese, Computing
+congruences efficiently, Algebra Universalis 59, 2008).  Enumerating it
+is bounded by a budget on joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .algebras import FiniteAlgebra, flat_index, is_homomorphism
-from .errors import AlgebraMismatch, NotAHomomorphism, NotStable
+from .errors import (AlgebraMismatch, NotAHomomorphism, NotStable,
+                     SearchBudgetExceeded)
+
+# default bound on the joins all_congruences may perform
+DEFAULT_LATTICE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -65,17 +75,18 @@ class Congruence:
         return "{" + inner + "}"
 
 
+def _root(parent: Sequence[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
 def _normalize(parent: Sequence[int], n: int) -> tuple[int, ...]:
     """Collapse a union-find parent array to least-member block ids."""
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     rep: dict[int, int] = {}
     block_of = [0] * n
     for x in range(n):
-        r = find(x)
+        r = _root(parent, x)
         if r not in rep:
             rep[r] = x  # first visit in ascending order is the least member
         block_of[x] = rep[r]
@@ -172,35 +183,53 @@ def congruence_generated_by(alg: FiniteAlgebra,
 
 
 def join(theta: Congruence, xi: Congruence) -> Congruence:
-    """Least congruence containing both."""
+    """Least congruence containing both: their join as partitions.
+
+    Union-find over the two block_of tuples.  The partition join of two
+    congruences is already stable (Con(A) is a sublattice of Eq(A)), so
+    no generation step is needed.
+    """
     if theta.algebra is not xi.algebra and theta.algebra != xi.algebra:
         raise AlgebraMismatch("join needs congruences of one algebra")
-    seeds = [(x, r) for x, r in enumerate(theta.block_of)]
-    seeds += [(x, r) for x, r in enumerate(xi.block_of)]
-    return congruence_generated_by(theta.algebra, seeds)
+    parent = list(theta.block_of)  # parent[x] <= x, so every walk ends
+    for x, r in enumerate(xi.block_of):
+        a, b = _root(parent, x), _root(parent, r)
+        parent[max(a, b)] = min(a, b)
+    return Congruence(theta.algebra, _normalize(parent, len(parent)))
 
 
-def all_congruences(alg: FiniteAlgebra) -> list[Congruence]:
-    """Every congruence, via join-closure of the principal congruences.
+def all_congruences(alg: FiniteAlgebra, *,
+                    budget: int = DEFAULT_LATTICE_BUDGET) -> list[Congruence]:
+    """Every congruence, as the join-closure of the principal congruences.
 
-    Returns the full lattice sorted by the canonical partition key.  The
-    exhaustive partition filter (all_stable_partitions) computes the same
-    set by brute force and serves as a cross-check.
+    Every congruence is the join of the principal congruences it
+    contains, so joining each newly found congruence with each distinct
+    principal congruence reaches the whole lattice; two non-principal
+    congruences are never joined.  budget bounds the number of joins;
+    past it SearchBudgetExceeded is raised.  Returns the lattice sorted
+    by the canonical partition key.
     """
     principals: dict[tuple[int, ...], Congruence] = {}
     for a in range(alg.size):
         for b in range(a + 1, alg.size):
             c = congruence_generated_by(alg, [(a, b)])
             principals[c.block_of] = c
+    generators = list(principals.values())
     found: dict[tuple[int, ...], Congruence] = dict(principals)
     ident = identity_congruence(alg)
     found[ident.block_of] = ident
-    frontier = list(principals.values())
+    frontier = generators
+    joins = 0
     while frontier:
         fresh = []
         for c in frontier:
-            for d in list(found.values()):
-                j = join(c, d)
+            for p in generators:
+                if joins == budget:
+                    raise SearchBudgetExceeded(
+                        f"lattice budget of {budget} joins exhausted after "
+                        f"{joins} joins with {len(found)} congruences found")
+                joins += 1
+                j = join(c, p)
                 if j.block_of not in found:
                     found[j.block_of] = j
                     fresh.append(j)
@@ -208,48 +237,12 @@ def all_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     return [found[k] for k in sorted(found)]
 
 
-def _partitions(n: int):
-    """All partitions of range(n) as block_of tuples (restricted growth)."""
-    if n == 0:
-        yield ()
-        return
-    codes = [0] * n
-
-    def rec(i, top):
-        if i == n:
-            # translate growth string to least-member block ids
-            first = {}
-            out = [0] * n
-            for x, c in enumerate(codes):
-                if c not in first:
-                    first[c] = x
-                out[x] = first[c]
-            yield tuple(out)
-            return
-        for c in range(top + 2):
-            codes[i] = c
-            yield from rec(i + 1, max(top, c))
-
-    yield from rec(1, 0)
-
-
-def all_stable_partitions(alg: FiniteAlgebra) -> list[Congruence]:
-    """Brute-force congruence enumeration: filter every partition of the
-    carrier by stability.  Exponential; meant as a small-size oracle."""
-    out = []
-    for block_of in _partitions(alg.size):
-        if is_stable_partition(alg, block_of):
-            out.append(Congruence(alg, block_of))
-    out.sort(key=lambda c: c.block_of)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # composition and permutability
 
 def compose_relation(theta: Congruence, xi: Congruence) -> frozenset[tuple[int, int]]:
     """Relational composition: (a, c) with a theta b and b xi c for some b."""
-    if theta.algebra != xi.algebra:
+    if theta.algebra is not xi.algebra and theta.algebra != xi.algebra:
         raise AlgebraMismatch("composition needs congruences of one algebra")
     xi_blocks: dict[int, list[int]] = {}
     for x, r in enumerate(xi.block_of):
@@ -273,37 +266,6 @@ def compose_permute(theta: Congruence, xi: Congruence):
     return forward, forward == backward
 
 
-def relation_is_congruence(alg: FiniteAlgebra,
-                           rel: frozenset[tuple[int, int]]) -> bool:
-    """Is a binary relation an equivalence stable under the operations?"""
-    n = alg.size
-    for a in range(n):
-        if (a, a) not in rel:
-            return False
-    for a, b in rel:
-        if (b, a) not in rel:
-            return False
-    member = rel.__contains__
-    for a, b in rel:
-        for c in range(n):
-            if member((b, c)) and not member((a, c)):
-                return False
-    # stability: relate componentwise images
-    for name, arity in alg.sig.ops:
-        if arity == 0:
-            continue
-        table = alg.op_tables[name]
-        for args in product(range(n), repeat=arity):
-            v = table[flat_index(args, n)]
-            for pos in range(arity):
-                for y in range(n):
-                    if (args[pos], y) in rel:
-                        alt = args[:pos] + (y,) + args[pos + 1:]
-                        if (v, table[flat_index(alt, n)]) not in rel:
-                            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # quotients and kernels
 
@@ -315,7 +277,7 @@ def quotient(alg: FiniteAlgebra, theta: Congruence):
     choice (NotStable otherwise).  A predicate holds on a block tuple iff
     it holds for some choice of members, one from each block.
     """
-    if theta.algebra != alg:
+    if theta.algebra is not alg and theta.algebra != alg:
         raise AlgebraMismatch("congruence belongs to a different algebra")
     reps = sorted(set(theta.block_of))
     index = {r: i for i, r in enumerate(reps)}

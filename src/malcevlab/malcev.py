@@ -579,22 +579,22 @@ def _substitute(t: Term, replacements: tuple[Term, ...]) -> Term:
 def composition_closure(maps, size: int) -> frozenset:
     """Close a family of self-maps of 0..size-1 under composition.
 
+    Breadth-first over words in the generators: each new map is composed
+    with the generators only, never with every map found so far, since
+    every element of the generated monoid is a word in the generators.
     The identity is always included.  For bijective generators over a
     finite carrier the result is a permutation group: some power of
     each generator is its inverse.
     """
-    identity = tuple(range(size))
-    closure = {identity}
-    closure.update(tuple(m) for m in maps)
+    generators = [tuple(m) for m in maps]
+    closure = {tuple(range(size)), *generators}
     work = list(closure)
-    while work:
-        g = work.pop()
-        for h in list(closure):
-            for comp in (tuple(g[h[x]] for x in range(size)),
-                         tuple(h[g[x]] for x in range(size))):
-                if comp not in closure:
-                    closure.add(comp)
-                    work.append(comp)
+    for g in work:
+        for h in generators:
+            comp = tuple([g[x] for x in h])
+            if comp not in closure:
+                closure.add(comp)
+                work.append(comp)
     return frozenset(closure)
 
 

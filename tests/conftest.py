@@ -6,6 +6,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from malcevlab import FiniteAlgebra, Signature
 
@@ -129,6 +130,22 @@ def random_algebra(rng: random.Random, max_size: int = 5) -> FiniteAlgebra:
                               for _ in range(size**arity))
     sig = Signature(ops=tuple(ops), preds=tuple(preds))
     return FiniteAlgebra(sig, size, tables, ptables)
+
+
+@st.composite
+def small_algebras(draw, max_size: int = 4):
+    """One binary operation, optionally a unary one and a constant."""
+    n = draw(st.integers(1, max_size))
+    ops = [("mul", 2)]
+    if draw(st.booleans()):
+        ops.append(("inv", 1))
+    if draw(st.booleans()):
+        ops.append(("e", 0))
+    values = st.integers(0, n - 1)
+    tables = {name: draw(st.lists(values, min_size=n**arity,
+                                  max_size=n**arity))
+              for name, arity in ops}
+    return FiniteAlgebra(Signature(tuple(ops)), n, tables)
 
 
 UNIT_FREE_ROWS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))

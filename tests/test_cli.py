@@ -207,6 +207,21 @@ def test_budget_exhaustion_is_exit_three(capsys):
     assert "size bound 3" in err
 
 
+def test_lattice_budget_is_exit_three(tmp_path, capsys):
+    # Bell(12), about 4.2 million congruences: every partition is stable
+    alg = tmp_path / "set12.alg"
+    alg.write_text("size 12\nop id 1\n"
+                   + " ".join(str(x) for x in range(12)) + "\n")
+    for command in ("congruences", "permutable"):
+        code, out, err = run([command, str(alg), "--max-product", "5000"],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert "lattice budget of 5000 joins" in err
+        assert "--max-product" in err
+
+
 def test_truncated_search_is_exit_three(capsys):
     code, out, err = run(
         ["malcev", "demos/data/tangle5.alg", "--max-size", "0"], capsys)

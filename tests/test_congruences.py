@@ -3,19 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malcevlab import (FiniteAlgebra, Signature, all_congruences,
-                       all_stable_partitions, compose_permute,
-                       compose_relation, congruence_generated_by,
+                       compose_permute, compose_relation,
+                       congruence_generated_by,
                        find_homomorphisms, find_isomorphism,
                        full_congruence, identity_congruence,
                        is_strong_homomorphism, join, kernel,
                        partition_congruence, quotient,
                        subalgebra_as_algebra)
-from malcevlab.errors import NotStable
+from malcevlab.errors import NotStable, SearchBudgetExceeded
 
 from conftest import (chain_semilattice, cyclic_group, klein_group,
-                      random_algebra, symmetric_group_3, tangle5)
+                      random_algebra, small_algebras, symmetric_group_3,
+                      tangle5)
+from oracles_local import all_stable_partitions, relation_is_congruence
 
 
 def blocks_of(c):
@@ -68,6 +72,38 @@ def test_all_congruences_agrees_with_stable_partition_scan_seeded():
         fast = {c.block_of for c in all_congruences(alg)}
         slow = {c.block_of for c in all_stable_partitions(alg)}
         assert fast == slow
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras(max_size=5))
+def test_all_congruences_matches_stable_partition_oracle(alg):
+    congs = all_congruences(alg)
+    assert [c.block_of for c in congs] == \
+        [c.block_of for c in all_stable_partitions(alg)]
+    assert all(relation_is_congruence(alg, c.pairs()) for c in congs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras(max_size=5), st.data())
+def test_join_equals_generated_congruence(alg, data):
+    # the partition join against the old definition: the congruence
+    # generated by both partitions
+    congs = all_congruences(alg)
+    for _ in range(4):
+        theta = data.draw(st.sampled_from(congs))
+        xi = data.draw(st.sampled_from(congs))
+        seeds = list(enumerate(theta.block_of)) + list(enumerate(xi.block_of))
+        assert join(theta, xi).block_of == \
+            congruence_generated_by(alg, seeds).block_of
+
+
+def test_lattice_budget_bounds_the_joins():
+    # 16 congruences, 10 of them principal: each of the 15 non-identity
+    # congruences is joined once with each principal one
+    chain = chain_semilattice(5)
+    assert len(all_congruences(chain, budget=150)) == 16
+    with pytest.raises(SearchBudgetExceeded, match="budget of 149 joins"):
+        all_congruences(chain, budget=149)
 
 
 def test_partition_congruence_validates(z4):

@@ -16,7 +16,9 @@ from malcevlab import (App, FiniteAlgebra, Signature, TermEnumeration, Var,
 from malcevlab.malcev import _TableSearch
 
 from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, chain_semilattice,
-                      cyclic_group, klein_group, symmetric_group_3, tangle5)
+                      cyclic_group, groupoid_from_rows, klein_group,
+                      small_algebras, symmetric_group_3, tangle5)
+from oracles_local import naive_composition_closure
 
 
 def assert_malcev_identities(alg, term):
@@ -89,22 +91,6 @@ def test_tangle5_candidate_truncation_count():
     assert res.truncated
     assert res.exhausted == "candidate"
     assert res.tables_explored == 18270
-
-
-@st.composite
-def small_algebras(draw):
-    """One binary operation, optionally a unary one and a constant."""
-    n = draw(st.integers(1, 4))
-    ops = [("mul", 2)]
-    if draw(st.booleans()):
-        ops.append(("inv", 1))
-    if draw(st.booleans()):
-        ops.append(("e", 0))
-    values = st.integers(0, n - 1)
-    tables = {name: draw(st.lists(values, min_size=n**arity,
-                                  max_size=n**arity))
-              for name, arity in ops}
-    return FiniteAlgebra(Signature(tuple(ops)), n, tables)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,6 +207,28 @@ def test_composition_closure_generates_s3():
 def test_composition_closure_contains_identity():
     closure = composition_closure([], 4)
     assert closure == frozenset({(0, 1, 2, 3)})
+
+
+def test_composition_closure_matches_naive_closure_on_self_maps():
+    # non-bijective maps too: the closure is then a monoid
+    rng = random.Random(31)
+    for _ in range(30):
+        maps = [tuple(rng.randrange(4) for _ in range(4))
+                for _ in range(rng.randint(0, 3))]
+        assert composition_closure(maps, 4) == \
+            naive_composition_closure(maps, 4)
+
+
+def test_translation_closure_matches_naive_closure_seeded():
+    rng = random.Random(404)
+    orders = set()
+    for _ in range(20):
+        alg = groupoid_from_rows([[rng.randrange(3) for _ in range(3)]
+                                  for _ in range(3)])
+        grp = translation_group(alg)
+        assert grp.closure == naive_composition_closure(grp.generators, 3)
+        orders.add(len(grp.closure))
+    assert max(orders) > 1
 
 
 def test_search_witness_is_canonically_least(z4):

@@ -11,6 +11,7 @@ from malcevlab import (QUASIGROUP_SIGNATURE, equasigroup_from_latin,
 from malcevlab.errors import FlavorMismatch, NoRightUnit, NotLatin
 
 from conftest import (UNIT_FREE_ROWS, all_latin_squares, random_square)
+from oracles_local import naive_composition_closure
 
 
 def q_from(rows):
@@ -83,20 +84,6 @@ def test_to_algebra_flavors():
         to_algebra(q, "loop_with_extras")
 
 
-def naive_generated_group(generators, n):
-    found = set(generators) | {tuple(range(n))}
-    frontier = list(found)
-    while frontier:
-        g = frontier.pop()
-        for h in list(found):
-            for comp in (tuple(g[h[i]] for i in range(n)),
-                         tuple(h[g[i]] for i in range(n))):
-                if comp not in found:
-                    found.add(comp)
-                    frontier.append(comp)
-    return found
-
-
 def test_multiplication_group_matches_naive_closure_seeded():
     rng = random.Random(23)
     for n in (3, 4, 5):
@@ -112,9 +99,19 @@ def test_multiplication_group_matches_naive_closure_seeded():
                 if side in ("right", "both"):
                     assert all(tuple(rows[a][b] for a in range(n)) in gens
                                for b in range(n))
-                assert grp.closure == frozenset(
-                    naive_generated_group(grp.generators, n))
+                assert grp.closure == naive_composition_closure(
+                    grp.generators, n)
                 assert grp.transitive
+
+
+def test_multiplication_groups_match_naive_closure_on_all_order_four():
+    squares = all_latin_squares(4)
+    assert len(squares) == 576
+    for rows in squares:
+        q = q_from(rows)
+        for side in ("left", "right", "both"):
+            grp = multiplication_group(q, side=side)
+            assert grp.closure == naive_composition_closure(grp.generators, 4)
 
 
 def test_multiplication_group_of_cyclic_table_is_regular():
