@@ -4,6 +4,13 @@ Carriers are initial segments of the naturals; operations and predicates
 are explicit tables.  The subpackages cover the term language, congruence
 machinery, Mal'cev-style term searches, quasigroup constructions, and
 free/presented algebras over finite generator classes.
+
+The names of the derived-operation search (malcev_search,
+detect_biternary, translation_group and the rest of the malcev module)
+load on first access (PEP 562).  That module is the only user of numpy,
+and importing numpy costs more than the rest of a command's start-up, so
+importing the package, or running a command that searches nothing, does
+not load it.
 """
 
 from .terms import (
@@ -25,17 +32,11 @@ from .congruences import (
     congruence_generated_by, join, all_congruences, is_stable_partition,
     compose_relation, compose_permute, quotient, kernel,
 )
-from .malcev import (
-    TermEnumeration, MalcevSearchResult, malcev_search, find_malcev_term,
-    PermutabilityReport, check_permutability_theorem,
-    BiternaryPair, BiternarySearchResult, detect_biternary,
-    find_biternary_pair, malcev_from_biternary,
-    TranslationGroup, translation_group, composition_closure,
-)
 from .quasigroups import (
     QUASIGROUP_SIGNATURE, LatinSquare, latin_square, Equasigroup,
     equasigroup_from_latin, to_algebra, multiplication_group,
     malcev_polynomial, RectificationReport, rectification_check,
+    TranslationGroup, composition_closure,
 )
 from .classes import (
     FreeAlgebra, free_algebra, presented_algebra, extend_assignment,
@@ -49,3 +50,28 @@ from .fileformat import (
 from . import errors
 
 __version__ = "0.1.0"
+
+_SEARCH_NAMES = (
+    "TermEnumeration", "MalcevSearchResult", "malcev_search",
+    "find_malcev_term", "PermutabilityReport", "check_permutability_theorem",
+    "BiternaryPair", "BiternarySearchResult", "detect_biternary",
+    "find_biternary_pair", "malcev_from_biternary", "translation_group",
+)
+
+# every public name bound so far (the submodules included, as before the
+# search names became lazy), then the search names
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += _SEARCH_NAMES
+
+
+def __getattr__(name: str):
+    if name in _SEARCH_NAMES:
+        from . import malcev
+        value = getattr(malcev, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SEARCH_NAMES))

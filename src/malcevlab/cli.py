@@ -12,6 +12,10 @@ Exit codes: 0 for a completed run (including negative answers such as
 the checked property does not hold, 2 for malformed input, and 3 when a
 work or size budget stopped a search before it could settle the
 question — budgets never truncate silently.
+
+The derived-operation search (and numpy with it) is imported inside the
+handlers of ``malcev``, ``biternary`` and ``translations``, after their
+input is loaded, so every other command starts without it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (load_algebra, load_class, load_signature,
                          save_algebra)
-from .malcev import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
-                     detect_biternary, malcev_search, translation_group)
 from .quasigroups import (LatinSquare, equasigroup_from_latin,
                           malcev_polynomial, multiplication_group,
                           rectification_check)
@@ -237,8 +239,14 @@ def _cmd_eval(args, inputs):
 def _cmd_check(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     q = parse_quasiidentity(args.formula, alg.sig)
-    outcome = check_quasiidentity(q, alg)
     total = alg.size**q.variable_count
+    budget = args.max_product if args.max_product else MAP_SEARCH_BUDGET
+    if total > budget:
+        raise SearchBudgetExceeded(
+            f"{total} assignments over {q.variable_count} variables exceed "
+            f"the assignment budget of {budget}; a larger --max-product "
+            f"raises it")
+    outcome = check_quasiidentity(q, alg)
     if outcome.holds:
         summary = f"holds over all {total} assignments"
     else:
@@ -307,9 +315,13 @@ def _cmd_homs(args, inputs):
     return result, checks, bool(maps)
 
 
+def _lattice_budget(args) -> int:
+    return args.max_product if args.max_product else DEFAULT_LATTICE_BUDGET
+
+
 def _lattice(args, alg):
     """all_congruences with --max-product as its join budget."""
-    budget = args.max_product if args.max_product else DEFAULT_LATTICE_BUDGET
+    budget = _lattice_budget(args)
     try:
         return all_congruences(alg, budget=budget)
     except SearchBudgetExceeded as exc:
@@ -339,10 +351,14 @@ def _cmd_congruences(args, inputs):
 def _cmd_permutable(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     congs = _lattice(args, alg)
+    pair_count = len(congs) * (len(congs) - 1) // 2
+    budget = _lattice_budget(args)
+    if pair_count > budget:
+        raise SearchBudgetExceeded(
+            f"{pair_count} congruence pairs exceed the pair budget of "
+            f"{budget}; a larger --max-product raises it")
     bad = []
-    pair_count = 0
     for i, j in combinations(range(len(congs)), 2):
-        pair_count += 1
         _, ok = compose_permute(congs[i], congs[j])
         if not ok:
             bad.append({"theta": str(congs[i]), "xi": str(congs[j])})
@@ -388,12 +404,11 @@ def _cmd_quotient(args, inputs):
     return result, checks, True
 
 
-_SEARCH_BUDGETS = {"table": (DEFAULT_TABLE_BUDGET, "distinct tables"),
-                   "candidate": (DEFAULT_CANDIDATE_BUDGET, "candidates")}
-
-
 def _search_budget_error(res, depth: int, cap_note: str):
-    limit, unit = _SEARCH_BUDGETS[res.exhausted]
+    from .malcev import DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET
+    limit, unit = {"table": (DEFAULT_TABLE_BUDGET, "distinct tables"),
+                   "candidate": (DEFAULT_CANDIDATE_BUDGET, "candidates"),
+                   }[res.exhausted]
     return SearchBudgetExceeded(
         f"{res.exhausted} budget of {limit} {unit} exhausted after "
         f"{res.tables_explored} derived operations, before settling depth "
@@ -403,6 +418,7 @@ def _search_budget_error(res, depth: int, cap_note: str):
 
 def _cmd_malcev(args, inputs):
     alg = _load_alg(args.algebra, inputs)
+    from .malcev import malcev_search
     cap = _effective_cap(args)
     res = malcev_search(alg, args.depth, max_term_size=cap)
     cap_note = f" and size <= {cap}" if cap is not None else ""
@@ -442,6 +458,7 @@ def _cmd_malcev(args, inputs):
 
 def _cmd_biternary(args, inputs):
     alg = _load_alg(args.algebra, inputs)
+    from .malcev import detect_biternary
     cap = _effective_cap(args)
     res = detect_biternary(alg, args.depth, max_term_size=cap)
     cap_note = f" and size <= {cap}" if cap is not None else ""
@@ -482,6 +499,7 @@ def _cmd_biternary(args, inputs):
 
 def _cmd_translations(args, inputs):
     alg = _load_alg(args.algebra, inputs)
+    from .malcev import translation_group
     grp = translation_group(alg, args.depth)
     action = "transitively" if grp.transitive else "non-transitively"
     if grp.truncated and not grp.transitive:
@@ -761,8 +779,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-product", type=int, default=None, metavar="N",
         help="bound on constructed widths and search budgets; overrides a "
-             "class file's size_bound (default 1000000 for map searches "
-             "and congruence-lattice joins)")
+             "class file's size_bound (default 1000000 for map searches, "
+             "check assignments, congruence-lattice joins and congruence "
+             "pairs)")
     common.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="machine prints deterministic JSON with no timing data")

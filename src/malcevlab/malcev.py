@@ -22,6 +22,12 @@ TermEnumeration, by contrast, enumerates raw terms one by one in the
 canonical order (size, then root symbol, then children) without any
 deduplication; it is the substrate for corpus generation and small
 exhaustive checks, not for deep searches.
+
+This is the only module that imports numpy.  The package and the
+command line load it on first use of a search name, so commands that
+search nothing start without numpy.  translation_group enumerates its
+maps here and closes them with composition_closure, which lives in
+quasigroups next to multiplication_group and is re-exported here.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import numpy as np
 
 from .algebras import FiniteAlgebra, flat_index
 from .congruences import Congruence, all_congruences, compose_permute
+from .quasigroups import TranslationGroup, composition_closure
 from .terms import App, Signature, Term, Var, eval_term, term_depth, term_key
 
 DEFAULT_DEPTH = 4
@@ -575,45 +582,6 @@ def _substitute(t: Term, replacements: tuple[Term, ...]) -> Term:
 
 # ---------------------------------------------------------------------------
 # translation groups
-
-def composition_closure(maps, size: int) -> frozenset:
-    """Close a family of self-maps of 0..size-1 under composition.
-
-    Breadth-first over words in the generators: each new map is composed
-    with the generators only, never with every map found so far, since
-    every element of the generated monoid is a word in the generators.
-    The identity is always included.  For bijective generators over a
-    finite carrier the result is a permutation group: some power of
-    each generator is its inverse.
-    """
-    generators = [tuple(m) for m in maps]
-    closure = {tuple(range(size)), *generators}
-    work = list(closure)
-    for g in work:
-        for h in generators:
-            comp = tuple([g[x] for x in h])
-            if comp not in closure:
-                closure.add(comp)
-                work.append(comp)
-    return frozenset(closure)
-
-
-@dataclass(frozen=True)
-class TranslationGroup:
-    """Bijective unary polynomial maps of an algebra and their closure.
-
-    generators are the reversible maps realized by unary polynomial
-    forms within the depth bound (the designated variable may occur
-    several times; all other positions take carrier constants).  closure
-    is the group they generate under composition; on a finite carrier
-    the composition closure of bijections already contains all inverses.
-    """
-
-    generators: tuple[tuple[int, ...], ...]
-    closure: frozenset[tuple[int, ...]]
-    transitive: bool
-    truncated: bool
-
 
 def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
                       max_maps: int = 100_000,

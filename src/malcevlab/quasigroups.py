@@ -8,6 +8,12 @@ enriched signature (mul, ldiv, rdiv) makes the class equationally
 definable, and explicit Mal'cev-style terms can be written down rather
 than searched for: malcev_polynomial returns them per flavor, verified
 exhaustively against the tables.
+
+The translation maps x -> a*x and x -> x*a generate the multiplication
+group.  composition_closure and its result type TranslationGroup live
+here, with that group as their main user; the derived-operation search
+in malcev imports them for translation_group, which keeps this module
+free of the search and of numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import FlavorMismatch, NoRightUnit, NotLatin
-from .malcev import TranslationGroup, composition_closure
 from .terms import App, Signature, Term, Var, eval_term
 
 QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
@@ -150,6 +155,47 @@ def to_algebra(q: Equasigroup, flavor: str = "quasigroup") -> FiniteAlgebra:
 
 # ---------------------------------------------------------------------------
 # multiplication groups
+
+def composition_closure(maps, size: int) -> frozenset:
+    """Close a family of self-maps of 0..size-1 under composition.
+
+    Breadth-first over words in the generators: each new map is composed
+    with the generators only, never with every map found so far, since
+    every element of the generated monoid is a word in the generators.
+    The identity is always included.  For bijective generators over a
+    finite carrier the result is a permutation group: some power of
+    each generator is its inverse.
+    """
+    generators = [tuple(m) for m in maps]
+    closure = {tuple(range(size)), *generators}
+    work = list(closure)
+    for g in work:
+        for h in generators:
+            comp = tuple([g[x] for x in h])
+            if comp not in closure:
+                closure.add(comp)
+                work.append(comp)
+    return frozenset(closure)
+
+
+@dataclass(frozen=True)
+class TranslationGroup:
+    """Bijective self-maps of a carrier and the group they generate.
+
+    generators are the translations of a quasigroup (multiplication_group)
+    or the reversible maps realized by unary polynomial forms within the
+    depth bound (malcev.translation_group: the designated variable may
+    occur several times; all other positions take carrier constants).
+    closure is the group they generate under composition; on a finite
+    carrier the composition closure of bijections already contains all
+    inverses.  truncated is set when the map enumeration hit its budget.
+    """
+
+    generators: tuple[tuple[int, ...], ...]
+    closure: frozenset[tuple[int, ...]]
+    transitive: bool
+    truncated: bool
+
 
 def multiplication_group(q: Equasigroup, side: str = "left") -> TranslationGroup:
     """Permutation group generated by one-sided product translations.

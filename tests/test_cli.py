@@ -11,6 +11,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +141,32 @@ def test_missing_file_is_exit_two(capsys):
     assert "absent.alg" in err
 
 
+COLD_PATH = """
+import sys
+from malcevlab.cli import main
+assert "numpy" not in sys.modules
+for argv in {argvs!r}:
+    assert main(argv + ["--format", "machine"]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert main(["malcev", "demos/data/absent.alg"]) == 2
+assert "numpy" not in sys.modules
+assert main(["malcev", "demos/data/z4.alg"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_searches_load_numpy():
+    cases = dict(GOLDEN_CASES)
+    argvs = [cases[name] for name in (
+        "parse_term", "check_holds", "congruences", "permutable",
+        "qg_mulgroup", "free", "member_yes")]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH.format(argvs=argvs)], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unstable_partition_is_exit_two(capsys):
     code, _, err = run(
         ["quotient", "demos/data/z4.alg", "--by", "0 1 | 2 3"], capsys)
@@ -220,6 +248,41 @@ def test_lattice_budget_is_exit_three(tmp_path, capsys):
         assert "Traceback" not in err
         assert "lattice budget of 5000 joins" in err
         assert "--max-product" in err
+
+
+def test_permutable_pair_budget_is_exit_three(tmp_path, capsys):
+    # the 8-element meet chain: 128 congruences from 3556 joins, 8128 pairs
+    alg = tmp_path / "chain8.alg"
+    alg.write_text("size 8\nop meet 2\n" + "\n".join(
+        " ".join(str(min(a, b)) for b in range(8)) for a in range(8)) + "\n")
+    code, out, err = run(["permutable", str(alg), "--max-product", "5000"],
+                         capsys)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert "8128 congruence pairs exceed the pair budget of 5000" in err
+    assert "--max-product" in err
+    code, out, _ = run(["permutable", str(alg), "--max-product", "8128",
+                        "--format", "machine"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["pairs"] == 8128
+
+
+def test_check_assignment_budget_is_exit_three(capsys):
+    # 3^20 assignments, about 3.5 billion, against the default 10^6
+    meets = "x0"
+    for i in range(1, 20):
+        meets = f"meet({meets}, x{i})"
+    code, out, err = run(
+        ["check", "demos/data/chain3.alg", f"{meets} = {meets}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"{3 ** 20} assignments over 20 variables exceed" in err
+    assert "--max-product" in err
+    argv = ["check", "demos/data/z4.alg", "mul(x0, x1) = mul(x1, x0)"]
+    assert run(argv + ["--max-product", "15"], capsys)[0] == 3
+    assert run(argv + ["--max-product", "16"], capsys)[0] == 0
 
 
 def test_truncated_search_is_exit_three(capsys):

@@ -244,3 +244,52 @@ def test_find_malcev_term_respects_depth_bound():
     assert find_malcev_term(cyclic_group(5), max_depth=1) is None
     term = find_malcev_term(cyclic_group(5), max_depth=2)
     assert term is not None
+
+
+# every name the package exported when its search names were still
+# imported eagerly
+PACKAGE_EXPORTS = """
+    Signature Var App Term Equation PredicateAtom Quasiidentity identity
+    parse_term parse_formula parse_quasiidentity print_term print_formula
+    print_quasiidentity eval_term eval_formula check_quasiidentity
+    CheckResult term_size term_depth term_key term_vars formula_vars
+    FiniteAlgebra algebra_from_nested is_unitary unitary_system
+    direct_product product_encode product_decode flat_index
+    generate_subalgebra subalgebra_as_algebra is_homomorphism
+    is_strong_homomorphism find_homomorphisms find_isomorphism
+    Congruence identity_congruence full_congruence partition_congruence
+    congruence_generated_by join all_congruences is_stable_partition
+    compose_relation compose_permute quotient kernel
+    TermEnumeration MalcevSearchResult malcev_search find_malcev_term
+    PermutabilityReport check_permutability_theorem BiternaryPair
+    BiternarySearchResult detect_biternary find_biternary_pair
+    malcev_from_biternary TranslationGroup translation_group
+    composition_closure
+    QUASIGROUP_SIGNATURE LatinSquare latin_square Equasigroup
+    equasigroup_from_latin to_algebra multiplication_group
+    malcev_polynomial RectificationReport rectification_check
+    FreeAlgebra free_algebra presented_algebra extend_assignment
+    UniversalPropertyReport verify_universal_property Replica replica
+    MembershipReport membership_in_closure
+    load_signature save_signature load_algebra save_algebra
+    ClassDefinition load_class errors
+""".split()
+
+
+def test_package_exports_survive_lazy_search_names():
+    import malcevlab
+    from malcevlab.malcev import TranslationGroup, composition_closure
+    from malcevlab import quasigroups
+
+    assert composition_closure is quasigroups.composition_closure
+    assert TranslationGroup is quasigroups.TranslationGroup
+    for name in PACKAGE_EXPORTS:
+        assert hasattr(malcevlab, name), name
+    assert set(PACKAGE_EXPORTS) <= set(malcevlab.__all__)
+    assert set(PACKAGE_EXPORTS) <= set(dir(malcevlab))
+    star: dict = {}
+    exec("from malcevlab import *", star)
+    assert star["malcev_search"] is malcev_search
+    assert star["detect_biternary"] is detect_biternary
+    with pytest.raises(AttributeError, match="no_such_name"):
+        malcevlab.no_such_name
