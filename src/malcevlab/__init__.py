@@ -17,7 +17,7 @@ from .terms import (
     Signature, Var, App, Term, Equation, PredicateAtom, Quasiidentity,
     identity, parse_term, parse_formula, parse_quasiidentity, print_term,
     print_formula, print_quasiidentity, eval_term, eval_formula,
-    check_quasiidentity, CheckResult, term_size, term_depth, term_key,
+    compile_evaluator, check_quasiidentity, CheckResult, term_size, term_depth, term_key,
     term_vars, formula_vars,
 )
 from .algebras import (

@@ -7,6 +7,9 @@ The free algebra of rank m is realized concretely: one product factor
 per (generator, assignment of the m variables), with the i-th free
 generator mapping to the tuple of values of x_i.  Elements are tuples,
 generated coordinatewise, and the full product is never materialized.
+Generation fills the operation tables as it goes: each argument tuple
+over the final carrier is evaluated exactly once, and no second pass
+over size**arity tuples follows.
 
 A presentation restricts the factors to the assignments satisfying the
 relations; with no factors left the construction degenerates to the
@@ -19,14 +22,15 @@ homomorphisms into the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import getitem
 from typing import Optional, Sequence
 
 from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, find_homomorphisms,
                        flat_index, is_homomorphism, is_unitary)
 from .errors import (AlgebraMismatch, SizeBound, SizeOverflow,
                      TrivialClassRankConflict)
-from .terms import Formula, eval_formula
+from .terms import Formula, compile_evaluator
 
 DEFAULT_SIZE_BOUND = 10_000
 
@@ -73,6 +77,32 @@ def free_algebra(generators: Sequence[FiniteAlgebra], rank: int, *,
     return presented_algebra(generators, rank, (), size_bound=size_bound)
 
 
+def _row_binder(tables, sizes, factors, elements, arity):
+    """Coordinatewise lookup into one operation or predicate.
+
+    tables[gi] is the symbol's table in generator gi, of arity >= 1.
+    Returns bind(prefix): for each factor, the row of its generator's
+    table selected by that factor's coordinates of the elements at the
+    prefix indices, the leading arity-1 arguments.  Indexing these rows
+    coordinatewise by the last argument's element gives the value
+    tuple.  Rows are cut once per generator; arity 1 and 2 need no
+    flat_index per coordinate.
+    """
+    rows_of = [[t[i * n:(i + 1) * n] for i in range(n**(arity - 1))]
+               for t, n in zip(tables, sizes)]
+    rowsets = [rows_of[gi] for gi, _ in factors]
+    if arity == 1:
+        whole = [rs[0] for rs in rowsets]
+        return lambda prefix: whole
+    if arity == 2:
+        return lambda prefix: list(
+            map(getitem, rowsets, elements[prefix[0]]))
+    factor_sizes = [sizes[gi] for gi, _ in factors]
+    return lambda prefix: [
+        rs[flat_index(coords, n)] for rs, n, coords in
+        zip(rowsets, factor_sizes, zip(*(elements[p] for p in prefix)))]
+
+
 def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
                       relations: Sequence[Formula], *,
                       size_bound: int = DEFAULT_SIZE_BOUND) -> FreeAlgebra:
@@ -81,7 +111,14 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
     Relations are formulas over x0..x{rank-1}; each product factor is a
     (generator, assignment) pair whose assignment satisfies all of
     them.  An unsatisfiable presentation leaves no factors and yields
-    the one-element system.
+    the one-element system.  Relations are compiled once per generator
+    (compile_evaluator), so a symbol missing from the generators raises
+    SignatureMismatch before any assignment is tried.
+
+    Elements are numbered in discovery order: the free generators, the
+    constants, then round after round the new results of applying each
+    operation, in signature order, to the argument tuples in
+    lexicographic order.  steps records the first derivation of each.
     """
     _check_family(generators)
     if rank < 0:
@@ -99,8 +136,9 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
             f"size bound {size_bound}")
     factors: list[tuple[int, tuple[int, ...]]] = []
     for gi, g in enumerate(generators):
+        checks = [compile_evaluator(rel, g, rank) for rel in relations]
         for assignment in product(range(g.size), repeat=rank):
-            if all(eval_formula(rel, assignment, g) for rel in relations):
+            if all(check(assignment) for check in checks):
                 factors.append((gi, assignment))
 
     # generate the subalgebra of the (virtual) product from the free
@@ -124,60 +162,69 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
         steps.append(step)
         return len(elements) - 1
 
+    # Each round applies the operations to every argument tuple over the
+    # elements known at its start that involves a new one, in
+    # lexicographic order.  rows[name] nests arity-1 levels of lists
+    # indexed by the leading arguments; each innermost row holds the
+    # results for the last argument 0, 1, ... and is extended in place,
+    # so every tuple is evaluated once and the rows become the table.
+    rows: dict[str, list] = {name: [] for name, _ in sig.ops}
     for i, seed in enumerate(seeds):
         gen_images.append(add(seed, ("gen", i)))
     for name, arity in sig.ops:
         if arity == 0:
             vec = tuple(generators[gi].op_tables[name][0]
                         for gi, _ in factors)
-            add(vec, ("const", name))
+            rows[name].append(add(vec, ("const", name)))
     if not elements:
         raise ValueError(
             "rank 0 with no constant operations generates nothing")
 
-    frontier = list(range(len(elements)))
-    while frontier:
-        known_count = len(elements)
-        fresh: list[int] = []
+    sizes = [g.size for g in generators]
+    binders = {name: _row_binder([g.op_tables[name] for g in generators],
+                                 sizes, factors, elements, arity)
+               for name, arity in sig.ops if arity}
+    while True:
+        known = len(elements)
         for name, arity in sig.ops:
             if arity == 0:
                 continue
-            frontier_set = set(frontier)
-            for combo in product(range(known_count), repeat=arity):
-                if not any(c in frontier_set for c in combo):
-                    continue
-                vec = tuple(
-                    generators[gi].op_tables[name][flat_index(
-                        tuple(elements[c][f] for c in combo),
-                        generators[gi].size)]
-                    for f, (gi, _) in enumerate(factors))
-                before = len(elements)
-                idx = add(vec, ("op", name, combo))
-                if idx == before:
-                    fresh.append(idx)
-        frontier = fresh
+            bind = binders[name]
+            for prefix in product(range(known), repeat=arity - 1):
+                row = rows[name]
+                for a in prefix:
+                    if a == len(row):
+                        row.append([])
+                    row = row[a]
+                bound = bind(prefix)
+                for b in range(len(row), known):
+                    vec = tuple(map(getitem, bound, elements[b]))
+                    idx = index.get(vec)
+                    if idx is None:
+                        idx = add(vec, ("op", name, prefix + (b,)))
+                    row.append(idx)
+        if len(elements) == known:
+            break
 
     size = len(elements)
     op_tables = {}
     for name, arity in sig.ops:
-        table = []
-        for combo in product(range(size), repeat=arity):
-            vec = tuple(
-                generators[gi].op_tables[name][flat_index(
-                    tuple(elements[c][f] for c in combo),
-                    generators[gi].size)]
-                for f, (gi, _) in enumerate(factors))
-            table.append(index[vec])
+        table = rows[name]
+        for _ in range(arity - 1):
+            table = chain.from_iterable(table)
         op_tables[name] = tuple(table)
     pred_tables = {}
     for name, arity in sig.preds:
+        if arity == 0:
+            pred_tables[name] = (all(generators[gi].pred_tables[name][0]
+                                     for gi, _ in factors),)
+            continue
+        bind = _row_binder([g.pred_tables[name] for g in generators],
+                           sizes, factors, elements, arity)
         table = []
-        for combo in product(range(size), repeat=arity):
-            table.append(all(
-                generators[gi].pred_tables[name][flat_index(
-                    tuple(elements[c][f] for c in combo),
-                    generators[gi].size)]
-                for f, (gi, _) in enumerate(factors)))
+        for prefix in product(range(size), repeat=arity - 1):
+            bound = bind(prefix)
+            table.extend(all(map(getitem, bound, elem)) for elem in elements)
         pred_tables[name] = tuple(table)
     alg = FiniteAlgebra(sig, size, op_tables, pred_tables)
     return FreeAlgebra(alg, rank, tuple(gen_images), tuple(factors),
@@ -245,10 +292,11 @@ def verify_universal_property(fr: FreeAlgebra,
         for h in all_homs:
             key = tuple(h[g] for g in fr.generator_images)
             by_gen_image[key] = by_gen_image.get(key, 0) + 1
+        checks = [compile_evaluator(rel, target, fr.rank)
+                  for rel in fr.relations]
         for assignment in product(range(target.size), repeat=fr.rank):
             assignments_checked += 1
-            satisfied = all(eval_formula(rel, assignment, target)
-                            for rel in fr.relations)
+            satisfied = all(check(assignment) for check in checks)
             candidate = extend_assignment(fr, target, assignment)
             extends = is_homomorphism(candidate, fr.algebra, target)
             expected = 1 if satisfied else 0

@@ -81,15 +81,16 @@ def _root(parent: Sequence[int], x: int) -> int:
     return x
 
 
-def _normalize(parent: Sequence[int], n: int) -> tuple[int, ...]:
-    """Collapse a union-find parent array to least-member block ids."""
-    rep: dict[int, int] = {}
-    block_of = [0] * n
-    for x in range(n):
-        r = _root(parent, x)
-        if r not in rep:
-            rep[r] = x  # first visit in ascending order is the least member
-        block_of[x] = rep[r]
+def _normalize(parent: Sequence[int]) -> tuple[int, ...]:
+    """Collapse a union-find parent array to least-member block ids.
+
+    Every union here hangs the larger root under the smaller, so
+    parent[x] <= x and each root is the least member of its block; one
+    ascending pass then resolves every element through its parent.
+    """
+    block_of = list(parent)
+    for x, p in enumerate(parent):
+        block_of[x] = block_of[p]
     return tuple(block_of)
 
 
@@ -137,16 +138,29 @@ def is_stable_partition(alg: FiniteAlgebra, block_of: Sequence[int]) -> bool:
     return True
 
 
-def congruence_generated_by(alg: FiniteAlgebra,
-                            pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence relating every given pair.
-
-    Union-find plus a worklist: whenever two classes merge, images of the
-    merged pair under every one-variable context f(c.., _, ..c) merge too.
-    Each productive merge enqueues finitely many pairs, so this
-    terminates; the empty pair set yields the identity congruence.
-    """
+def _translation_rows(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Each distinct basic translation x -> f(c.., x, ..c), as its row of
+    values over the carrier, once.  Constant rows and the identity are
+    left out: they never relate two new elements."""
     n = alg.size
+    ident = tuple(range(n))
+    rows: dict[tuple[int, ...], None] = {}
+    for name, arity in alg.sig.ops:
+        table = alg.op_tables[name]
+        for pos in range(arity):
+            stride = n**(arity - 1 - pos)
+            for context in product(range(n), repeat=arity - 1):
+                start = flat_index(context[:pos] + (0,) + context[pos:], n)
+                row = tuple(table[start:start + n * stride:stride])
+                if row != ident and len(set(row)) > 1:
+                    rows[row] = None
+    return list(rows)
+
+
+def _generated_partition(n: int, rows: Sequence[Sequence[int]],
+                         pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """block_of of the least partition relating the pairs and closed
+    under the given translation rows."""
     parent = list(range(n))
 
     def find(x):
@@ -167,19 +181,37 @@ def congruence_generated_by(alg: FiniteAlgebra,
         if ra == rb:
             continue
         parent[max(ra, rb)] = min(ra, rb)
-        for name, arity in alg.sig.ops:
-            if arity == 0:
-                continue
-            table = alg.op_tables[name]
-            for pos in range(arity):
-                for context in product(range(n), repeat=arity - 1):
-                    left = context[:pos] + (a,) + context[pos:]
-                    right = context[:pos] + (b,) + context[pos:]
-                    fa = table[flat_index(left, n)]
-                    fb = table[flat_index(right, n)]
-                    if find(fa) != find(fb):
-                        work.append((fa, fb))
-    return Congruence(alg, _normalize(parent, n))
+        for row in rows:
+            fa, fb = row[a], row[b]
+            if find(fa) != find(fb):
+                work.append((fa, fb))
+    return _normalize(parent)
+
+
+def congruence_generated_by(alg: FiniteAlgebra,
+                            pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """Least congruence relating every given pair.
+
+    Union-find plus a worklist: whenever two classes merge, their images
+    under every basic translation x -> f(c.., x, ..c) merge too (a
+    partition closed under these is stable, Mal'cev's lemma).  Each
+    productive merge enqueues finitely many pairs, so this terminates;
+    the empty pair set yields the identity congruence.
+    """
+    return Congruence(alg, _generated_partition(
+        alg.size, _translation_rows(alg), pairs))
+
+
+def _join_partitions(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    parent = list(x)  # parent[e] <= e, so every walk ends
+    for e, r in enumerate(y):
+        if r != e:
+            a, b = _root(parent, e), _root(parent, r)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    return _normalize(parent)
 
 
 def join(theta: Congruence, xi: Congruence) -> Congruence:
@@ -191,11 +223,8 @@ def join(theta: Congruence, xi: Congruence) -> Congruence:
     """
     if theta.algebra is not xi.algebra and theta.algebra != xi.algebra:
         raise AlgebraMismatch("join needs congruences of one algebra")
-    parent = list(theta.block_of)  # parent[x] <= x, so every walk ends
-    for x, r in enumerate(xi.block_of):
-        a, b = _root(parent, x), _root(parent, r)
-        parent[max(a, b)] = min(a, b)
-    return Congruence(theta.algebra, _normalize(parent, len(parent)))
+    return Congruence(theta.algebra,
+                      _join_partitions(theta.block_of, xi.block_of))
 
 
 def all_congruences(alg: FiniteAlgebra, *,
@@ -205,19 +234,19 @@ def all_congruences(alg: FiniteAlgebra, *,
     Every congruence is the join of the principal congruences it
     contains, so joining each newly found congruence with each distinct
     principal congruence reaches the whole lattice; two non-principal
-    congruences are never joined.  budget bounds the number of joins;
-    past it SearchBudgetExceeded is raised.  Returns the lattice sorted
-    by the canonical partition key.
+    congruences are never joined.  The translation rows are listed once
+    for all principal congruences, and joins run on plain block_of
+    tuples.  budget bounds the number of joins; past it
+    SearchBudgetExceeded is raised.  Returns the lattice sorted by the
+    canonical partition key.
     """
-    principals: dict[tuple[int, ...], Congruence] = {}
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            c = congruence_generated_by(alg, [(a, b)])
-            principals[c.block_of] = c
-    generators = list(principals.values())
-    found: dict[tuple[int, ...], Congruence] = dict(principals)
-    ident = identity_congruence(alg)
-    found[ident.block_of] = ident
+    n = alg.size
+    rows = _translation_rows(alg)
+    generators = list(dict.fromkeys(
+        _generated_partition(n, rows, [(a, b)])
+        for a in range(n) for b in range(a + 1, n)))
+    found = set(generators)
+    found.add(tuple(range(n)))
     frontier = generators
     joins = 0
     while frontier:
@@ -229,12 +258,12 @@ def all_congruences(alg: FiniteAlgebra, *,
                         f"lattice budget of {budget} joins exhausted after "
                         f"{joins} joins with {len(found)} congruences found")
                 joins += 1
-                j = join(c, p)
-                if j.block_of not in found:
-                    found[j.block_of] = j
+                j = _join_partitions(c, p)
+                if j not in found:
+                    found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return [found[k] for k in sorted(found)]
+    return [Congruence(alg, k) for k in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -448,14 +449,84 @@ class CheckResult:
         return self.holds
 
 
+def compile_evaluator(node: Union[Term, Formula], alg,
+                      width: int) -> Callable[[Sequence[int]], object]:
+    """Closure evaluating a term (to an element) or a formula (to a bool).
+
+    The closure takes an assignment of width values and agrees with
+    eval_term / eval_formula on it.  Symbols, arities and variable
+    indices are checked here, once, with the errors those raise:
+    SignatureMismatch for an operation or predicate the algebra lacks or
+    an operation applied with another arity, AssignmentTooShort for a
+    variable at or past width.  A predicate applied with another arity
+    raises SignatureMismatch too, where eval_formula reads a wrong table
+    cell.  Each node binds its table, so evaluation is table lookups
+    only.
+    """
+    n = alg.size
+
+    def term(t):
+        if isinstance(t, Var):
+            if t.index >= width:
+                raise AssignmentTooShort(
+                    f"term uses x{t.index} but only {width} values given")
+            return itemgetter(t.index)
+        arity = alg.sig.op_arity(t.op)
+        if arity is None:
+            raise SignatureMismatch(f"algebra has no operation {t.op!r}")
+        if arity != len(t.args):
+            raise SignatureMismatch(
+                f"operation {t.op!r} has arity {arity} in this algebra,"
+                f" term applies it to {len(t.args)}")
+        return lookup(alg.op_tables[t.op], [term(a) for a in t.args])
+
+    def lookup(table, args):
+        if not args:
+            value = table[0]
+            return lambda a: value
+        if len(args) == 1:
+            f, = args
+            return lambda a: table[f(a)]
+        if len(args) == 2:
+            f, g = args
+            return lambda a: table[f(a) * n + g(a)]
+
+        def apply(a):
+            i = 0
+            for f in args:
+                i = i * n + f(a)
+            return table[i]
+        return apply
+
+    if isinstance(node, Equation):
+        lhs, rhs = term(node.lhs), term(node.rhs)
+        return lambda a: lhs(a) == rhs(a)
+    if isinstance(node, PredicateAtom):
+        arity = alg.sig.pred_arity(node.pred)
+        if arity is None:
+            raise SignatureMismatch(f"algebra has no predicate {node.pred!r}")
+        if arity != len(node.args):
+            raise SignatureMismatch(
+                f"predicate {node.pred!r} has arity {arity} in this algebra,"
+                f" formula applies it to {len(node.args)}")
+        return lookup(alg.pred_tables[node.pred], [term(a) for a in node.args])
+    return term(node)
+
+
 def check_quasiidentity(q: Quasiidentity, alg) -> CheckResult:
     """Check q over every assignment of its variables into alg's carrier.
 
     Assignments are scanned in lexicographic order so the witness, when
-    one exists, is reproducible.
+    one exists, is reproducible; the scan stops at the first one.  The
+    premises and the conclusion are compiled once (compile_evaluator),
+    so a symbol the algebra lacks raises SignatureMismatch before any
+    assignment is tried.
     """
-    for assignment in product(range(alg.size), repeat=q.variable_count):
-        if all(eval_formula(p, assignment, alg) for p in q.premises):
-            if not eval_formula(q.conclusion, assignment, alg):
-                return CheckResult(False, assignment)
+    width = q.variable_count
+    conclusion = compile_evaluator(q.conclusion, alg, width)
+    premises = [compile_evaluator(p, alg, width) for p in q.premises]
+    for assignment in product(range(alg.size), repeat=width):
+        if not conclusion(assignment) and all(
+                p(assignment) for p in premises):
+            return CheckResult(False, assignment)
     return CheckResult(True, None)

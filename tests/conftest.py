@@ -8,7 +8,8 @@ from itertools import permutations
 import pytest
 from hypothesis import strategies as st
 
-from malcevlab import FiniteAlgebra, Signature
+from malcevlab import (App, Equation, FiniteAlgebra, PredicateAtom,
+                       Signature, Var)
 
 GROUP_SIG = Signature(ops=(("mul", 2), ("inv", 1), ("e", 0)))
 MEET_SIG = Signature(ops=(("meet", 2),))
@@ -146,6 +147,54 @@ def small_algebras(draw, max_size: int = 4):
                                   max_size=n**arity))
               for name, arity in ops}
     return FiniteAlgebra(Signature(tuple(ops)), n, tables)
+
+
+@st.composite
+def signatures(draw, max_arity: int = 2):
+    """One to three operations of arity 0 to max_arity and up to two
+    predicates of arity 0-2; the first operation is binary."""
+    arities = [2] + draw(st.lists(st.integers(0, max_arity), max_size=2))
+    pred_arities = draw(st.lists(st.integers(0, 2), max_size=2))
+    return Signature(tuple((f"f{i}", a) for i, a in enumerate(arities)),
+                     tuple((f"p{i}", a) for i, a in enumerate(pred_arities)))
+
+
+@st.composite
+def systems(draw, sig: Signature, max_size: int = 4):
+    """A finite system over sig with random tables."""
+    n = draw(st.integers(1, max_size))
+    values = st.integers(0, n - 1)
+    ops = {name: tuple(draw(st.lists(values, min_size=n**a, max_size=n**a)))
+           for name, a in sig.ops}
+    preds = {name: tuple(draw(st.lists(st.booleans(), min_size=n**a,
+                                       max_size=n**a)))
+             for name, a in sig.preds}
+    return FiniteAlgebra(sig, n, ops, preds)
+
+
+def terms(sig: Signature, var_count: int):
+    """Terms over sig in the variables x0..x{var_count-1}, a few
+    applications deep.  Needs a variable or a constant."""
+    leaves = [st.builds(Var, st.integers(0, var_count - 1))] \
+        if var_count else []
+    leaves += [st.just(App(name)) for name, a in sig.ops if a == 0]
+
+    def extend(children):
+        return st.one_of([
+            st.tuples(*[children] * a).map(lambda args, name=name:
+                                           App(name, args))
+            for name, a in sig.ops if a])
+    return st.recursive(st.one_of(leaves), extend, max_leaves=5)
+
+
+def formulas(sig: Signature, var_count: int):
+    """Equations and predicate atoms over the terms of terms()."""
+    t = terms(sig, var_count)
+    options = [st.builds(Equation, t, t)]
+    options += [st.tuples(*[t] * a).map(lambda args, name=name:
+                                        PredicateAtom(name, args))
+                for name, a in sig.preds]
+    return st.one_of(options)
 
 
 UNIT_FREE_ROWS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))

@@ -8,8 +8,14 @@ package can be checked against it on small inputs.
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
-from malcevlab import Congruence, FiniteAlgebra, flat_index, is_stable_partition
+from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
+                       Quasiidentity, eval_formula, flat_index,
+                       is_stable_partition, is_unitary)
+from malcevlab.errors import (AlgebraMismatch, SizeBound, SizeOverflow,
+                              TrivialClassRankConflict)
+from malcevlab.terms import Formula
 
 
 def _partitions(n: int):
@@ -96,3 +102,124 @@ def naive_composition_closure(maps, size: int) -> frozenset:
                     closure.add(comp)
                     work.append(comp)
     return frozenset(closure)
+
+
+def naive_check_quasiidentity(q: Quasiidentity, alg) -> CheckResult:
+    """check_quasiidentity by interpreting the formulas (eval_formula)
+    afresh at every assignment, in lexicographic order."""
+    for assignment in product(range(alg.size), repeat=q.variable_count):
+        if all(eval_formula(p, assignment, alg) for p in q.premises):
+            if not eval_formula(q.conclusion, assignment, alg):
+                return CheckResult(False, assignment)
+    return CheckResult(True, None)
+
+
+def naive_presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
+                            relations: Sequence[Formula], *,
+                            size_bound: int = 10_000) -> FreeAlgebra:
+    """presented_algebra in two passes: generate the carrier, testing
+    every argument tuple over the known elements for a frontier member,
+    then fill every table again over all argument tuples; relations and
+    coordinates are evaluated per assignment (eval_formula, flat_index)."""
+    if not generators:
+        raise ValueError("at least one generator algebra is required")
+    if any(g.sig != generators[0].sig for g in generators):
+        raise AlgebraMismatch("generator algebras must share a signature")
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    sig = generators[0].sig
+    if rank > 1 and all(is_unitary(g) for g in generators):
+        raise TrivialClassRankConflict(
+            f"all generator algebras are one-element with all predicates "
+            f"true; rank {rank} generators cannot be separated")
+    relations = tuple(relations)
+    width = sum(g.size**rank for g in generators)
+    if width > size_bound:
+        raise SizeOverflow(
+            f"{width} assignment tuples over the generators exceed the "
+            f"size bound {size_bound}")
+    factors: list[tuple[int, tuple[int, ...]]] = []
+    for gi, g in enumerate(generators):
+        for assignment in product(range(g.size), repeat=rank):
+            if all(eval_formula(rel, assignment, g) for rel in relations):
+                factors.append((gi, assignment))
+
+    # generate the subalgebra of the (virtual) product from the free
+    # generator tuples; elements are indexed in discovery order
+    seeds = [tuple(assignment[i] for _, assignment in factors)
+             for i in range(rank)]
+    elements: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    steps: list[tuple] = []
+    gen_images = []
+
+    def add(elem: tuple[int, ...], step: tuple) -> int:
+        known = index.get(elem)
+        if known is not None:
+            return known
+        if len(elements) >= size_bound:
+            raise SizeBound(
+                f"presented algebra exceeds the size bound {size_bound}")
+        index[elem] = len(elements)
+        elements.append(elem)
+        steps.append(step)
+        return len(elements) - 1
+
+    for i, seed in enumerate(seeds):
+        gen_images.append(add(seed, ("gen", i)))
+    for name, arity in sig.ops:
+        if arity == 0:
+            vec = tuple(generators[gi].op_tables[name][0]
+                        for gi, _ in factors)
+            add(vec, ("const", name))
+    if not elements:
+        raise ValueError(
+            "rank 0 with no constant operations generates nothing")
+
+    frontier = list(range(len(elements)))
+    while frontier:
+        known_count = len(elements)
+        fresh: list[int] = []
+        for name, arity in sig.ops:
+            if arity == 0:
+                continue
+            frontier_set = set(frontier)
+            for combo in product(range(known_count), repeat=arity):
+                if not any(c in frontier_set for c in combo):
+                    continue
+                vec = tuple(
+                    generators[gi].op_tables[name][flat_index(
+                        tuple(elements[c][f] for c in combo),
+                        generators[gi].size)]
+                    for f, (gi, _) in enumerate(factors))
+                before = len(elements)
+                idx = add(vec, ("op", name, combo))
+                if idx == before:
+                    fresh.append(idx)
+        frontier = fresh
+
+    size = len(elements)
+    op_tables = {}
+    for name, arity in sig.ops:
+        table = []
+        for combo in product(range(size), repeat=arity):
+            vec = tuple(
+                generators[gi].op_tables[name][flat_index(
+                    tuple(elements[c][f] for c in combo),
+                    generators[gi].size)]
+                for f, (gi, _) in enumerate(factors))
+            table.append(index[vec])
+        op_tables[name] = tuple(table)
+    pred_tables = {}
+    for name, arity in sig.preds:
+        table = []
+        for combo in product(range(size), repeat=arity):
+            table.append(all(
+                generators[gi].pred_tables[name][flat_index(
+                    tuple(elements[c][f] for c in combo),
+                    generators[gi].size)]
+                for f, (gi, _) in enumerate(factors)))
+        pred_tables[name] = tuple(table)
+    alg = FiniteAlgebra(sig, size, op_tables, pred_tables)
+    return FreeAlgebra(alg, rank, tuple(gen_images), tuple(factors),
+                       tuple(elements), tuple(steps), relations)

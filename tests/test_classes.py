@@ -4,18 +4,22 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from malcevlab import (FiniteAlgebra, Signature, extend_assignment,
+from malcevlab import (App, Equation, FiniteAlgebra, Signature, extend_assignment,
                        find_homomorphisms, find_isomorphism, free_algebra,
                        generate_subalgebra, is_homomorphism,
                        membership_in_closure, parse_formula,
                        presented_algebra, replica, unitary_system,
                        verify_universal_property)
-from malcevlab.errors import (AlgebraMismatch, SizeBound, SizeOverflow,
+from malcevlab.errors import (AlgebraMismatch, MalcevLabError,
+                              SignatureMismatch, SizeBound, SizeOverflow,
                               TrivialClassRankConflict)
 
 from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
-                      klein_group)
+                      formulas, klein_group, signatures, systems)
+from oracles_local import naive_presented_algebra
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -203,3 +207,63 @@ def test_every_member_embeds_via_its_replica(chain2, chain3):
     rep = replica([chain2], chain3)
     # injective canonical map realizes the embedding claimed by member
     assert len(set(rep.canonical_map)) == chain3.size
+
+
+def outcome(construct, *args, **kwargs):
+    """The construction's fields, or the type and message of its error."""
+    try:
+        fr = construct(*args, **kwargs)
+    except (MalcevLabError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (fr.elements, fr.steps, fr.factors, fr.generator_images,
+            fr.algebra.size, fr.algebra.op_tables, fr.algebra.pred_tables)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_presented_algebra_matches_the_two_pass_oracle(data):
+    sig = data.draw(signatures())
+    generators = data.draw(st.lists(systems(sig), min_size=1, max_size=2))
+    # rank 0 needs a constant to generate anything
+    rank = data.draw(st.integers(
+        0 if any(a == 0 for _, a in sig.ops) else 1, 3))
+    relations = data.draw(st.lists(formulas(sig, rank), max_size=2))
+    want = outcome(naive_presented_algebra, generators, rank, relations,
+                   size_bound=60)
+    got = outcome(presented_algebra, generators, rank, relations,
+                  size_bound=60)
+    assert got == want
+
+
+def test_presented_algebra_matches_the_oracle_on_known_classes():
+    cases = [([cyclic_group(2)], 6), ([cyclic_group(3)], 3),
+             ([chain_semilattice(2)], 5), ([ordered_chain(3)], 2)]
+    for generators, rank in cases:
+        assert outcome(free_algebra, generators, rank) == \
+            outcome(naive_presented_algebra, generators, rank, ())
+
+
+def test_presented_algebra_matches_the_oracle_on_ternary_symbols_seeded():
+    # arity 3 takes the flat_index path of the row binder
+    sig = Signature(ops=(("m", 3), ("s", 1)), preds=(("r", 3),))
+    rng = random.Random(3003)
+    for _ in range(20):
+        generators = []
+        for _ in range(rng.randint(1, 2)):
+            n = rng.randint(1, 3)
+            generators.append(FiniteAlgebra(
+                sig, n,
+                {"m": tuple(rng.randrange(n) for _ in range(n**3)),
+                 "s": tuple(rng.randrange(n) for _ in range(n))},
+                {"r": tuple(rng.random() < 0.7 for _ in range(n**3))}))
+        rank = rng.randint(1, 2)
+        assert outcome(presented_algebra, generators, rank, (),
+                       size_bound=40) == \
+            outcome(naive_presented_algebra, generators, rank, (),
+                    size_bound=40)
+
+
+def test_relation_naming_a_missing_operation_is_rejected(z2):
+    rel = Equation(App("g", (App("e"),)), App("e"))
+    with pytest.raises(SignatureMismatch, match="no operation 'g'"):
+        presented_algebra([z2], 1, [rel])

@@ -1,6 +1,7 @@
 """Congruences, quotients, kernels, and permutability."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from malcevlab import (FiniteAlgebra, Signature, all_congruences,
 from malcevlab.errors import NotStable, SearchBudgetExceeded
 
 from conftest import (chain_semilattice, cyclic_group, klein_group,
-                      random_algebra, small_algebras, symmetric_group_3,
-                      tangle5)
+                      random_algebra, signatures, small_algebras,
+                      symmetric_group_3, systems, tangle5)
 from oracles_local import all_stable_partitions, relation_is_congruence
 
 
@@ -95,6 +96,33 @@ def test_join_equals_generated_congruence(alg, data):
         seeds = list(enumerate(theta.block_of)) + list(enumerate(xi.block_of))
         assert join(theta, xi).block_of == \
             congruence_generated_by(alg, seeds).block_of
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_principal_congruence_is_the_least_stable_partition(data):
+    alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    a = data.draw(st.integers(0, alg.size - 1))
+    b = data.draw(st.integers(0, alg.size - 1))
+    above = [c.block_of for c in all_stable_partitions(alg)
+             if c.related(a, b)]
+    least = [x for x in above
+             if all(y[e] == y[x[e]] for y in above for e in range(alg.size))]
+    assert [congruence_generated_by(alg, [(a, b)]).block_of] == least
+
+
+def test_lattice_sees_every_argument_position_seeded():
+    # a ternary operation reading one argument only: the translations at
+    # that position alone decide the congruences
+    rng = random.Random(5150)
+    sig = Signature(ops=(("m", 3),))
+    for _ in range(30):
+        n, pos = rng.randint(2, 5), rng.randrange(3)
+        u = [rng.randrange(n) for _ in range(n)]
+        table = tuple(u[args[pos]] for args in product(range(n), repeat=3))
+        alg = FiniteAlgebra(sig, n, {"m": table})
+        assert [c.block_of for c in all_congruences(alg)] == \
+            [c.block_of for c in all_stable_partitions(alg)]
 
 
 def test_lattice_budget_bounds_the_joins():

@@ -4,18 +4,23 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from malcevlab import (App, Quasiidentity, Signature, Var,
-                       check_quasiidentity, eval_formula, eval_term,
-                       parse_formula, parse_quasiidentity, parse_term,
-                       print_term, term_depth, term_key, term_size,
-                       term_vars)
+from malcevlab import (App, Equation, FiniteAlgebra, PredicateAtom,
+                       Quasiidentity, Signature, Var, check_quasiidentity,
+                       compile_evaluator, eval_formula, eval_term,
+                       formula_vars, parse_formula, parse_quasiidentity,
+                       parse_term, print_term, term_depth, term_key,
+                       term_size, term_vars)
 from malcevlab.errors import (ArityMismatch, AssignmentTooShort,
                               SignatureMismatch, TermSyntaxError,
                               UnknownSymbol)
 from malcevlab.terms import MAX_TERM_DEPTH
 
-from conftest import GROUP_SIG, MEET_SIG, cyclic_group, random_algebra
+from conftest import (GROUP_SIG, MEET_SIG, cyclic_group, formulas,
+                      random_algebra, signatures, systems, terms)
+from oracles_local import naive_check_quasiidentity
 
 PRED_SIG = Signature(ops=(("mul", 2), ("e", 0)), preds=(("leq", 2),))
 
@@ -158,14 +163,6 @@ def test_eval_formula_on_predicates():
                for a in range(3) for b in range(3))
 
 
-def brute_force_check(q, alg):
-    for assignment in product(range(alg.size), repeat=q.variable_count):
-        if all(eval_formula(p, assignment, alg) for p in q.premises):
-            if not eval_formula(q.conclusion, assignment, alg):
-                return False, assignment
-    return True, None
-
-
 def test_check_quasiidentity_matches_brute_force_seeded():
     rng = random.Random(4242)
     for _ in range(80):
@@ -175,12 +172,8 @@ def test_check_quasiidentity_matches_brute_force_seeded():
         vs = term_vars(lhs) | term_vars(rhs)
         if vs != set(range(len(vs))):
             continue
-        from malcevlab import Equation
         q = Quasiidentity((), Equation(lhs, rhs))
-        got = check_quasiidentity(q, alg)
-        want_holds, want_witness = brute_force_check(q, alg)
-        assert got.holds == want_holds
-        assert got.witness == want_witness
+        assert check_quasiidentity(q, alg) == naive_check_quasiidentity(q, alg)
 
 
 def test_check_quasiidentity_known_answers(z4, chain3):
@@ -192,6 +185,84 @@ def test_check_quasiidentity_known_answers(z4, chain3):
     failing = check_quasiidentity(cancel, chain3)
     assert not failing.holds
     assert failing.witness == (0, 0, 1)
+
+
+def _renamed(node, names):
+    if isinstance(node, Var):
+        return Var(names[node.index])
+    if isinstance(node, App):
+        return App(node.op, tuple(_renamed(a, names) for a in node.args))
+    if isinstance(node, Equation):
+        return Equation(_renamed(node.lhs, names), _renamed(node.rhs, names))
+    return PredicateAtom(node.pred,
+                         tuple(_renamed(a, names) for a in node.args))
+
+
+@st.composite
+def systems_with_quasiidentities(draw):
+    """A random system and a quasiidentity over its signature, with up to
+    three variables renumbered densely."""
+    sig = draw(signatures(max_arity=3))
+    alg = draw(systems(sig))
+    width = draw(st.integers(1, 3))
+    premises = draw(st.lists(formulas(sig, width), max_size=2))
+    conclusion = draw(formulas(sig, width))
+    used = formula_vars(conclusion).union(*map(formula_vars, premises))
+    names = {v: i for i, v in enumerate(sorted(used))}
+    q = Quasiidentity(tuple(_renamed(p, names) for p in premises),
+                      _renamed(conclusion, names))
+    return alg, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_with_quasiidentities())
+def test_check_quasiidentity_matches_the_interpreting_oracle(case):
+    alg, q = case
+    assert check_quasiidentity(q, alg) == naive_check_quasiidentity(q, alg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compiled_evaluator_agrees_with_the_interpreter(data):
+    sig = data.draw(signatures(max_arity=3))
+    alg = data.draw(systems(sig))
+    node = data.draw(st.one_of(terms(sig, 3), formulas(sig, 3)))
+    run = compile_evaluator(node, alg, 3)
+    interpret = eval_formula if isinstance(
+        node, (Equation, PredicateAtom)) else eval_term
+    for assignment in product(range(alg.size), repeat=3):
+        assert run(assignment) == interpret(node, assignment, alg)
+
+
+def test_compiled_evaluator_errors_match_the_interpreter(z4):
+    for t in (App("inv", (Var(0), Var(1))), App("meet", (Var(0), Var(0)))):
+        with pytest.raises(SignatureMismatch) as interpreted:
+            eval_term(t, (1, 2), z4)
+        with pytest.raises(SignatureMismatch) as compiled:
+            compile_evaluator(t, z4, 2)
+        assert str(compiled.value) == str(interpreted.value)
+    with pytest.raises(AssignmentTooShort) as interpreted:
+        eval_term(Var(2), (1, 2), z4)
+    with pytest.raises(AssignmentTooShort) as compiled:
+        compile_evaluator(Var(2), z4, 2)
+    assert str(compiled.value) == str(interpreted.value)
+    with pytest.raises(SignatureMismatch, match="no predicate 'leq'"):
+        compile_evaluator(PredicateAtom("leq", (Var(0), Var(0))), z4, 1)
+    ordered = FiniteAlgebra(PRED_SIG, 1, {"mul": (0,), "e": (0,)},
+                            {"leq": (True,)})
+    with pytest.raises(SignatureMismatch, match="'leq' has arity 2"):
+        compile_evaluator(PredicateAtom("leq", (Var(0),)), ordered, 1)
+
+
+def test_missing_operation_is_rejected_before_the_scan():
+    # no assignment satisfies the premise s(x0) = x0, so the interpreting
+    # scan never reaches the conclusion's unknown symbol g
+    swap = FiniteAlgebra(Signature(ops=(("s", 1),)), 2, {"s": (1, 0)})
+    q = Quasiidentity((Equation(App("s", (Var(0),)), Var(0)),),
+                      Equation(App("g", (Var(0),)), Var(0)))
+    assert naive_check_quasiidentity(q, swap).holds
+    with pytest.raises(SignatureMismatch, match="no operation 'g'"):
+        check_quasiidentity(q, swap)
 
 
 def test_term_key_orders_by_size_first():
