@@ -10,7 +10,8 @@ names, when a file provides them, are cosmetic labels only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     EmptyUngeneratable,
     NotAHomomorphism,
     SearchBudgetExceeded,
+    SizeBound,
     SizeOverflow,
 )
 from .terms import Signature
@@ -203,37 +205,144 @@ def direct_product(factors: Sequence[FiniteAlgebra],
 
 
 # ---------------------------------------------------------------------------
-# generated subalgebras
+# generated subpowers
+
+class Subpower:
+    """The subalgebra generated by seed tuples inside a product.
+
+    Coordinate c of every tuple lives in algebras[coords[c]]; the
+    product itself is never built.  Elements are numbered in discovery
+    order: the seeds, the constants, then round after round the new
+    results of applying each operation, in signature order, to the
+    argument tuples in lexicographic order.  steps[i] records the first
+    derivation of elements[i]: ("gen", j) for the j-th seed,
+    ("const", op), or ("op", name, argument indices).  seeds[j] is the
+    index of the j-th seed.  A seed added after close() is picked up
+    by the next close().
+
+    Raises EmptyUngeneratable when there are neither seeds nor
+    constants, and SizeBound when more than size_bound elements arise.
+    """
+
+    def __init__(self, algebras: Sequence[FiniteAlgebra],
+                 coords: Sequence[int], seeds: Iterable[tuple[int, ...]],
+                 size_bound: int):
+        self.algebras, self.coords = algebras, coords
+        self.sig = algebras[0].sig
+        self.size_bound = size_bound
+        self.elements: list[tuple[int, ...]] = []
+        self.index: dict[tuple[int, ...], int] = {}
+        self.steps: list[tuple] = []
+        self.seeds: list[int] = []
+        # rows[name] nests arity-1 levels of lists indexed by the leading
+        # arguments; each innermost row holds the results for the last
+        # argument 0, 1, ... and is extended in place, so every tuple is
+        # evaluated once and the rows become the table.
+        self._rows: dict[str, list] = {name: [] for name, _ in self.sig.ops}
+        for seed in seeds:
+            self.add_seed(seed)
+        for name, arity in self.sig.ops:
+            if arity == 0:
+                vec = tuple(algebras[k].op_tables[name][0] for k in coords)
+                self._rows[name].append(self._add(vec, ("const", name)))
+        if not self.elements:
+            raise EmptyUngeneratable(
+                "empty seed and no constants: no least subalgebra exists")
+        self._binders = {
+            name: self.binder([a.op_tables[name] for a in algebras], arity)
+            for name, arity in self.sig.ops if arity}
+
+    def binder(self, tables, arity: int):
+        """Coordinatewise lookup into one operation or predicate.
+
+        tables[k] is the symbol's table in algebras[k], of arity >= 1.
+        Returns bind(prefix): for each coordinate, the row of its
+        algebra's table selected by that coordinate of the elements at
+        the prefix indices, the leading arity-1 arguments.  Indexing
+        these rows coordinatewise by the last argument's element gives
+        the value tuple.  Rows are cut once per algebra; arity 1 and 2
+        need no flat_index per coordinate.
+        """
+        sizes = [a.size for a in self.algebras]
+        rows_of = [[t[i * n:(i + 1) * n] for i in range(n**(arity - 1))]
+                   for t, n in zip(tables, sizes)]
+        rowsets = [rows_of[k] for k in self.coords]
+        elements = self.elements
+        if arity == 1:
+            whole = [rs[0] for rs in rowsets]
+            return lambda prefix: whole
+        if arity == 2:
+            return lambda prefix: list(
+                map(getitem, rowsets, elements[prefix[0]]))
+        coord_sizes = [sizes[k] for k in self.coords]
+        return lambda prefix: [
+            rs[flat_index(args, n)] for rs, n, args in
+            zip(rowsets, coord_sizes, zip(*(elements[p] for p in prefix)))]
+
+    def _add(self, elem: tuple[int, ...], step: tuple) -> int:
+        known = self.index.get(elem)
+        if known is not None:
+            return known
+        if len(self.elements) >= self.size_bound:
+            raise SizeBound(
+                f"presented algebra exceeds the size bound {self.size_bound}")
+        self.index[elem] = len(self.elements)
+        self.elements.append(elem)
+        self.steps.append(step)
+        return len(self.elements) - 1
+
+    def add_seed(self, seed: tuple[int, ...]) -> None:
+        self.seeds.append(self._add(seed, ("gen", len(self.seeds))))
+
+    def close(self) -> None:
+        """Apply every operation to every argument tuple over the
+        elements known at the start of a round that involves a new one,
+        until a round finds nothing new."""
+        elements, index = self.elements, self.index
+        while True:
+            known = len(elements)
+            for name, arity in self.sig.ops:
+                if arity == 0:
+                    continue
+                bind = self._binders[name]
+                for prefix in product(range(known), repeat=arity - 1):
+                    row = self._rows[name]
+                    for a in prefix:
+                        if a == len(row):
+                            row.append([])
+                        row = row[a]
+                    bound = bind(prefix)
+                    for b in range(len(row), known):
+                        vec = tuple(map(getitem, bound, elements[b]))
+                        idx = index.get(vec)
+                        if idx is None:
+                            idx = self._add(vec, ("op", name, prefix + (b,)))
+                        row.append(idx)
+            if len(elements) == known:
+                return
+
+    def op_tables(self) -> dict[str, tuple[int, ...]]:
+        """Flat operation tables over the element indices, once closed."""
+        tables = {}
+        for name, arity in self.sig.ops:
+            table = self._rows[name]
+            for _ in range(arity - 1):
+                table = chain.from_iterable(table)
+            tables[name] = tuple(table)
+        return tables
+
 
 def generate_subalgebra(alg: FiniteAlgebra, seed: Iterable[int]) -> list[int]:
     """Least subset containing seed and all constants, closed under the
-    operations.  Computed as the chain X_0 = seed+constants,
-    X_{k+1} = X_k plus one-step operation images, which stabilizes after
-    at most alg.size steps.  Returned sorted.
+    operations: the one-coordinate Subpower of seed.  Returned sorted.
     """
-    current = set(seed)
-    for x in current:
+    seed = set(seed)
+    for x in seed:
         if not (0 <= x < alg.size):
             raise ValueError(f"seed element {x} outside carrier")
-    current |= set(alg.constants())
-    if not current:
-        raise EmptyUngeneratable(
-            "empty seed and no constants: no least subalgebra exists")
-    while True:
-        new = set()
-        elems = sorted(current)
-        for name, arity in alg.sig.ops:
-            if arity == 0:
-                continue
-            table = alg.op_tables[name]
-            n = alg.size
-            for args in product(elems, repeat=arity):
-                v = table[flat_index(args, n)]
-                if v not in current:
-                    new.add(v)
-        if not new:
-            return sorted(current)
-        current |= new
+    sub = Subpower([alg], [0], [(x,) for x in seed], alg.size)
+    sub.close()
+    return sorted(x for x, in sub.elements)
 
 
 def subalgebra_as_algebra(alg: FiniteAlgebra, carrier: Sequence[int]) -> FiniteAlgebra:
@@ -305,42 +414,26 @@ def is_strong_homomorphism(phi: Sequence[int], a: FiniteAlgebra,
 def _generating_sequence(alg: FiniteAlgebra):
     """A small generating set plus a derivation of every carrier element.
 
-    Returns (gens, steps) where steps is a list of (element, how) covering
-    the whole carrier in derivation order; how is ('gen', i) for the i-th
-    generator, ('const', opname) for a constant, or ('op', name, args).
+    Each generator is the least element outside the subalgebra generated
+    by the constants and the earlier generators.  Returns (gens, steps)
+    where steps is a list of (element, how) covering the whole carrier
+    in derivation order; how is ('gen', i) for the i-th generator,
+    ('const', opname) for a constant, or ('op', name, args).
     """
-    gens: list[int] = []
-    known: dict[int, tuple] = {}
-    steps: list[tuple[int, tuple]] = []
-
-    def close():
-        changed = True
-        while changed:
-            changed = False
-            elems = sorted(known)
-            for name, arity in alg.sig.ops:
-                if arity == 0:
-                    v = alg.op_tables[name][0]
-                    if v not in known:
-                        known[v] = ("const", name)
-                        steps.append((v, known[v]))
-                        changed = True
-                    continue
-                for args in product(elems, repeat=arity):
-                    v = alg.op_value(name, args)
-                    if v not in known:
-                        known[v] = ("op", name, args)
-                        steps.append((v, known[v]))
-                        changed = True
-
-    close()
+    # with no constants the closure starts empty and 0 is the first generator
+    sub = Subpower([alg], [0], [] if alg.constants() else [(0,)], alg.size)
+    sub.close()
     for x in range(alg.size):
-        if x not in known:
-            gens.append(x)
-            known[x] = ("gen", len(gens) - 1)
-            steps.append((x, known[x]))
-            close()
-    return gens, steps
+        if (x,) not in sub.index:
+            sub.add_seed((x,))
+            sub.close()
+    values = [x for x, in sub.elements]
+    steps = []
+    for x, how in zip(values, sub.steps):
+        if how[0] == "op":
+            how = ("op", how[1], tuple(values[i] for i in how[2]))
+        steps.append((x, how))
+    return [values[i] for i in sub.seeds], steps
 
 
 def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = False,

@@ -5,11 +5,9 @@ algebras sharing one signature, and stays inside the class those
 generators determine (closed under subalgebras and finite products).
 The free algebra of rank m is realized concretely: one product factor
 per (generator, assignment of the m variables), with the i-th free
-generator mapping to the tuple of values of x_i.  Elements are tuples,
-generated coordinatewise, and the full product is never materialized.
-Generation fills the operation tables as it goes: each argument tuple
-over the final carrier is evaluated exactly once, and no second pass
-over size**arity tuples follows.
+generator mapping to the tuple of values of x_i.  The carrier is the
+algebras.Subpower these tuples generate: the full product is never
+materialized, and its operation tables come out of the generation.
 
 A presentation restricts the factors to the assignments satisfying the
 relations; with no factors left the construction degenerates to the
@@ -22,13 +20,14 @@ homomorphisms into the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from operator import getitem
 from typing import Optional, Sequence
 
-from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, find_homomorphisms,
-                       flat_index, is_homomorphism, is_unitary)
-from .errors import (AlgebraMismatch, SizeBound, SizeOverflow,
+from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, Subpower,
+                       find_homomorphisms, flat_index, is_homomorphism,
+                       is_unitary)
+from .errors import (AlgebraMismatch, InputError, SizeOverflow,
                      TrivialClassRankConflict)
 from .terms import Formula, compile_evaluator
 
@@ -77,32 +76,6 @@ def free_algebra(generators: Sequence[FiniteAlgebra], rank: int, *,
     return presented_algebra(generators, rank, (), size_bound=size_bound)
 
 
-def _row_binder(tables, sizes, factors, elements, arity):
-    """Coordinatewise lookup into one operation or predicate.
-
-    tables[gi] is the symbol's table in generator gi, of arity >= 1.
-    Returns bind(prefix): for each factor, the row of its generator's
-    table selected by that factor's coordinates of the elements at the
-    prefix indices, the leading arity-1 arguments.  Indexing these rows
-    coordinatewise by the last argument's element gives the value
-    tuple.  Rows are cut once per generator; arity 1 and 2 need no
-    flat_index per coordinate.
-    """
-    rows_of = [[t[i * n:(i + 1) * n] for i in range(n**(arity - 1))]
-               for t, n in zip(tables, sizes)]
-    rowsets = [rows_of[gi] for gi, _ in factors]
-    if arity == 1:
-        whole = [rs[0] for rs in rowsets]
-        return lambda prefix: whole
-    if arity == 2:
-        return lambda prefix: list(
-            map(getitem, rowsets, elements[prefix[0]]))
-    factor_sizes = [sizes[gi] for gi, _ in factors]
-    return lambda prefix: [
-        rs[flat_index(coords, n)] for rs, n, coords in
-        zip(rowsets, factor_sizes, zip(*(elements[p] for p in prefix)))]
-
-
 def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
                       relations: Sequence[Formula], *,
                       size_bound: int = DEFAULT_SIZE_BOUND) -> FreeAlgebra:
@@ -115,14 +88,14 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
     (compile_evaluator), so a symbol missing from the generators raises
     SignatureMismatch before any assignment is tried.
 
-    Elements are numbered in discovery order: the free generators, the
-    constants, then round after round the new results of applying each
-    operation, in signature order, to the argument tuples in
-    lexicographic order.  steps records the first derivation of each.
+    The carrier, its discovery order, steps and operation tables are
+    those of the Subpower generated by the free generator tuples.
+    Raises InputError for a negative rank and EmptyUngeneratable (an
+    InputError) for rank 0 with no constants.
     """
     _check_family(generators)
     if rank < 0:
-        raise ValueError("rank must be nonnegative")
+        raise InputError("rank must be nonnegative")
     sig = generators[0].sig
     if rank > 1 and all(is_unitary(g) for g in generators):
         raise TrivialClassRankConflict(
@@ -141,94 +114,27 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
             if all(check(assignment) for check in checks):
                 factors.append((gi, assignment))
 
-    # generate the subalgebra of the (virtual) product from the free
-    # generator tuples; elements are indexed in discovery order
     seeds = [tuple(assignment[i] for _, assignment in factors)
              for i in range(rank)]
-    elements: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    steps: list[tuple] = []
-    gen_images = []
-
-    def add(elem: tuple[int, ...], step: tuple) -> int:
-        known = index.get(elem)
-        if known is not None:
-            return known
-        if len(elements) >= size_bound:
-            raise SizeBound(
-                f"presented algebra exceeds the size bound {size_bound}")
-        index[elem] = len(elements)
-        elements.append(elem)
-        steps.append(step)
-        return len(elements) - 1
-
-    # Each round applies the operations to every argument tuple over the
-    # elements known at its start that involves a new one, in
-    # lexicographic order.  rows[name] nests arity-1 levels of lists
-    # indexed by the leading arguments; each innermost row holds the
-    # results for the last argument 0, 1, ... and is extended in place,
-    # so every tuple is evaluated once and the rows become the table.
-    rows: dict[str, list] = {name: [] for name, _ in sig.ops}
-    for i, seed in enumerate(seeds):
-        gen_images.append(add(seed, ("gen", i)))
-    for name, arity in sig.ops:
-        if arity == 0:
-            vec = tuple(generators[gi].op_tables[name][0]
-                        for gi, _ in factors)
-            rows[name].append(add(vec, ("const", name)))
-    if not elements:
-        raise ValueError(
-            "rank 0 with no constant operations generates nothing")
-
-    sizes = [g.size for g in generators]
-    binders = {name: _row_binder([g.op_tables[name] for g in generators],
-                                 sizes, factors, elements, arity)
-               for name, arity in sig.ops if arity}
-    while True:
-        known = len(elements)
-        for name, arity in sig.ops:
-            if arity == 0:
-                continue
-            bind = binders[name]
-            for prefix in product(range(known), repeat=arity - 1):
-                row = rows[name]
-                for a in prefix:
-                    if a == len(row):
-                        row.append([])
-                    row = row[a]
-                bound = bind(prefix)
-                for b in range(len(row), known):
-                    vec = tuple(map(getitem, bound, elements[b]))
-                    idx = index.get(vec)
-                    if idx is None:
-                        idx = add(vec, ("op", name, prefix + (b,)))
-                    row.append(idx)
-        if len(elements) == known:
-            break
-
-    size = len(elements)
-    op_tables = {}
-    for name, arity in sig.ops:
-        table = rows[name]
-        for _ in range(arity - 1):
-            table = chain.from_iterable(table)
-        op_tables[name] = tuple(table)
+    coords = [gi for gi, _ in factors]
+    sub = Subpower(generators, coords, seeds, size_bound)
+    sub.close()
+    elements = sub.elements
     pred_tables = {}
     for name, arity in sig.preds:
         if arity == 0:
             pred_tables[name] = (all(generators[gi].pred_tables[name][0]
-                                     for gi, _ in factors),)
+                                     for gi in coords),)
             continue
-        bind = _row_binder([g.pred_tables[name] for g in generators],
-                           sizes, factors, elements, arity)
+        bind = sub.binder([g.pred_tables[name] for g in generators], arity)
         table = []
-        for prefix in product(range(size), repeat=arity - 1):
+        for prefix in product(range(len(elements)), repeat=arity - 1):
             bound = bind(prefix)
             table.extend(all(map(getitem, bound, elem)) for elem in elements)
         pred_tables[name] = tuple(table)
-    alg = FiniteAlgebra(sig, size, op_tables, pred_tables)
-    return FreeAlgebra(alg, rank, tuple(gen_images), tuple(factors),
-                       tuple(elements), tuple(steps), relations)
+    alg = FiniteAlgebra(sig, len(elements), sub.op_tables(), pred_tables)
+    return FreeAlgebra(alg, rank, tuple(sub.seeds), tuple(factors),
+                       tuple(elements), tuple(sub.steps), relations)
 
 
 # ---------------------------------------------------------------------------

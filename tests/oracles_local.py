@@ -13,7 +13,8 @@ from typing import Sequence
 from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
                        Quasiidentity, eval_formula, flat_index,
                        is_stable_partition, is_unitary)
-from malcevlab.errors import (AlgebraMismatch, SizeBound, SizeOverflow,
+from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
+                              InputError, SizeBound, SizeOverflow,
                               TrivialClassRankConflict)
 from malcevlab.terms import Formula
 
@@ -104,6 +105,72 @@ def naive_composition_closure(maps, size: int) -> frozenset:
     return frozenset(closure)
 
 
+def naive_generate_subalgebra(alg: FiniteAlgebra, seed) -> list[int]:
+    """generate_subalgebra as the chain X_0 = seed + constants,
+    X_{k+1} = X_k plus the images of every operation over all of X_k,
+    until it stabilizes."""
+    current = set(seed)
+    for x in current:
+        if not (0 <= x < alg.size):
+            raise ValueError(f"seed element {x} outside carrier")
+    current |= set(alg.constants())
+    if not current:
+        raise EmptyUngeneratable(
+            "empty seed and no constants: no least subalgebra exists")
+    while True:
+        new = set()
+        elems = sorted(current)
+        for name, arity in alg.sig.ops:
+            if arity == 0:
+                continue
+            table = alg.op_tables[name]
+            for args in product(elems, repeat=arity):
+                v = table[flat_index(args, alg.size)]
+                if v not in current:
+                    new.add(v)
+        if not new:
+            return sorted(current)
+        current |= new
+
+
+def naive_generating_sequence(alg: FiniteAlgebra):
+    """_generating_sequence by re-applying every operation to all known
+    elements until nothing new appears, after the constants and after
+    each generator, the least element not yet known."""
+    gens: list[int] = []
+    known: dict[int, tuple] = {}
+    steps: list[tuple[int, tuple]] = []
+
+    def close():
+        changed = True
+        while changed:
+            changed = False
+            elems = sorted(known)
+            for name, arity in alg.sig.ops:
+                if arity == 0:
+                    v = alg.op_tables[name][0]
+                    if v not in known:
+                        known[v] = ("const", name)
+                        steps.append((v, known[v]))
+                        changed = True
+                    continue
+                for args in product(elems, repeat=arity):
+                    v = alg.op_value(name, args)
+                    if v not in known:
+                        known[v] = ("op", name, args)
+                        steps.append((v, known[v]))
+                        changed = True
+
+    close()
+    for x in range(alg.size):
+        if x not in known:
+            gens.append(x)
+            known[x] = ("gen", len(gens) - 1)
+            steps.append((x, known[x]))
+            close()
+    return gens, steps
+
+
 def naive_check_quasiidentity(q: Quasiidentity, alg) -> CheckResult:
     """check_quasiidentity by interpreting the formulas (eval_formula)
     afresh at every assignment, in lexicographic order."""
@@ -126,7 +193,7 @@ def naive_presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
     if any(g.sig != generators[0].sig for g in generators):
         raise AlgebraMismatch("generator algebras must share a signature")
     if rank < 0:
-        raise ValueError("rank must be nonnegative")
+        raise InputError("rank must be nonnegative")
     sig = generators[0].sig
     if rank > 1 and all(is_unitary(g) for g in generators):
         raise TrivialClassRankConflict(
@@ -173,8 +240,8 @@ def naive_presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
                         for gi, _ in factors)
             add(vec, ("const", name))
     if not elements:
-        raise ValueError(
-            "rank 0 with no constant operations generates nothing")
+        raise EmptyUngeneratable(
+            "empty seed and no constants: no least subalgebra exists")
 
     frontier = list(range(len(elements)))
     while frontier:

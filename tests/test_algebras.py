@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malcevlab import (FiniteAlgebra, Signature, direct_product,
                        find_homomorphisms, find_isomorphism, flat_index,
@@ -11,11 +13,14 @@ from malcevlab import (FiniteAlgebra, Signature, direct_product,
                        is_strong_homomorphism, is_unitary, product_decode,
                        product_encode, subalgebra_as_algebra,
                        unitary_system)
-from malcevlab.errors import (EmptyUngeneratable, SearchBudgetExceeded,
-                              SizeOverflow)
+from malcevlab.algebras import Subpower, _generating_sequence
+from malcevlab.errors import (EmptyUngeneratable, MalcevLabError,
+                              SearchBudgetExceeded, SizeOverflow)
 
 from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
-                      klein_group, random_algebra, symmetric_group_3)
+                      klein_group, random_algebra, signatures,
+                      symmetric_group_3, systems)
+from oracles_local import naive_generate_subalgebra, naive_generating_sequence
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -131,6 +136,86 @@ def test_generate_subalgebra_is_a_closure_operator_seeded():
                 break
             current = nxt
         assert sorted(current) == got
+
+
+def outcome(fn, *args):
+    """The function's result, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except (MalcevLabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generate_subalgebra_matches_the_naive_chain(data):
+    alg = data.draw(systems(data.draw(signatures(max_arity=3))))
+    seed = data.draw(st.lists(st.integers(-1, alg.size), max_size=3))
+    assert outcome(generate_subalgebra, alg, seed) == \
+        outcome(naive_generate_subalgebra, alg, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generating_sequence_matches_the_naive_closure(data):
+    alg = data.draw(systems(data.draw(signatures(max_arity=3))))
+    gens, steps = _generating_sequence(alg)
+    assert gens == naive_generating_sequence(alg)[0]
+    assert sorted(x for x, _ in steps) == list(range(alg.size))
+    derived = set()
+    for x, how in steps:
+        if how[0] == "gen":
+            assert x == gens[how[1]]
+        elif how[0] == "const":
+            assert x == alg.op_tables[how[1]][0]
+        else:
+            _, name, args = how
+            assert set(args) <= derived
+            assert alg.op_value(name, args) == x
+        derived.add(x)
+
+
+MIXED_SIG = Signature(ops=(("mul", 2), ("neg", 1), ("maj", 3), ("one", 0)))
+MIXED_Z2 = FiniteAlgebra(MIXED_SIG, 2, {
+    "mul": tuple((a + b) % 2 for a, b in product(range(2), repeat=2)),
+    "neg": (1, 0),
+    "maj": tuple(sum(t) % 2 for t in product(range(2), repeat=3)),
+    "one": (1,)})
+MIXED_CHAIN = FiniteAlgebra(MIXED_SIG, 2, {
+    "mul": tuple(min(a, b) for a, b in product(range(2), repeat=2)),
+    "neg": (1, 0),
+    "maj": tuple(int(sum(t) >= 2) for t in product(range(2), repeat=3)),
+    "one": (1,)})
+
+
+def subpower_operations(sub):
+    """Each operation of a closed Subpower as a map on element tuples."""
+    tables = sub.op_tables()
+    n = len(sub.elements)
+    return {(name, tuple(sub.elements[a] for a in args)):
+            sub.elements[tables[name][flat_index(args, n)]]
+            for name, arity in MIXED_SIG.ops
+            for args in product(range(n), repeat=arity)}
+
+
+def test_subpower_tables_agree_with_distinct_factors_coordinatewise():
+    algebras, coords = [MIXED_Z2, MIXED_CHAIN], [0, 1, 1]
+    seeds = [(0, 0, 0), (1, 0, 1)]
+    sub = Subpower(algebras, coords, seeds, 100)
+    sub.close()
+    assert sub.seeds == [0, 1]
+    for (name, args), value in subpower_operations(sub).items():
+        assert value == tuple(
+            algebras[k].op_value(name, [x[c] for x in args])
+            for c, k in enumerate(coords))
+
+    late = Subpower(algebras, coords, seeds[:1], 100)
+    late.close()
+    assert seeds[1] not in late.index
+    late.add_seed(seeds[1])
+    late.close()
+    assert set(late.elements) == set(sub.elements)
+    assert subpower_operations(late) == subpower_operations(sub)
 
 
 def test_subalgebra_as_algebra_restricts_tables(z6):

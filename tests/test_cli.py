@@ -353,6 +353,16 @@ def test_present_rejects_relation_with_out_of_range_variable(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("command", ["free", "present"])
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_ungeneratable_or_negative_rank_is_exit_two(command, rank, capsys):
+    code, out, err = run(
+        [command, "demos/data/chain.cls", "--rank", rank], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_homs_budget_flag(capsys):
     code, _, err = run(
         ["homs", "demos/data/z4.alg", "demos/data/z4.alg",
