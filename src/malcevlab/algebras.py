@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from operator import getitem
+from operator import eq, getitem, le
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -207,6 +207,19 @@ def direct_product(factors: Sequence[FiniteAlgebra],
 # ---------------------------------------------------------------------------
 # generated subpowers
 
+class _Rows(dict):
+    """The rows of a flat table over 0..n-1, each cut on first use: row
+    i holds the entries whose leading arguments have flat index i."""
+
+    def __init__(self, table: Sequence, n: int):
+        super().__init__()
+        self.table, self.n = table, n
+
+    def __missing__(self, i: int):
+        row = self[i] = self.table[i * self.n:(i + 1) * self.n]
+        return row
+
+
 class Subpower:
     """The subalgebra generated by seed tuples inside a product.
 
@@ -260,17 +273,16 @@ class Subpower:
         algebra's table selected by that coordinate of the elements at
         the prefix indices, the leading arity-1 arguments.  Indexing
         these rows coordinatewise by the last argument's element gives
-        the value tuple.  Rows are cut once per algebra; arity 1 and 2
-        need no flat_index per coordinate.
+        the value tuple.  Each row is cut once per algebra, on first use;
+        arity 1 and 2 need no flat_index per coordinate.
         """
+        if arity == 1:
+            whole = [tables[k] for k in self.coords]
+            return lambda prefix: whole
         sizes = [a.size for a in self.algebras]
-        rows_of = [[t[i * n:(i + 1) * n] for i in range(n**(arity - 1))]
-                   for t, n in zip(tables, sizes)]
+        rows_of = [_Rows(t, n) for t, n in zip(tables, sizes)]
         rowsets = [rows_of[k] for k in self.coords]
         elements = self.elements
-        if arity == 1:
-            whole = [rs[0] for rs in rowsets]
-            return lambda prefix: whole
         if arity == 2:
             return lambda prefix: list(
                 map(getitem, rowsets, elements[prefix[0]]))
@@ -372,23 +384,35 @@ def subalgebra_as_algebra(alg: FiniteAlgebra, carrier: Sequence[int]) -> FiniteA
 # ---------------------------------------------------------------------------
 # homomorphisms
 
+def _image_positions(phi: Sequence[int], arity: int, size: int):
+    """Flat positions, in a table over 0..size-1, of the images under phi
+    of all argument tuples of the given arity, in lexicographic order."""
+    weights = [[y * size**(arity - 1 - i) for y in phi] for i in range(arity)]
+    return map(sum, product(*weights))
+
+
 def is_homomorphism(phi: Sequence[int], a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """phi preserves every operation and implies every predicate:
-    phi(f(x...)) = f(phi(x)...) and p(x...) true in a forces it in b."""
+    phi(f(x...)) = f(phi(x)...) and p(x...) true in a forces it in b.
+
+    Walks each of a's tables by position next to the positions of the
+    images of the same argument tuples in b's table."""
     if a.sig != b.sig:
         raise AlgebraMismatch("homomorphisms need a common signature")
     if len(phi) != a.size:
         return False
+    image = phi.__getitem__
     for name, arity in a.sig.ops:
-        for args in product(range(a.size), repeat=arity):
-            if phi[a.op_value(name, args)] != b.op_value(
-                    name, tuple(phi[x] for x in args)):
-                return False
+        if not all(map(eq, map(image, a.op_tables[name]),
+                       map(b.op_tables[name].__getitem__,
+                           _image_positions(phi, arity, b.size)))):
+            return False
     for name, arity in a.sig.preds:
-        for args in product(range(a.size), repeat=arity):
-            if a.pred_value(name, args) and not b.pred_value(
-                    name, tuple(phi[x] for x in args)):
-                return False
+        # True <= False is the one failing pair: a true tuple, a false image
+        if not all(map(le, a.pred_tables[name],
+                       map(b.pred_tables[name].__getitem__,
+                           _image_positions(phi, arity, b.size)))):
+            return False
     return True
 
 
@@ -436,16 +460,37 @@ def _generating_sequence(alg: FiniteAlgebra):
     return [values[i] for i in sub.seeds], steps
 
 
+def _new_tuples(old: list[int], new: list[int], width: int):
+    """The argument tuples of length width+1 over old + new that involve
+    an element of new, each once, as (prefix, lasts) pairs: the tuples
+    are prefix + (y,) for y in lasts."""
+    mapped = old + new
+    for prefix in product(old, repeat=width):
+        yield prefix, new
+    for i in range(width):
+        # the first element of new sits at position i of the prefix
+        for prefix in product(*[old] * i, new, *[mapped] * (width - 1 - i)):
+            yield prefix, mapped
+
+
 def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = False,
                        limit: Optional[int] = None,
                        budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
     """All homomorphisms a -> b as image tuples, sorted lexicographically.
 
-    Searches over images of a generating set of a, propagating along the
-    derivation of each remaining element, then verifies the full
-    homomorphism condition (and the strong condition when requested).
-    limit truncates the sorted result.  Raises SearchBudgetExceeded when
-    b.size ** #generators exceeds the budget.
+    Backtracks over the images of a generating set of a, in derivation
+    order (_generating_sequence).  The derivation splits into segments:
+    the constants and what they derive, then each generator with the
+    elements it derives together with the earlier ones.  Once a
+    generator's image is chosen, the images of its segment follow from
+    b's tables, and every constraint whose last argument lies in the
+    segment is checked, each exactly once: phi(f(x...)) = f(phi(x)...)
+    for every operation, and a true predicate tuple of a mapping to a
+    true one of b.  Nullary operations and predicates are checked in the
+    constants' segment.  A failed check prunes every extension of the
+    partial map.  The strong condition, when requested, is checked on
+    each complete map.  limit truncates the sorted result.  Raises
+    SearchBudgetExceeded when b.size ** #generators exceeds the budget.
     """
     if a.sig != b.sig:
         raise AlgebraMismatch("homomorphisms need a common signature")
@@ -453,21 +498,79 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
     if b.size**len(gens) > budget:
         raise SearchBudgetExceeded(
             f"{b.size}^{len(gens)} generator images exceed budget {budget}")
+    n, m = a.size, b.size
+    # segments[k]: where segment k starts in order, its elements and, for
+    # the derived ones, b's table and the arguments; gens[k - 1] opens
+    # segment k
+    order: list[int] = []
+    segments = [(0, [], [])]
+    for x, how in steps:
+        if how[0] == "gen":
+            segments.append((len(order), [], []))
+        order.append(x)
+        _, new, derived = segments[-1]
+        new.append(x)
+        if how[0] == "const":
+            derived.append((x, b.op_tables[how[1]], ()))
+        elif how[0] == "op":
+            derived.append((x, b.op_tables[how[1]], how[2]))
+    constraints = [(True, arity, _Rows(a.op_tables[name], n),
+                    _Rows(b.op_tables[name], m))
+                   for name, arity in a.sig.ops if arity]
+    constraints += [(False, arity, _Rows(a.pred_tables[name], n),
+                     _Rows(b.pred_tables[name], m))
+                    for name, arity in a.sig.preds if arity]
+    phi = [0] * n
+    image = phi.__getitem__
+
+    def holds(segment: int) -> bool:
+        """Map the derived elements of the segment and check the
+        constraints whose last argument it holds."""
+        start, new, derived = segments[segment]
+        for x, table, args in derived:
+            phi[x] = table[flat_index(map(image, args), m)]
+        if segment == 0 and (any(
+                phi[a.op_tables[name][0]] != b.op_tables[name][0]
+                for name, arity in a.sig.ops if not arity) or any(
+                a.pred_tables[name][0] and not b.pred_tables[name][0]
+                for name, arity in a.sig.preds if not arity)):
+            return False
+        old = order[:start]
+        for is_op, arity, rows_a, rows_b in constraints:
+            for prefix, lasts in _new_tuples(old, new, arity - 1):
+                values_a = map(rows_a[flat_index(prefix, n)].__getitem__,
+                               lasts)
+                values_b = map(rows_b[flat_index(map(image, prefix), m)]
+                               .__getitem__, map(image, lasts))
+                if is_op:
+                    kept = all(map(eq, map(image, values_a), values_b))
+                else:
+                    # True <= False is the one failing pair
+                    kept = all(map(le, values_a, values_b))
+                if not kept:
+                    return False
+        return True
+
     found = []
-    for images in product(range(b.size), repeat=len(gens)):
-        phi: list[Optional[int]] = [None] * a.size
-        for element, how in steps:
-            if how[0] == "gen":
-                phi[element] = images[how[1]]
-            elif how[0] == "const":
-                phi[element] = b.op_tables[how[1]][0]
-            else:
-                _, name, args = how
-                phi[element] = b.op_value(name, tuple(phi[x] for x in args))
-        mapping = tuple(phi)  # total: steps cover the carrier
-        if is_homomorphism(mapping, a, b):
-            if not strong or is_strong_homomorphism(mapping, a, b):
-                found.append(mapping)
+    if holds(0):
+        images = [-1] * len(segments)  # images[k]: the image of gens[k - 1]
+        segment = 1 if gens else 0
+        if not gens:
+            found.append(tuple(phi))
+        while segment:
+            images[segment] += 1
+            if images[segment] == m:
+                images[segment] = -1
+                segment -= 1
+                continue
+            phi[gens[segment - 1]] = images[segment]
+            if holds(segment):
+                if segment == len(gens):
+                    found.append(tuple(phi))
+                else:
+                    segment += 1
+    if strong:
+        found = [h for h in found if is_strong_homomorphism(h, a, b)]
     found.sort()
     if limit is not None:
         found = found[:limit]

@@ -555,15 +555,20 @@ def _cmd_qg_verify(args, inputs):
     return result, checks, True
 
 
+def _closed_under_generators(maps, generators) -> bool:
+    """p composed with g lies in maps for every p in maps and every
+    generator g.  When every map is a word in the generators, as in a
+    composition closure, this proves maps closed under composition, in
+    O(|maps|*|generators|*n) steps instead of O(|maps|^2*n)."""
+    return all(tuple([p[x] for x in g]) in maps
+               for p in maps for g in generators)
+
+
 def _cmd_qg_mulgroup(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     q = equasigroup_from_latin(_square(alg))
     grp = multiplication_group(q, side=args.side)
-    n = q.size
-    closure = sorted(grp.closure)
-    closed = all(
-        tuple(p[m[i]] for i in range(n)) in grp.closure
-        for p in closure for m in closure)
+    closed = _closed_under_generators(grp.closure, grp.generators)
     if not closed:  # pragma: no cover
         raise AssertionError("closure is not closed under composition")
     action = "transitive" if grp.transitive else "not transitive"

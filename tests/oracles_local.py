@@ -14,8 +14,8 @@ from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
                        Quasiidentity, eval_formula, flat_index,
                        is_stable_partition, is_unitary)
 from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
-                              InputError, SizeBound, SizeOverflow,
-                              TrivialClassRankConflict)
+                              InputError, SearchBudgetExceeded, SizeBound,
+                              SizeOverflow, TrivialClassRankConflict)
 from malcevlab.terms import Formula
 
 
@@ -169,6 +169,62 @@ def naive_generating_sequence(alg: FiniteAlgebra):
             steps.append((x, known[x]))
             close()
     return gens, steps
+
+
+def naive_is_homomorphism(phi, a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
+    """is_homomorphism through op_value/pred_value, tuple by tuple."""
+    if len(phi) != a.size:
+        return False
+    for name, arity in a.sig.ops:
+        for args in product(range(a.size), repeat=arity):
+            if phi[a.op_value(name, args)] != b.op_value(
+                    name, tuple(phi[x] for x in args)):
+                return False
+    for name, arity in a.sig.preds:
+        for args in product(range(a.size), repeat=arity):
+            if a.pred_value(name, args) and not b.pred_value(
+                    name, tuple(phi[x] for x in args)):
+                return False
+    return True
+
+
+def naive_find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *,
+                             strong: bool = False, limit=None,
+                             budget: int = 10**7):
+    """find_homomorphisms by generate and test: every image tuple of the
+    generators, propagated along the derivation, then the full
+    homomorphism check (and the strong one: onto, and every predicate
+    tuple true in b has a true preimage tuple in a)."""
+    if a.sig != b.sig:
+        raise AlgebraMismatch("homomorphisms need a common signature")
+    gens, steps = naive_generating_sequence(a)
+    if b.size**len(gens) > budget:
+        raise SearchBudgetExceeded(
+            f"{b.size}^{len(gens)} generator images exceed budget {budget}")
+    found = []
+    for images in product(range(b.size), repeat=len(gens)):
+        phi = [None] * a.size
+        for element, how in steps:
+            if how[0] == "gen":
+                phi[element] = images[how[1]]
+            elif how[0] == "const":
+                phi[element] = b.op_tables[how[1]][0]
+            else:
+                _, name, args = how
+                phi[element] = b.op_value(name, tuple(phi[x] for x in args))
+        if not naive_is_homomorphism(phi, a, b):
+            continue
+        if strong and (set(phi) != set(range(b.size)) or any(
+                b.pred_value(name, args) and not any(
+                    a.pred_value(name, pre)
+                    for pre in product(range(a.size), repeat=arity)
+                    if [phi[x] for x in pre] == list(args))
+                for name, arity in b.sig.preds
+                for args in product(range(b.size), repeat=arity))):
+            continue
+        found.append(tuple(phi))
+    found.sort()
+    return found if limit is None else found[:limit]
 
 
 def naive_check_quasiidentity(q: Quasiidentity, alg) -> CheckResult:

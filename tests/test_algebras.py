@@ -20,7 +20,8 @@ from malcevlab.errors import (EmptyUngeneratable, MalcevLabError,
 from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
                       klein_group, random_algebra, signatures,
                       symmetric_group_3, systems)
-from oracles_local import naive_generate_subalgebra, naive_generating_sequence
+from oracles_local import (naive_find_homomorphisms, naive_generate_subalgebra,
+                           naive_generating_sequence, naive_is_homomorphism)
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -277,6 +278,47 @@ def test_find_homomorphisms_same_signature_pairs_seeded():
         b = FiniteAlgebra(a.sig, a.size, tables, ptables)
         assert find_homomorphisms(a, b) == brute_force_homs(a, b)
         checked += 1
+
+
+@st.composite
+def hom_pairs(draw):
+    """A system and a target over one signature drawn by signatures():
+    a random target, the system itself, or the system with every
+    predicate true everywhere, so that homomorphisms other than the
+    constant maps occur."""
+    sig = draw(signatures(max_arity=3))
+    a = draw(systems(sig))
+    kind = draw(st.sampled_from(["random", "same", "all_true"]))
+    if kind == "random":
+        return a, draw(systems(sig))
+    if kind == "same":
+        return a, a
+    return a, FiniteAlgebra(sig, a.size, dict(a.op_tables),
+                            {name: (True,) * a.size**arity
+                             for name, arity in sig.preds})
+
+
+@settings(max_examples=300, deadline=None)
+@given(hom_pairs(), st.booleans(), st.none() | st.integers(0, 3),
+       st.sampled_from([1, 16, 10**7]))
+def test_find_homomorphisms_matches_generate_and_test(pair, strong, limit,
+                                                      budget):
+    a, b = pair
+    homs = outcome(lambda: find_homomorphisms(
+        a, b, strong=strong, limit=limit, budget=budget))
+    assert homs == outcome(lambda: naive_find_homomorphisms(
+        a, b, strong=strong, limit=limit, budget=budget))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_homomorphism_matches_the_tuple_by_tuple_check(data):
+    a, b = data.draw(hom_pairs())
+    maps = find_homomorphisms(a, b)
+    phi = data.draw(st.sampled_from(maps) if maps and data.draw(st.booleans())
+                    else st.lists(st.integers(0, b.size - 1),
+                                  min_size=a.size, max_size=a.size))
+    assert is_homomorphism(phi, a, b) == naive_is_homomorphism(phi, a, b)
 
 
 def test_find_homomorphisms_counts(z4, z2, z6):

@@ -8,6 +8,7 @@ from malcevlab import (QUASIGROUP_SIGNATURE, equasigroup_from_latin,
                        eval_term, latin_square, malcev_polynomial,
                        multiplication_group, parse_term, print_term,
                        rectification_check, to_algebra)
+from malcevlab.cli import _closed_under_generators
 from malcevlab.errors import FlavorMismatch, NoRightUnit, NotLatin
 
 from conftest import (UNIT_FREE_ROWS, all_latin_squares, random_square)
@@ -112,6 +113,15 @@ def test_multiplication_groups_match_naive_closure_on_all_order_four():
         for side in ("left", "right", "both"):
             grp = multiplication_group(q, side=side)
             assert grp.closure == naive_composition_closure(grp.generators, 4)
+
+
+def test_closure_check_rejects_a_group_missing_one_element():
+    grp = multiplication_group(q_from(UNIT_FREE_ROWS), side="both")
+    assert len(grp.closure) == 6
+    assert _closed_under_generators(grp.closure, grp.generators)
+    for missing in grp.closure:
+        assert not _closed_under_generators(grp.closure - {missing},
+                                            grp.generators)
 
 
 def test_multiplication_group_of_cyclic_table_is_regular():
