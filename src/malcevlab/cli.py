@@ -27,7 +27,7 @@ import os
 import re
 import sys
 import time
-from itertools import combinations, product
+from itertools import product
 from typing import Optional
 
 from .algebras import (FiniteAlgebra, find_homomorphisms,
@@ -36,7 +36,7 @@ from .algebras import (FiniteAlgebra, find_homomorphisms,
 from .classes import (free_algebra, membership_in_closure, presented_algebra,
                       replica, verify_universal_property)
 from .congruences import (DEFAULT_LATTICE_BUDGET, all_congruences,
-                          compose_permute, is_stable_partition,
+                          is_stable_partition, non_permuting_pairs,
                           partition_congruence, quotient)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
@@ -357,11 +357,8 @@ def _cmd_permutable(args, inputs):
         raise SearchBudgetExceeded(
             f"{pair_count} congruence pairs exceed the pair budget of "
             f"{budget}; a larger --max-product raises it")
-    bad = []
-    for i, j in combinations(range(len(congs)), 2):
-        _, ok = compose_permute(congs[i], congs[j])
-        if not ok:
-            bad.append({"theta": str(congs[i]), "xi": str(congs[j])})
+    bad = [{"theta": str(theta), "xi": str(xi)}
+           for theta, xi in non_permuting_pairs(congs)]
     if bad:
         summary = (f"{len(bad)} of {pair_count} congruence pairs "
                    f"do not permute")

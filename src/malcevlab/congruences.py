@@ -17,7 +17,7 @@ is bounded by a budget on joins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .algebras import FiniteAlgebra, flat_index, is_homomorphism
@@ -293,6 +293,14 @@ def compose_permute(theta: Congruence, xi: Congruence):
     forward = compose_relation(theta, xi)
     backward = compose_relation(xi, theta)
     return forward, forward == backward
+
+
+def non_permuting_pairs(congs: Sequence[Congruence]
+                        ) -> list[tuple[Congruence, Congruence]]:
+    """The pairs (congs[i], congs[j]) with i < j that do not permute,
+    in that order."""
+    return [(theta, xi) for theta, xi in combinations(congs, 2)
+            if not compose_permute(theta, xi)[1]]
 
 
 # ---------------------------------------------------------------------------

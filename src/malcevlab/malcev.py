@@ -23,11 +23,16 @@ canonical order (size, then root symbol, then children) without any
 deduplication; it is the substrate for corpus generation and small
 exhaustive checks, not for deep searches.
 
+translation_group runs the same search over one variable, with the
+constant maps seeded beside x0 at level 0, so that its tables are the
+unary polynomial maps; it closes the bijective ones with
+composition_closure, which lives in quasigroups next to
+multiplication_group and is re-exported here.  A truncated run keeps
+the maps of the slabs the search completed before its budget ran out.
+
 This is the only module that imports numpy.  The package and the
 command line load it on first use of a search name, so commands that
-search nothing start without numpy.  translation_group enumerates its
-maps here and closes them with composition_closure, which lives in
-quasigroups next to multiplication_group and is re-exported here.
+search nothing start without numpy.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebras import FiniteAlgebra, flat_index
-from .congruences import Congruence, all_congruences, compose_permute
-from .quasigroups import TranslationGroup, composition_closure
+from .algebras import FiniteAlgebra
+from .congruences import Congruence, all_congruences, non_permuting_pairs
+from .quasigroups import (TranslationGroup, composition_closure,
+                          malcev_identities_hold)
 from .terms import App, Signature, Term, Var, eval_term, term_depth, term_key
 
 DEFAULT_DEPTH = 4
@@ -114,9 +120,10 @@ class _TableSearch:
     """Breadth-first closure of k-ary derived operations of an algebra.
 
     Vectors are value tables over all n^k assignments (x0 most
-    significant).  vectors/terms/keys/sizes/levels grow in discovery
-    order; each table keeps the canonically least term among the
-    candidates of its discovery level.  A candidate's canonical key is
+    significant), in the narrowest unsigned type that holds n values.
+    vectors/terms/keys/sizes/levels grow in discovery order; each table
+    keeps the canonically least term among the candidates of its
+    discovery level.  A candidate's canonical key is
     assembled from its children's stored keys, which are final because
     children always come from earlier levels, and its term is built only
     when the table is new or the key beats the stored one.  exhausted
@@ -142,13 +149,18 @@ class _TableSearch:
         self.sizes: list[int] = []
         self.levels: list[int] = []
         self.index: dict[bytes, int] = {}
-        # values fit in uint8, so looked-up tables need no conversion
+        # the narrowest types that hold a value and a binary index a*n + b
+        # (uint8 and uint16 up to 256 elements), so looked-up tables need
+        # no conversion
+        self.dtype = np.min_scalar_type(self.n - 1)
+        self.pair_dtype = np.promote_types(
+            np.uint16, np.min_scalar_type(self.n * self.n - 1))
         self.op_arrays = {
-            name: np.array(alg.op_tables[name], dtype=np.uint8)
+            name: np.array(alg.op_tables[name], dtype=self.dtype)
             for name, _ in alg.sig.ops}
         self.digits = [
-            ((np.arange(self.length) // (self.n**(self.k - 1 - i))) % self.n)
-            .astype(np.uint8)
+            np.tile(np.repeat(np.arange(self.n, dtype=self.dtype),
+                              self.n**(self.k - 1 - i)), self.n**i)
             for i in range(self.k)]
         self._level_start: dict[int, int] = {}
         for i in range(self.k):
@@ -212,13 +224,9 @@ class _TableSearch:
             if arity == 0:
                 if depth == 1:
                     vec = np.full(self.length, self.alg.op_tables[name][0],
-                                  dtype=np.uint8)
+                                  dtype=self.dtype)
                     if self._spend(1):
                         self._add(vec, (1, head_key, ()), 1, App, name)
-                continue
-            if arity == 1:
-                self._unary_level(name, head_key, ftab, frontier_start,
-                                  start, depth)
                 continue
             if arity == 2:
                 self._binary_level(name, head_key, ftab, frontier_start,
@@ -228,18 +236,6 @@ class _TableSearch:
                                 start, depth)
         self._level_start[depth] = start
         return range(start, len(self.vectors))
-
-    def _unary_level(self, name, head_key, ftab, f0, r, depth):
-        cap = self.max_term_size
-        for a in range(f0, r):
-            size = 1 + self.sizes[a]
-            if cap is not None and size > cap:
-                continue
-            if not self._spend(1):
-                return
-            vec = ftab[self.vectors[a]]
-            self._add(vec, (size, head_key, (self.keys[a],)), depth,
-                      App, name, (self.terms[a],))
 
     def _binary_level(self, name, head_key, ftab, f0, r, depth):
         n = self.n
@@ -263,8 +259,8 @@ class _TableSearch:
                         partners[size_a] = (
                             np.flatnonzero(fits) + b_lo).tolist()
                     b_list = partners[size_a]
-                # a * n + b < n * n <= 2**16
-                va = vectors[a].astype(np.uint16) * n
+                # a * n + b < n * n fits pair_dtype
+                va = vectors[a].astype(self.pair_dtype) * n
                 term_a, key_a = terms[a], keys[a]
                 slab = 4096
                 for c0 in range(0, len(b_list), slab):
@@ -354,7 +350,9 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
         if hits:
             best = _canonical_min(search, hits)
             term = search.terms[best]
-            _verify_malcev(alg, term, second_identity)
+            if not malcev_identities_hold(alg, term,
+                                          second_identity=second_identity):
+                raise AssertionError("witness fails the Mal'cev identities")
             return MalcevSearchResult(term, search.truncated,
                                       len(search.vectors), max_depth,
                                       search.exhausted)
@@ -364,18 +362,6 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
                                       len(search.vectors), max_depth,
                                       search.exhausted)
         new = search.run_level(depth)
-
-
-def _verify_malcev(alg: FiniteAlgebra, term: Term, second_identity: str):
-    for x in range(alg.size):
-        for z in range(alg.size):
-            v1 = eval_term(term, (x, x, z), alg)
-            if v1 != z:
-                raise AssertionError("witness fails P(x,x,z) = z")
-            v2 = eval_term(term, (x, z, z), alg)
-            expected = x if second_identity == "x" else z
-            if v2 != expected:
-                raise AssertionError("witness fails the second identity")
 
 
 def find_malcev_term(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
@@ -420,12 +406,7 @@ def check_permutability_theorem(alg: FiniteAlgebra,
                                 ) -> PermutabilityReport:
     """Compare find_malcev_term against pairwise congruence permutability."""
     congs = all_congruences(alg)
-    bad = []
-    for i in range(len(congs)):
-        for j in range(i + 1, len(congs)):
-            _, ok = compose_permute(congs[i], congs[j])
-            if not ok:
-                bad.append((congs[i], congs[j]))
+    bad = non_permuting_pairs(congs)
     result = malcev_search(alg, max_depth, table_budget=table_budget,
                            candidate_budget=candidate_budget,
                            max_term_size=max_term_size)
@@ -480,10 +461,10 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     search = _TableSearch(alg, 3, table_budget, candidate_budget,
                           max_term_size)
     n = alg.size
-    d0, d1, d2 = (d.astype(np.int64) for d in search.digits)
+    d0, d1, d2 = search.digits
     diag = np.where(d0 == d1)[0]
-    diag_t = search.digits[2][diag]
-    tail = d1 * n + d2
+    diag_t = d2[diag]
+    tail = d1.astype(np.int64) * n + d2
 
     def cross(va: np.ndarray, vb: np.ndarray) -> bool:
         inner = vb.astype(np.int64) * (n * n) + tail
@@ -564,14 +545,7 @@ def malcev_from_biternary(alg: FiniteAlgebra, pair: BiternaryPair,
     identities at that anchor."""
     a_term = _substitute(pair.alpha, (Var(0), Var(1), Var(3)))
     composite = _substitute(pair.beta, (a_term, Var(2), Var(3)))
-    ok = True
-    for x in range(alg.size):
-        for z in range(alg.size):
-            if eval_term(composite, (x, x, z, anchor), alg) != z:
-                ok = False
-            if eval_term(composite, (x, z, z, anchor), alg) != x:
-                ok = False
-    return composite, ok
+    return composite, malcev_identities_hold(alg, composite, anchor)
 
 
 def _substitute(t: Term, replacements: tuple[Term, ...]) -> Term:
@@ -589,52 +563,32 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
                       ) -> TranslationGroup:
     """Reversible translations x -> F(x) with F a unary polynomial form.
 
-    Builds all unary polynomial maps breadth-first (seeds: the identity
-    and every constant map), keeps the bijective ones, and closes them
-    under composition.  transitive reports whether the closure acts
-    transitively on the carrier.
+    A one-variable _TableSearch with the n constant maps seeded beside
+    x0 at level 0, so that level d holds the unary polynomial maps of
+    depth d; it stops early once a level adds no map.  The bijective
+    tables are the generators, sorted, and their composition closure is
+    the group.  transitive reports whether the closure acts transitively
+    on the carrier.  max_maps is the search's table budget.  truncated
+    is set when the table or candidate budget ran out; the search
+    charges candidates per slab, so the maps found by then are those of
+    the slabs it completed.
     """
     n = alg.size
-    identity = tuple(range(n))
-    maps: list[tuple[int, ...]] = [identity]
-    seen = {identity}
+    # each nullary operation spends a candidate at depth 1 on a constant
+    # map that level 0 already holds, which the budget allows for
+    nullary = sum(1 for _, arity in alg.sig.ops if arity == 0)
+    search = _TableSearch(alg, 1, max_maps, candidate_budget + nullary)
     for c in range(n):
-        cmap = tuple([c] * n)
-        if cmap not in seen:
-            seen.add(cmap)
-            maps.append(cmap)
-    truncated = False
-    spent = 0
-    frontier_lo = 0
+        # the constants as extra variables, keyed after x0
+        search._add(np.full(n, c, dtype=search.dtype), (1, (0, 1 + c), ()),
+                    0, Var, 1 + c)
     for depth in range(1, max_depth + 1):
-        if truncated or frontier_lo == len(maps):
+        if not search.run_level(depth) or search.truncated:
             break
-        level_start = len(maps)
-        for name, arity in alg.sig.ops:
-            if arity == 0 or truncated:
-                continue
-            table = alg.op_tables[name]
-            # one block per leading frontier position, as in the table
-            # search: old^i x frontier x all^(arity-1-i)
-            for lead in range(arity):
-                ranges = [range(0, frontier_lo)] * lead \
-                    + [range(frontier_lo, level_start)] \
-                    + [range(0, level_start)] * (arity - 1 - lead)
-                for combo in product(*ranges):
-                    spent += 1
-                    if spent > candidate_budget or len(maps) > max_maps:
-                        truncated = True
-                        break
-                    new_map = tuple(
-                        table[flat_index(tuple(maps[i][x] for i in combo), n)]
-                        for x in range(n))
-                    if new_map not in seen:
-                        seen.add(new_map)
-                        maps.append(new_map)
-                if truncated:
-                    break
-        frontier_lo = level_start
-    generators = tuple(sorted(m for m in seen if sorted(m) == list(range(n))))
+    tables = np.stack(search.vectors)
+    bijective = np.all(np.sort(tables, axis=1) == search.digits[0], axis=1)
+    generators = tuple(sorted(map(tuple, tables[bijective].tolist())))
     closure = composition_closure(generators, n)
     orbit = {g[0] for g in closure}
-    return TranslationGroup(generators, closure, len(orbit) == n, truncated)
+    return TranslationGroup(generators, closure, len(orbit) == n,
+                            search.truncated)

@@ -7,7 +7,8 @@ a*x = b, and rdiv(b, a) is the unique x with x*a = b.  Working in the
 enriched signature (mul, ldiv, rdiv) makes the class equationally
 definable, and explicit Mal'cev-style terms can be written down rather
 than searched for: malcev_polynomial returns them per flavor, verified
-exhaustively against the tables.
+exhaustively by malcev_identities_hold, the check that the searches in
+malcev share.
 
 The translation maps x -> a*x and x -> x*a generate the multiplication
 group.  composition_closure and its result type TranslationGroup live
@@ -184,11 +185,14 @@ class TranslationGroup:
 
     generators are the translations of a quasigroup (multiplication_group)
     or the reversible maps realized by unary polynomial forms within the
-    depth bound (malcev.translation_group: the designated variable may
+    depth bound (malcev.translation_group, a one-variable derived-operation
+    search seeded with the constant maps: the designated variable may
     occur several times; all other positions take carrier constants).
     closure is the group they generate under composition; on a finite
     carrier the composition closure of bijections already contains all
-    inverses.  truncated is set when the map enumeration hit its budget.
+    inverses.  truncated is set when that search ran out of its table or
+    candidate budget; the generators are then the bijections among the
+    maps it found by then, which the search collects slab by slab.
     """
 
     generators: tuple[tuple[int, ...], ...]
@@ -240,14 +244,13 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
     back.
     """
     alg = to_algebra(q, "quasigroup")
+    anchors: Sequence[Optional[int]] = [None]
     if flavor == "quasigroup":
         term = App("rdiv", (
             App("mul", (Var(0), App("ldiv", (Var(1), Var(3))))),
             App("ldiv", (Var(2), Var(3)))))
-        for a in range(q.size):
-            _check_identities(alg, term, anchor=a)
-        return term
-    if flavor == "right_eloop":
+        anchors = range(q.size)
+    elif flavor == "right_eloop":
         if q.right_unit is None:
             raise NoRightUnit("no element e satisfies x*e = x for all x")
         term = App("mul", (Var(0), App("ldiv", (Var(1), Var(2)))))
@@ -257,21 +260,28 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
         term = App("mul", (App("rdiv", (Var(0), Var(1))), Var(2)))
     else:
         raise FlavorMismatch(f"no explicit form for flavor {flavor!r}")
-    _check_identities(alg, term)
+    if not all(malcev_identities_hold(alg, term, a) for a in anchors):
+        raise AssertionError("Mal'cev identities fail on a Latin square")
     return term
 
 
-def _check_identities(alg: FiniteAlgebra, term: Term,
-                      anchor: Optional[int] = None):
-    n = alg.size
-    for x in range(n):
-        for z in range(n):
-            point = (x, x, z) if anchor is None else (x, x, z, anchor)
-            if eval_term(term, point, alg) != z:
-                raise AssertionError("P(x,x,z) = z fails on a Latin square")
-            point = (x, z, z) if anchor is None else (x, z, z, anchor)
-            if eval_term(term, point, alg) != x:
-                raise AssertionError("P(x,z,z) = x fails on a Latin square")
+def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
+                           anchor: Optional[int] = None,
+                           second_identity: str = "x") -> bool:
+    """Whether P(x,x,z) = z and P(x,z,z) = x hold for all x, z, checked
+    with the term evaluator.
+
+    With an anchor a the term is read as P(x,y,z,a), x3 standing for a.
+    second_identity "z" expects P(x,z,z) = z instead.
+    """
+    tail = () if anchor is None else (anchor,)
+    for x in range(alg.size):
+        for z in range(alg.size):
+            expected = x if second_identity == "x" else z
+            if (eval_term(term, (x, x, z) + tail, alg) != z
+                    or eval_term(term, (x, z, z) + tail, alg) != expected):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from itertools import product
 from typing import Sequence
 
 from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
-                       Quasiidentity, eval_formula, flat_index,
-                       is_stable_partition, is_unitary)
+                       Quasiidentity, TranslationGroup, eval_formula,
+                       flat_index, is_stable_partition, is_unitary)
 from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
                               InputError, SearchBudgetExceeded, SizeBound,
                               SizeOverflow, TrivialClassRankConflict)
@@ -103,6 +103,60 @@ def naive_composition_closure(maps, size: int) -> frozenset:
                     closure.add(comp)
                     work.append(comp)
     return frozenset(closure)
+
+
+def naive_translation_group(alg: FiniteAlgebra, max_depth: int = 4, *,
+                            max_maps: int = 100_000,
+                            candidate_budget: int = 2_000_000
+                            ) -> TranslationGroup:
+    """translation_group as its own breadth-first loop over unary
+    polynomial maps: level 0 holds the identity and the constant maps,
+    and each level applies every operation of positive arity to tuples
+    with at least one map of the previous level, one block per leading
+    frontier position (old^i x frontier x all^(arity-1-i)).  Budgets are
+    checked before every candidate."""
+    n = alg.size
+    identity = tuple(range(n))
+    maps: list[tuple[int, ...]] = [identity]
+    seen = {identity}
+    for c in range(n):
+        cmap = tuple([c] * n)
+        if cmap not in seen:
+            seen.add(cmap)
+            maps.append(cmap)
+    truncated = False
+    spent = 0
+    frontier_lo = 0
+    for depth in range(1, max_depth + 1):
+        if truncated or frontier_lo == len(maps):
+            break
+        level_start = len(maps)
+        for name, arity in alg.sig.ops:
+            if arity == 0 or truncated:
+                continue
+            table = alg.op_tables[name]
+            for lead in range(arity):
+                ranges = [range(0, frontier_lo)] * lead \
+                    + [range(frontier_lo, level_start)] \
+                    + [range(0, level_start)] * (arity - 1 - lead)
+                for combo in product(*ranges):
+                    spent += 1
+                    if spent > candidate_budget or len(maps) > max_maps:
+                        truncated = True
+                        break
+                    new_map = tuple(
+                        table[flat_index(tuple(maps[i][x] for i in combo), n)]
+                        for x in range(n))
+                    if new_map not in seen:
+                        seen.add(new_map)
+                        maps.append(new_map)
+                if truncated:
+                    break
+        frontier_lo = level_start
+    generators = tuple(sorted(m for m in seen if sorted(m) == list(identity)))
+    closure = naive_composition_closure(generators, n)
+    orbit = {g[0] for g in closure}
+    return TranslationGroup(generators, closure, len(orbit) == n, truncated)
 
 
 def naive_generate_subalgebra(alg: FiniteAlgebra, seed) -> list[int]:

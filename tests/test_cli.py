@@ -250,6 +250,21 @@ def test_lattice_budget_is_exit_three(tmp_path, capsys):
         assert "--max-product" in err
 
 
+@pytest.mark.parametrize("command,depth",
+                         [("malcev", "0"), ("translations", "1")])
+def test_searches_over_more_than_256_elements(command, depth, tmp_path,
+                                              capsys):
+    alg = tmp_path / "chain257.alg"
+    alg.write_text("size 257\nop join 2\n" + "\n".join(
+        " ".join(str(max(a, b)) for b in range(257)) for a in range(257))
+        + "\n")
+    code, out, err = run([command, str(alg), "--depth", depth,
+                          "--format", "machine"], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["result"]["depth"] == int(depth)
+
+
 def test_permutable_pair_budget_is_exit_three(tmp_path, capsys):
     # the 8-element meet chain: 128 congruences from 3556 joins, 8128 pairs
     alg = tmp_path / "chain8.alg"

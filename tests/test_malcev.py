@@ -17,8 +17,9 @@ from malcevlab.malcev import _TableSearch
 
 from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, chain_semilattice,
                       cyclic_group, groupoid_from_rows, klein_group,
-                      small_algebras, symmetric_group_3, tangle5)
-from oracles_local import naive_composition_closure
+                      signatures, small_algebras, symmetric_group_3, systems,
+                      tangle5)
+from oracles_local import naive_composition_closure, naive_translation_group
 
 
 def assert_malcev_identities(alg, term):
@@ -229,6 +230,48 @@ def test_translation_closure_matches_naive_closure_seeded():
         assert grp.closure == naive_composition_closure(grp.generators, 3)
         orders.add(len(grp.closure))
     assert max(orders) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_translation_group_matches_the_naive_bfs(data):
+    # equal in all four fields whenever the naive loop completes; both
+    # run out of a candidate budget on the same inputs
+    alg = data.draw(systems(data.draw(signatures(max_arity=3))))
+    depth = data.draw(st.integers(0, 4))
+    budget = data.draw(st.sampled_from([20, 200, 5000]))
+    expected = naive_translation_group(alg, depth, candidate_budget=budget)
+    grp = translation_group(alg, depth, candidate_budget=budget)
+    assert grp.truncated == expected.truncated
+    if not expected.truncated:
+        assert grp == expected
+
+
+def test_translation_budget_counts_the_naive_candidates(z2):
+    # depth 1 of Z2 tries 3 x 3 products and 3 inverses; e repeats a
+    # constant map and costs nothing
+    grp = translation_group(z2, 1, candidate_budget=12)
+    assert grp == naive_translation_group(z2, 1, candidate_budget=12)
+    assert not grp.truncated
+    assert translation_group(z2, 1, candidate_budget=11).truncated
+
+
+def max_chain(n: int) -> FiniteAlgebra:
+    join = tuple(max(a, b) for a in range(n) for b in range(n))
+    return FiniteAlgebra(Signature((("join", 2),)), n, {"join": join})
+
+
+def test_search_over_more_than_256_elements():
+    # values and binary indices outgrow uint8 and uint16
+    res = malcev_search(max_chain(257), 0)
+    assert res.term is None and not res.truncated
+    assert res.tables_explored == 3
+
+
+def test_translation_group_over_more_than_256_elements():
+    grp = translation_group(max_chain(257), 2)
+    assert grp.closure == frozenset({tuple(range(257))})
+    assert not grp.transitive and not grp.truncated
 
 
 def test_search_witness_is_canonically_least(z4):
