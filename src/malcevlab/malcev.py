@@ -5,18 +5,21 @@ term depth: level 0 holds the variable projections, and level d+1 holds
 every basic operation applied to vectors from earlier levels.  Distinct
 derived operations are deduplicated by their full value table, and each
 table is represented by the canonically least term among the candidates
-of the level that first produced it.  A candidate's canonical key is
-built in constant time from the stored keys of its children, and its
-term is built only when it is kept (a new table, or a key beating the
-stored one).  Qualification (the Mal'cev identities, or the biternary
-identities) depends only on the value table and is tested on each
-level's new tables at once, which makes the deduplicated search exact
-as a decision procedure within the depth bound; deterministic work
-budgets cap the exploration, and a budget-truncated search reports
-absence within bounds and names the budget that ran out.  Every
-returned witness is re-verified exhaustively through the term
-evaluator, independently of the table arithmetic used during the
-search.
+of the level that first produced it.  The tables are the rows of one
+2-D store, found again through a hash of each row that a full
+comparison confirms, and each table records only its derivation (an
+operation and the indices of its children).  Candidates are compared by
+integer keys built from their children's ranks in canonical order, the
+least witness is picked by the same ranks, and terms are built from the
+derivations only for the tables a caller asks about.  Qualification
+(the Mal'cev identities, or the biternary identities) depends only on
+the value table and is tested on each level's new tables at once, which
+makes the deduplicated search exact as a decision procedure within the
+depth bound; deterministic work budgets cap the exploration, and a
+budget-truncated search reports absence within bounds and names the
+budget that ran out.  Every returned witness is re-verified
+exhaustively through the term evaluator, independently of the table
+arithmetic used during the search.
 
 TermEnumeration, by contrast, enumerates raw terms one by one in the
 canonical order (size, then root symbol, then children) without any
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -116,18 +119,66 @@ class TermEnumeration:
 # ---------------------------------------------------------------------------
 # derived-operation breadth-first search
 
+# heads below this are variables, by index; heads at or above it are
+# operations, by signature index
+_OP_HEAD = 1 << 32
+# the candidates of one (a, slab) step of a binary level, charged at once
+_SLAB = 4096
+# rows hash as words times fixed odd 64-bit weights, summed mod 2^64,
+# one block of words at a time (the running hash is multiplied by
+# _HASH_STEP before each block), over at most _HASH_BYTES of 64-bit
+# words at once
+_HASH_BLOCK = 4096
+_HASH_BYTES = 1 << 21
+_HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _odd_weights(count: int) -> np.ndarray:
+    """The first count outputs of splitmix64, made odd."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * _HASH_STEP
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)) | np.uint64(1)
+
+
+_HASH_WEIGHTS = _odd_weights(_HASH_BLOCK)
+# look-ups of at least this many uint8 indices take two bytes at a time;
+# the 2^16-entry table that this needs costs about as much to build as
+# it saves over about 2^19 entries, so searches whose look-ups are all
+# small never build it
+_PAIR_MIN = 1 << 17
+# steps are added together up to about this many table entries
+_GROUP_ENTRIES = 1 << 18
+
+
 class _TableSearch:
     """Breadth-first closure of k-ary derived operations of an algebra.
 
-    Vectors are value tables over all n^k assignments (x0 most
+    Tables are value tables over all n^k assignments (x0 most
     significant), in the narrowest unsigned type that holds n values.
-    vectors/terms/keys/sizes/levels grow in discovery order; each table
-    keeps the canonically least term among the candidates of its
-    discovery level.  A candidate's canonical key is
-    assembled from its children's stored keys, which are final because
-    children always come from earlier levels, and its term is built only
-    when the table is new or the key beats the stored one.  exhausted
-    names the budget ("table" or "candidate") that truncated the search.
+    They are the rows of one growable 2-D store, in discovery order,
+    beside integer arrays of each table's term size, discovery level and
+    derivation: its head (a variable or an operation) and the indices of
+    its child tables.  A dict from a 64-bit row hash to the first table
+    with that hash finds repeats; every hit is confirmed by comparing
+    the full rows, and a genuine collision takes the exact path
+    (_offer), which compares the row with every table of its hash.
+
+    A level is walked in steps, each charged to the candidate budget as
+    one _spend: for a binary operation one a against up to _SLAB b's,
+    otherwise one tuple of children.  Consecutive steps that cannot run
+    a budget out are computed together (a binary one by looking up
+    (a << shift) | b) and hashed and deduplicated at once, with the
+    outcome of offering their rows one by one.  Each table keeps the
+    canonically least term among the candidates of its discovery level.
+    Candidates compare as integer tuples (size, head, rank of each
+    child), where the ranks order every table before the current level
+    by canonical key; they are recomputed once per level, and children
+    always come from earlier levels.  ranks() extends the ranking to
+    every table, which is how the searches pick their least witness;
+    term(i) and key(i) build the term and its nested canonical key
+    (term_key) from the derivations on demand.  exhausted names the
+    budget ("table" or "candidate") that truncated the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -143,18 +194,31 @@ class _TableSearch:
         self.max_term_size = max_term_size
         self.candidates_used = 0
         self.exhausted: Optional[str] = None
-        self.vectors: list[np.ndarray] = []
-        self.terms: list[Term] = []
-        self.keys: list[tuple] = []
-        self.sizes: list[int] = []
-        self.levels: list[int] = []
-        self.index: dict[bytes, int] = {}
-        # the narrowest types that hold a value and a binary index a*n + b
-        # (uint8 and uint16 up to 256 elements), so looked-up tables need
-        # no conversion
+        self.count = 0
         self.dtype = np.min_scalar_type(self.n - 1)
-        self.pair_dtype = np.promote_types(
-            np.uint16, np.min_scalar_type(self.n * self.n - 1))
+        width = max((arity for _, arity in alg.sig.ops), default=0)
+        self._store = np.empty((16, self.length), self.dtype)
+        self._sizes = np.empty(16, np.int64)
+        self._levels = np.empty(16, np.int64)
+        self._heads = np.empty(16, np.int64)
+        # child indices, padded with -1 to the largest arity
+        self._kids = np.empty((16, width), np.int64)
+        self._index: dict[int, int] = {}
+        self._chains: dict[int, list[int]] = {}
+        # the ranks of the tables before the current level, then -1,
+        # which the kids' padding (-1) picks
+        self._rank = np.full(1, -1, np.int64)
+        self._level_start: dict[int, int] = {}
+        row_bytes = self.length * self.dtype.itemsize
+        self._word = np.dtype(f"u{min(4, row_bytes & -row_bytes)}")
+        # binary look-ups index (a << shift) | b, in the narrowest type
+        # that holds it (uint8 up to 16 elements)
+        self._shift = (self.n - 1).bit_length()
+        self._index_dtype = np.min_scalar_type(
+            ((self.n - 1) << self._shift) | (self.n - 1))
+        # per operation name its look-up table, and per (name, 2) the
+        # table that looks up two byte indices at once
+        self._luts: dict = {}
         self.op_arrays = {
             name: np.array(alg.op_tables[name], dtype=self.dtype)
             for name, _ in alg.sig.ops}
@@ -162,31 +226,57 @@ class _TableSearch:
             np.tile(np.repeat(np.arange(self.n, dtype=self.dtype),
                               self.n**(self.k - 1 - i)), self.n**i)
             for i in range(self.k)]
-        self._level_start: dict[int, int] = {}
-        for i in range(self.k):
-            self._add(self.digits[i], (1, (0, i), ()), 0, Var, i)
+        self._vars = 0
+        for digit in self.digits:
+            self.add_variable(digit)
+
+    def __len__(self) -> int:
+        return self.count
 
     @property
     def truncated(self) -> bool:
         return self.exhausted is not None
 
-    def _add(self, vec: np.ndarray, key: tuple, level: int, make,
-             *args) -> None:
-        """Offer table vec, reached by the term make(*args) with canonical
-        key key; the term is built only if the table keeps it."""
-        code = vec.tobytes()
-        idx = self.index.get(code)
-        if idx is None:
-            self.index[code] = len(self.vectors)
-            self.vectors.append(vec)
-            self.terms.append(make(*args))
-            self.keys.append(key)
-            self.sizes.append(key[0])
-            self.levels.append(level)
-        elif self.levels[idx] == level and key < self.keys[idx]:
-            self.terms[idx] = make(*args)
-            self.keys[idx] = key
-            self.sizes[idx] = key[0]
+    @property
+    def tables(self) -> np.ndarray:
+        """The tables found so far, one row each, in discovery order."""
+        return self._store[:self.count]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self._sizes[:self.count]
+
+    @property
+    def levels(self) -> np.ndarray:
+        return self._levels[:self.count]
+
+    def term(self, i: int) -> Term:
+        """The representative term of table i."""
+        head = int(self._heads[i])
+        if head < _OP_HEAD:
+            return Var(head)
+        name, arity = self.alg.sig.ops[head - _OP_HEAD]
+        return App(name, tuple(map(self.term, self._kids[i, :arity].tolist())))
+
+    def key(self, i: int) -> tuple:
+        """The canonical key (term_key) of table i's term."""
+        head = int(self._heads[i])
+        size = int(self._sizes[i])
+        if head < _OP_HEAD:
+            return (size, (0, head), ())
+        op = head - _OP_HEAD
+        kids = self._kids[i, :self.alg.sig.ops[op][1]].tolist()
+        return (size, (1, op), tuple(map(self.key, kids)))
+
+    def ranks(self) -> np.ndarray:
+        """Each table's position in the canonical order of the terms."""
+        self._rank_tables(self.count)
+        return self._rank[:self.count]
+
+    def add_variable(self, vec: np.ndarray) -> None:
+        """Offer vec at level 0 as the table of the next variable."""
+        self._offer(vec, self._hash(vec[None])[0], 0, self._vars, (), 1)
+        self._vars += 1
 
     def _spend(self, count: int) -> bool:
         """Charge the candidate budget; False once a budget is exhausted."""
@@ -195,7 +285,7 @@ class _TableSearch:
         self.candidates_used += count
         if self.candidates_used > self.candidate_budget:
             self.exhausted = "candidate"
-        elif len(self.vectors) > self.table_budget:
+        elif self.count > self.table_budget:
             self.exhausted = "table"
         return not self.truncated
 
@@ -203,100 +293,298 @@ class _TableSearch:
                    values: np.ndarray) -> list[int]:
         """The indices whose tables take values at positions cols."""
         hits: list[int] = []
-        # stack about 64 KiB of tables at a time, so that testing a level
-        # adds no copy of the level to the search's peak memory
-        step = max(1, (1 << 16) // self.length)
+        # about 1 MiB of entries at a time
+        step = max(1, (1 << 20) // max(1, len(cols)))
         for lo in range(indices.start, indices.stop, step):
-            block = np.stack(self.vectors[lo:min(lo + step, indices.stop)])
-            ok = np.all(block[:, cols] == values, axis=1)
+            block = self._store[lo:min(lo + step, indices.stop), cols]
+            ok = np.all(block == values, axis=1)
             hits.extend((np.flatnonzero(ok) + lo).tolist())
         return hits
+
+    def _rank_tables(self, stop: int) -> None:
+        """Rank tables [0, stop) by canonical key: size, head, then the
+        children's ranks, which the previous ranking fixed."""
+        kid_ranks = self._rank[self._kids[:stop]]
+        order = np.lexsort((*kid_ranks.T[::-1], self._heads[:stop],
+                            self._sizes[:stop]))
+        rank = np.empty(stop + 1, np.int64)
+        rank[order] = np.arange(stop)
+        rank[stop] = -1
+        self._rank = rank
+
+    def _hash(self, rows: np.ndarray) -> np.ndarray:
+        """A 64-bit hash of each row of rows, a function of the row alone."""
+        words = rows.view(self._word)
+        hashes = np.zeros(len(rows), np.uint64)
+        width = words.shape[1]
+        step = max(1, _HASH_BYTES // (8 * min(width, _HASH_BLOCK)))
+        for lo in range(0, len(rows), step):
+            part = hashes[lo:lo + step]
+            for c in range(0, width, _HASH_BLOCK):
+                block = words[lo:lo + step, c:c + _HASH_BLOCK]
+                part *= _HASH_STEP
+                part += block.astype(np.uint64) @ \
+                    _HASH_WEIGHTS[:block.shape[1]]
+        return hashes
+
+    def _reserve(self, extra: int) -> None:
+        """Room for extra more tables.  Full arrays grow fourfold: the
+        pages past count stay untouched, so only the copies cost."""
+        need = self.count + extra
+        if need <= len(self._sizes):
+            return
+        capacity = max(need, 4 * len(self._sizes))
+        for name in ("_store", "_sizes", "_levels", "_heads", "_kids"):
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], old.dtype)
+            new[:self.count] = old[:self.count]
+            setattr(self, name, new)
+
+    def _derive(self, i, size, head, kids: np.ndarray) -> None:
+        """Record table(s) i as head applied to kids, of size nodes."""
+        self._sizes[i] = size
+        self._heads[i] = head
+        self._kids[i] = -1
+        self._kids[i, :kids.shape[-1]] = kids
+
+    def _keys(self, sizes, heads, kids: np.ndarray) -> np.ndarray:
+        """Integer keys (size, head, rank of each child, -1 padding) of
+        candidates, ordered as the canonical keys of their terms."""
+        keys = np.full((len(kids), 2 + self._kids.shape[1]), -1, np.int64)
+        keys[:, 0] = sizes
+        keys[:, 1] = heads
+        keys[:, 2:2 + kids.shape[1]] = self._rank[kids]
+        return keys
+
+    def _improve(self, t: np.ndarray, keys: np.ndarray,
+                 kids: np.ndarray) -> None:
+        """Re-derive each table t[j] of the current level from kids[j]
+        where keys[j] is less than the key it has."""
+        own = self._keys(self._sizes[t], self._heads[t], self._kids[t])
+        diff = keys != own
+        col = diff.argmax(axis=1)
+        row = np.arange(len(t))
+        better = diff[row, col] & (keys[row, col] < own[row, col])
+        self._derive(t[better], keys[better, 0], keys[better, 1],
+                     kids[better])
+
+    def _offer(self, vec: np.ndarray, h, level: int, head: int, kids,
+               size: int) -> None:
+        """The exact path: add table vec, with hash h, reached by
+        head(kids) of size nodes, unless the store holds it; if it does,
+        at this level, keep the lesser key."""
+        h = int(h)
+        kids = np.array(kids, np.int64).reshape(1, -1)
+        first = self._index.get(h)
+        if first is not None:
+            same = [first, *self._chains.get(h, ())]
+            equal = np.flatnonzero((self._store[same] == vec).all(axis=1))
+            if len(equal):
+                i = same[equal[0]]
+                if self._levels[i] == level:
+                    self._improve(np.array([i]),
+                                  self._keys([size], [head], kids), kids)
+                return
+        self._reserve(1)
+        i = self.count
+        self._store[i] = vec
+        self._levels[i] = level
+        self._derive(i, size, head, kids[0])
+        self.count += 1
+        if first is None:
+            self._index[h] = i
+        else:
+            self._chains.setdefault(h, []).append(i)
+
+    def _lookup(self, name: str, idx: np.ndarray, out: np.ndarray) -> None:
+        """Write op(a, b) at every index (a << shift) | b of idx to out."""
+        table = self._luts.get(name)
+        if table is None:
+            table = np.zeros((self.n, 1 << self._shift), self.dtype)
+            table[:, :self.n] = self.op_arrays[name].reshape(self.n, self.n)
+            table = self._luts[name] = table.ravel()
+        if idx.size >= _PAIR_MIN and idx.dtype == np.uint8 and \
+                self.dtype == np.uint8 and self.length % 2 == 0:
+            # two byte indices per 16-bit word, through a table of all 2^16
+            pairs = self._luts.get((name, 2))
+            if pairs is None:
+                full = np.zeros(256, np.uint8)
+                full[:len(table)] = table
+                pairs = self._luts[(name, 2)] = full[
+                    np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
+                ].view(np.uint16)
+            table, idx, out = pairs, idx.view(np.uint16), out.view(np.uint16)
+        # np.take copies the indices to intp, so a stretch at a time
+        idx, out = idx.reshape(-1), out.reshape(-1)
+        for lo in range(0, len(idx), _GROUP_ENTRIES):
+            np.take(table, idx[lo:lo + _GROUP_ENTRIES],
+                    out=out[lo:lo + _GROUP_ENTRIES], mode="clip")
 
     def run_level(self, depth: int) -> range:
         """Expand one level; returns indices of newly found tables."""
         frontier_start = 0 if depth == 1 else self._level_start[depth - 1]
-        start = len(self.vectors)
+        start = self.count
+        self._rank_tables(start)
         for op_index, (name, arity) in enumerate(self.alg.sig.ops):
             if self.truncated:
                 break
-            ftab = self.op_arrays[name]
-            head_key = (1, op_index)
+            head = _OP_HEAD + op_index
             if arity == 0:
-                if depth == 1:
+                if depth == 1 and self._spend(1):
                     vec = np.full(self.length, self.alg.op_tables[name][0],
                                   dtype=self.dtype)
-                    if self._spend(1):
-                        self._add(vec, (1, head_key, ()), 1, App, name)
-                continue
-            if arity == 2:
-                self._binary_level(name, head_key, ftab, frontier_start,
-                                   start, depth)
-                continue
-            self._generic_level(name, head_key, arity, ftab, frontier_start,
-                                start, depth)
+                    self._offer(vec, self._hash(vec[None])[0], 1, head, (), 1)
+            elif arity == 2:
+                self._expand(name, head, depth,
+                             self._binary_steps(frontier_start, start),
+                             self._binary_rows)
+            else:
+                self._expand(name, head, depth,
+                             self._generic_steps(arity, frontier_start, start),
+                             self._generic_rows)
         self._level_start[depth] = start
-        return range(start, len(self.vectors))
+        return range(start, self.count)
 
-    def _binary_level(self, name, head_key, ftab, f0, r, depth):
-        n = self.n
+    def _binary_steps(self, f0, r):
+        """(count, (a, bs)) per (a, slab): each a against up to _SLAB b's,
+        (frontier x all) then (old x frontier), b's that fit the size cap."""
         cap = self.max_term_size
-        vectors, terms, keys, sizes = (
-            self.vectors, self.terms, self.keys, self.sizes)
-        add = self._add
         # sizes below r are final for the whole level
-        size_array = np.array(sizes[:r]) if cap is not None else None
-        # blocks: (frontier x all), then (old x frontier)
+        sizes = self._sizes[:r]
         for a_range, (b_lo, b_hi) in (((f0, r), (0, r)), ((0, f0), (f0, r))):
+            every = np.arange(b_lo, b_hi)
             # the b that fit beside a, by 1 + size of a
-            partners: dict[int, list[int]] = {}
+            partners: dict[int, np.ndarray] = {}
             for a in range(*a_range):
-                size_a = 1 + sizes[a]
-                if cap is None:
-                    b_list: Sequence[int] = range(b_lo, b_hi)
-                else:
+                b_list = every
+                if cap is not None:
+                    size_a = 1 + int(sizes[a])
                     if size_a not in partners:
-                        fits = size_array[b_lo:b_hi] <= cap - size_a
-                        partners[size_a] = (
-                            np.flatnonzero(fits) + b_lo).tolist()
+                        partners[size_a] = every[
+                            sizes[b_lo:b_hi] <= cap - size_a]
                     b_list = partners[size_a]
-                # a * n + b < n * n fits pair_dtype
-                va = vectors[a].astype(self.pair_dtype) * n
-                term_a, key_a = terms[a], keys[a]
-                slab = 4096
-                for c0 in range(0, len(b_list), slab):
-                    batch = b_list[c0:c0 + slab]
-                    if not self._spend(len(batch)):
-                        return
-                    block = np.stack([vectors[b] for b in batch])
-                    out = ftab[va[None, :] + block]
-                    for b, vec in zip(batch, out):
-                        add(vec, (size_a + sizes[b], head_key,
-                                  (key_a, keys[b])),
-                            depth, App, name, (term_a, terms[b]))
+                for c0 in range(0, len(b_list), _SLAB):
+                    batch = b_list[c0:c0 + _SLAB]
+                    yield len(batch), (a, batch)
 
-    def _generic_level(self, name, head_key, arity, ftab, f0, r, depth):
-        n = self.n
+    def _generic_steps(self, arity, f0, r):
+        """(1, combo) per combo with a frontier child that fits the cap,
+        one block per leading frontier position."""
         cap = self.max_term_size
+        sizes = self._sizes[:r].tolist()
         for lead in range(arity):
             ranges = [range(0, f0)] * lead + [range(f0, r)] + \
                      [range(0, r)] * (arity - 1 - lead)
             for combo in product(*ranges):
-                size = 1 + sum(self.sizes[i] for i in combo)
-                if cap is not None and size > cap:
-                    continue
-                if not self._spend(1):
-                    return
-                idx = self.vectors[combo[0]].astype(np.int64)
-                for b in combo[1:]:
-                    idx = idx * n + self.vectors[b]
-                vec = ftab[idx]
-                key = (size, head_key, tuple(self.keys[i] for i in combo))
-                self._add(vec, key, depth, App, name,
-                          tuple(self.terms[i] for i in combo))
+                if cap is None or 1 + sum(sizes[i] for i in combo) <= cap:
+                    yield 1, combo
 
+    def _fits(self, pending: int, count: int) -> bool:
+        """Whether a step of count candidates after pending ones (each of
+        which may add a table) surely leaves both budgets unspent."""
+        return (self.candidates_used + pending + count
+                <= self.candidate_budget
+                and self.count + pending <= self.table_budget)
 
-def _canonical_min(search: _TableSearch, indices: list[int]) -> Optional[int]:
-    return min(indices, key=lambda i: search.keys[i], default=None)
+    def _expand(self, name, head, depth, steps, rows_of) -> None:
+        """Offer the candidates of steps in order, charging each step as
+        one _spend.  Consecutive steps that cannot run a budget out are
+        charged and added together, up to a group of _SLAB candidates (or
+        fewer for long tables); a step that may is charged alone."""
+        limit = min(_SLAB, max(1, _GROUP_ENTRIES // self.length))
+        group: list = []
+        pending = 0
+        for count, step in steps:
+            if pending and (pending + count > limit
+                            or not self._fits(pending, count)):
+                self.candidates_used += pending
+                self._add_rows(head, depth, *rows_of(name, group))
+                group, pending = [], 0
+            if self._fits(pending, count):
+                group.append(step)
+                pending += count
+            elif self._spend(count):
+                self._add_rows(head, depth, *rows_of(name, [step]))
+            else:
+                return
+        if pending:
+            self.candidates_used += pending
+            self._add_rows(head, depth, *rows_of(name, group))
+
+    def _binary_rows(self, name, steps):
+        """The children and tables of binary steps (a, bs), in order, each
+        table looked up at (a << shift) | b, a stretch of rows at a time."""
+        counts = [len(bs) for _, bs in steps]
+        heads = [a for a, _ in steps]
+        kids = np.column_stack((np.repeat(heads, counts),
+                                np.concatenate([bs for _, bs in steps])))
+        # a << shift once per step, then per row by the row's step
+        shifted = self._store[heads].astype(self._index_dtype) << self._shift
+        step_of = np.repeat(np.arange(len(steps)), counts)
+        out = np.empty((len(kids), self.length), self.dtype)
+        rows = max(1, _GROUP_ENTRIES // self.length)
+        for lo in range(0, len(kids), rows):
+            idx = shifted[step_of[lo:lo + rows]]
+            idx |= self._store[kids[lo:lo + rows, 1]]
+            self._lookup(name, idx, out[lo:lo + rows])
+        return kids, out
+
+    def _generic_rows(self, name, steps):
+        """The children and tables of one-candidate steps, in order."""
+        kids = np.array(steps, np.int64).reshape(len(steps), -1)
+        return kids, self._apply(name, kids)
+
+    def _apply(self, name, kids: np.ndarray) -> np.ndarray:
+        """The tables of name applied to each row of child tables."""
+        idx = self._store[kids[:, 0]].astype(np.int64)
+        for j in range(1, kids.shape[1]):
+            idx *= self.n
+            idx += self._store[kids[:, j]]
+        return self.op_arrays[name][idx]
+
+    def _add_rows(self, head, depth, kids, out) -> None:
+        """Offer the tables out, row j reached by head(kids[j]), with the
+        outcome of _offer row by row, deduplicating all rows at once."""
+        sizes = 1 + self._sizes[kids].sum(axis=1)
+        hashes = self._hash(out)
+        uniq, first, inverse = np.unique(hashes, return_index=True,
+                                         return_inverse=True)
+        get = self._index.get
+        target = np.array([get(h, -1) for h in uniq.tolist()], np.int64)
+        new = np.flatnonzero(target < 0)
+        new = new[np.argsort(first[new])]
+        start, end = self.count, self.count + len(new)
+        target[new] = np.arange(start, end)
+        target = target[inverse.ravel()]
+        made = first[new]
+        self._reserve(len(new))
+        np.take(out, made, axis=0, out=self._store[start:end], mode="clip")
+        rest = np.ones(len(out), bool)
+        rest[made] = False
+        rest = np.flatnonzero(rest)
+        step = max(1, _GROUP_ENTRIES // self.length)
+        for lo in range(0, len(rest), step):
+            part = rest[lo:lo + step]
+            if not np.array_equal(self._store[target[part]], out[part]):
+                # a hash collision
+                for j, row in enumerate(kids.tolist()):
+                    self._offer(out[j], hashes[j], depth, head, row,
+                                int(sizes[j]))
+                return
+        self._index.update(zip(uniq[new].tolist(), range(start, end)))
+        self.count = end
+        self._levels[start:end] = depth
+        self._derive(slice(start, end), sizes[made], head, kids[made])
+        # the other rows on tables of this level: per table, the row of
+        # least key against the key it has
+        rest = rest[self._levels[target[rest]] == depth]
+        if not len(rest):
+            return
+        keys = self._keys(sizes[rest], head, kids[rest])
+        order = np.lexsort((*keys.T[::-1], target[rest]))
+        t = target[rest[order]]
+        lead = order[np.flatnonzero(np.r_[True, t[1:] != t[:-1]])]
+        self._improve(target[rest[lead]], keys[lead], kids[rest[lead]])
 
 
 @dataclass(frozen=True)
@@ -343,23 +631,23 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     cols = np.concatenate([m1, m2])
     values = np.concatenate(
         [d2[m1], d0[m2] if second_identity == "x" else d2[m2]])
-    new = range(len(search.vectors))
+    new = range(len(search))
     depth = 0
     while True:
         hits = search.satisfying(new, cols, values)
         if hits:
-            best = _canonical_min(search, hits)
-            term = search.terms[best]
+            best = min(hits, key=search.ranks().__getitem__)
+            term = search.term(best)
             if not malcev_identities_hold(alg, term,
                                           second_identity=second_identity):
                 raise AssertionError("witness fails the Mal'cev identities")
             return MalcevSearchResult(term, search.truncated,
-                                      len(search.vectors), max_depth,
+                                      len(search), max_depth,
                                       search.exhausted)
         depth += 1
         if depth > max_depth or search.truncated:
             return MalcevSearchResult(None, search.truncated,
-                                      len(search.vectors), max_depth,
+                                      len(search), max_depth,
                                       search.exhausted)
         new = search.run_level(depth)
 
@@ -464,25 +752,26 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     d0, d1, d2 = search.digits
     diag = np.where(d0 == d1)[0]
     diag_t = d2[diag]
-    tail = d1.astype(np.int64) * n + d2
+    # positions x*n^2 + y*n + z, in the narrowest type that holds n^3 - 1
+    index_type = np.min_scalar_type(n**3 - 1).type
+    square = index_type(n * n)
+    tail = d1.astype(index_type) * index_type(n) + d2
 
     def cross(va: np.ndarray, vb: np.ndarray) -> bool:
-        inner = vb.astype(np.int64) * (n * n) + tail
-        if not np.array_equal(va[inner], search.digits[0]):
+        inner = vb.astype(index_type) * square + tail
+        if not np.array_equal(va[inner], d0):
             return False
-        inner = va.astype(np.int64) * (n * n) + tail
-        return bool(np.array_equal(vb[inner], search.digits[0]))
-
-    def key(i: int):
-        return search.keys[i]
+        inner = va.astype(index_type) * square + tail
+        return bool(np.array_equal(vb[inner], d0))
 
     alphas: list[int] = []
     prev_total = 0
-    new = range(len(search.vectors))
+    new = range(len(search))
     depth = 0
     while True:
         new_alphas = search.satisfying(new, diag, diag_t)
-        total = len(search.vectors)
+        total = len(search)
+        tables = search.tables
         # only pairs completed at this level: a new alpha against any
         # table, or an older alpha against a new table
         fresh_pairs = chain(
@@ -492,21 +781,22 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
         for a, b in fresh_pairs:
             if not search._spend(1):
                 break
-            if cross(search.vectors[a], search.vectors[b]):
+            if cross(tables[a], tables[b]):
                 hits.append((a, b))
         if hits:
-            a, b = min(hits, key=lambda p: (key(p[0]), key(p[1])))
-            pair = BiternaryPair(search.terms[a], search.terms[b])
+            rank = search.ranks()
+            a, b = min(hits, key=lambda p: (rank[p[0]], rank[p[1]]))
+            pair = BiternaryPair(search.term(a), search.term(b))
             _verify_biternary(alg, pair)
             return BiternarySearchResult(pair, search.truncated,
-                                         len(search.vectors), max_depth,
+                                         len(search), max_depth,
                                          search.exhausted)
         alphas.extend(new_alphas)
         prev_total = total
         depth += 1
         if depth > max_depth or search.truncated:
             return BiternarySearchResult(None, search.truncated,
-                                         len(search.vectors), max_depth,
+                                         len(search), max_depth,
                                          search.exhausted)
         new = search.run_level(depth)
 
@@ -580,12 +870,11 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     search = _TableSearch(alg, 1, max_maps, candidate_budget + nullary)
     for c in range(n):
         # the constants as extra variables, keyed after x0
-        search._add(np.full(n, c, dtype=search.dtype), (1, (0, 1 + c), ()),
-                    0, Var, 1 + c)
+        search.add_variable(np.full(n, c, dtype=search.dtype))
     for depth in range(1, max_depth + 1):
         if not search.run_level(depth) or search.truncated:
             break
-    tables = np.stack(search.vectors)
+    tables = search.tables
     bijective = np.all(np.sort(tables, axis=1) == search.digits[0], axis=1)
     generators = tuple(sorted(map(tuple, tables[bijective].tolist())))
     closure = composition_closure(generators, n)

@@ -8,7 +8,9 @@ package can be checked against it on small inputs.
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
                        Quasiidentity, TranslationGroup, eval_formula,
@@ -16,7 +18,9 @@ from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
 from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
                               InputError, SearchBudgetExceeded, SizeBound,
                               SizeOverflow, TrivialClassRankConflict)
-from malcevlab.terms import Formula
+from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET,
+                              DEFAULT_TABLE_BUDGET)
+from malcevlab.terms import App, Formula, Term, Var
 
 
 def _partitions(n: int):
@@ -157,6 +161,210 @@ def naive_translation_group(alg: FiniteAlgebra, max_depth: int = 4, *,
     closure = naive_composition_closure(generators, n)
     orbit = {g[0] for g in closure}
     return TranslationGroup(generators, closure, len(orbit) == n, truncated)
+
+
+class NaiveTableSearch:
+    """The derived-operation search one candidate at a time.
+
+    Each candidate goes through _add, which keys its table by its bytes
+    and keeps the table's ndarray, term and nested canonical key, so the
+    table store of malcevlab.malcev._TableSearch can be checked against
+    it table by table, with the same accessors (tables, term, key,
+    sizes, levels, add_variable) and the same budget accounting.
+
+    Vectors are value tables over all n^k assignments (x0 most
+    significant), in the narrowest unsigned type that holds n values.
+    vectors/terms/keys/sizes/levels grow in discovery order; each table
+    keeps the canonically least term among the candidates of its
+    discovery level.  A candidate's canonical key is
+    assembled from its children's stored keys, which are final because
+    children always come from earlier levels, and its term is built only
+    when the table is new or the key beats the stored one.  exhausted
+    names the budget ("table" or "candidate") that truncated the search.
+    """
+
+    def __init__(self, alg: FiniteAlgebra, var_count: int,
+                 table_budget: int = DEFAULT_TABLE_BUDGET,
+                 candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
+                 max_term_size: Optional[int] = None):
+        self.alg = alg
+        self.k = var_count
+        self.n = alg.size
+        self.length = self.n**self.k
+        self.table_budget = table_budget
+        self.candidate_budget = candidate_budget
+        self.max_term_size = max_term_size
+        self.candidates_used = 0
+        self.exhausted: Optional[str] = None
+        self.vectors: list[np.ndarray] = []
+        self.terms: list[Term] = []
+        self.keys: list[tuple] = []
+        self.sizes: list[int] = []
+        self.levels: list[int] = []
+        self.index: dict[bytes, int] = {}
+        self._vars = 0
+        # the narrowest types that hold a value and a binary index a*n + b
+        # (uint8 and uint16 up to 256 elements), so looked-up tables need
+        # no conversion
+        self.dtype = np.min_scalar_type(self.n - 1)
+        self.pair_dtype = np.promote_types(
+            np.uint16, np.min_scalar_type(self.n * self.n - 1))
+        self.op_arrays = {
+            name: np.array(alg.op_tables[name], dtype=self.dtype)
+            for name, _ in alg.sig.ops}
+        self.digits = [
+            np.tile(np.repeat(np.arange(self.n, dtype=self.dtype),
+                              self.n**(self.k - 1 - i)), self.n**i)
+            for i in range(self.k)]
+        self._level_start: dict[int, int] = {}
+        for digit in self.digits:
+            self.add_variable(digit)
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def tables(self) -> np.ndarray:
+        return np.stack(self.vectors)
+
+    def term(self, i: int) -> Term:
+        return self.terms[i]
+
+    def key(self, i: int) -> tuple:
+        return self.keys[i]
+
+    def add_variable(self, vec: np.ndarray) -> None:
+        """Offer vec at level 0 as the table of the next variable."""
+        self._add(vec, (1, (0, self._vars), ()), 0, Var, self._vars)
+        self._vars += 1
+
+    @property
+    def truncated(self) -> bool:
+        return self.exhausted is not None
+
+    def _add(self, vec: np.ndarray, key: tuple, level: int, make,
+             *args) -> None:
+        """Offer table vec, reached by the term make(*args) with canonical
+        key key; the term is built only if the table keeps it."""
+        code = vec.tobytes()
+        idx = self.index.get(code)
+        if idx is None:
+            self.index[code] = len(self.vectors)
+            self.vectors.append(vec)
+            self.terms.append(make(*args))
+            self.keys.append(key)
+            self.sizes.append(key[0])
+            self.levels.append(level)
+        elif self.levels[idx] == level and key < self.keys[idx]:
+            self.terms[idx] = make(*args)
+            self.keys[idx] = key
+            self.sizes[idx] = key[0]
+
+    def _spend(self, count: int) -> bool:
+        """Charge the candidate budget; False once a budget is exhausted."""
+        if self.truncated:
+            return False
+        self.candidates_used += count
+        if self.candidates_used > self.candidate_budget:
+            self.exhausted = "candidate"
+        elif len(self.vectors) > self.table_budget:
+            self.exhausted = "table"
+        return not self.truncated
+
+    def satisfying(self, indices: range, cols: np.ndarray,
+                   values: np.ndarray) -> list[int]:
+        """The indices whose tables take values at positions cols."""
+        hits: list[int] = []
+        # stack about 64 KiB of tables at a time, so that testing a level
+        # adds no copy of the level to the search's peak memory
+        step = max(1, (1 << 16) // self.length)
+        for lo in range(indices.start, indices.stop, step):
+            block = np.stack(self.vectors[lo:min(lo + step, indices.stop)])
+            ok = np.all(block[:, cols] == values, axis=1)
+            hits.extend((np.flatnonzero(ok) + lo).tolist())
+        return hits
+
+    def run_level(self, depth: int) -> range:
+        """Expand one level; returns indices of newly found tables."""
+        frontier_start = 0 if depth == 1 else self._level_start[depth - 1]
+        start = len(self.vectors)
+        for op_index, (name, arity) in enumerate(self.alg.sig.ops):
+            if self.truncated:
+                break
+            ftab = self.op_arrays[name]
+            head_key = (1, op_index)
+            if arity == 0:
+                if depth == 1:
+                    vec = np.full(self.length, self.alg.op_tables[name][0],
+                                  dtype=self.dtype)
+                    if self._spend(1):
+                        self._add(vec, (1, head_key, ()), 1, App, name)
+                continue
+            if arity == 2:
+                self._binary_level(name, head_key, ftab, frontier_start,
+                                   start, depth)
+                continue
+            self._generic_level(name, head_key, arity, ftab, frontier_start,
+                                start, depth)
+        self._level_start[depth] = start
+        return range(start, len(self.vectors))
+
+    def _binary_level(self, name, head_key, ftab, f0, r, depth):
+        n = self.n
+        cap = self.max_term_size
+        vectors, terms, keys, sizes = (
+            self.vectors, self.terms, self.keys, self.sizes)
+        add = self._add
+        # sizes below r are final for the whole level
+        size_array = np.array(sizes[:r]) if cap is not None else None
+        # blocks: (frontier x all), then (old x frontier)
+        for a_range, (b_lo, b_hi) in (((f0, r), (0, r)), ((0, f0), (f0, r))):
+            # the b that fit beside a, by 1 + size of a
+            partners: dict[int, list[int]] = {}
+            for a in range(*a_range):
+                size_a = 1 + sizes[a]
+                if cap is None:
+                    b_list: Sequence[int] = range(b_lo, b_hi)
+                else:
+                    if size_a not in partners:
+                        fits = size_array[b_lo:b_hi] <= cap - size_a
+                        partners[size_a] = (
+                            np.flatnonzero(fits) + b_lo).tolist()
+                    b_list = partners[size_a]
+                # a * n + b < n * n fits pair_dtype
+                va = vectors[a].astype(self.pair_dtype) * n
+                term_a, key_a = terms[a], keys[a]
+                slab = 4096
+                for c0 in range(0, len(b_list), slab):
+                    batch = b_list[c0:c0 + slab]
+                    if not self._spend(len(batch)):
+                        return
+                    block = np.stack([vectors[b] for b in batch])
+                    out = ftab[va[None, :] + block]
+                    for b, vec in zip(batch, out):
+                        add(vec, (size_a + sizes[b], head_key,
+                                  (key_a, keys[b])),
+                            depth, App, name, (term_a, terms[b]))
+
+    def _generic_level(self, name, head_key, arity, ftab, f0, r, depth):
+        n = self.n
+        cap = self.max_term_size
+        for lead in range(arity):
+            ranges = [range(0, f0)] * lead + [range(f0, r)] + \
+                     [range(0, r)] * (arity - 1 - lead)
+            for combo in product(*ranges):
+                size = 1 + sum(self.sizes[i] for i in combo)
+                if cap is not None and size > cap:
+                    continue
+                if not self._spend(1):
+                    return
+                idx = self.vectors[combo[0]].astype(np.int64)
+                for b in combo[1:]:
+                    idx = idx * n + self.vectors[b]
+                vec = ftab[idx]
+                key = (size, head_key, tuple(self.keys[i] for i in combo))
+                self._add(vec, key, depth, App, name,
+                          tuple(self.terms[i] for i in combo))
 
 
 def naive_generate_subalgebra(alg: FiniteAlgebra, seed) -> list[int]:

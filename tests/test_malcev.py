@@ -2,6 +2,9 @@
 
 import random
 from itertools import product
+from unittest.mock import patch
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,14 @@ from malcevlab import (App, FiniteAlgebra, Signature, TermEnumeration, Var,
                        find_malcev_term, malcev_from_biternary,
                        malcev_search, parse_term, print_term, term_key,
                        term_size, translation_group)
-from malcevlab.malcev import _TableSearch
+from malcevlab.malcev import DEFAULT_TABLE_BUDGET, _TableSearch
 
 from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, chain_semilattice,
                       cyclic_group, groupoid_from_rows, klein_group,
                       signatures, small_algebras, symmetric_group_3, systems,
                       tangle5)
-from oracles_local import naive_composition_closure, naive_translation_group
+from oracles_local import (NaiveTableSearch, naive_composition_closure,
+                           naive_translation_group)
 
 
 def assert_malcev_identities(alg, term):
@@ -103,14 +107,115 @@ def test_table_search_invariants(alg, depth, cap):
     assignments = list(product(range(alg.size), repeat=3))
     for level in range(1, depth + 1):
         search.run_level(level)
-        for i, term in enumerate(search.terms):
-            assert search.keys[i] == term_key(term, alg.sig)
+        for i in range(len(search)):
+            term = search.term(i)
+            assert search.key(i) == term_key(term, alg.sig)
             assert search.sizes[i] == term_size(term)
             assert cap is None or search.sizes[i] <= cap
             values = [eval_term(term, a, alg) for a in assignments]
-            assert values == search.vectors[i].tolist()
+            assert values == search.tables[i].tolist()
+        assert np.argsort(search.ranks()).tolist() == \
+            sorted(range(len(search)), key=search.key)
         if search.truncated:
             break
+
+
+def assert_same_search(fast, naive):
+    count = len(naive)
+    assert len(fast) == count
+    assert fast.tables.tolist() == naive.tables.tolist()
+    assert [fast.term(i) for i in range(count)] == naive.terms
+    assert [fast.key(i) for i in range(count)] == naive.keys
+    assert fast.sizes.tolist() == naive.sizes
+    assert fast.levels.tolist() == naive.levels
+    assert fast.candidates_used == naive.candidates_used
+    assert fast.exhausted == naive.exhausted
+
+
+def assert_matches_naive_engine(alg, variables, cap, candidates, tables,
+                                depth=3):
+    """Both engines level by level over 1 or 3 variables, or over x0 and
+    the constants as translation_group seeds them."""
+    k = 1 if variables == "constants" else variables
+    fast, naive = (engine(alg, k, tables, candidates, cap)
+                   for engine in (_TableSearch, NaiveTableSearch))
+    if variables == "constants":
+        for engine in (fast, naive):
+            for c in range(alg.size):
+                engine.add_variable(np.full(alg.size, c, dtype=engine.dtype))
+    assert_same_search(fast, naive)
+    for level in range(1, depth + 1):
+        assert fast.run_level(level) == naive.run_level(level)
+        assert_same_search(fast, naive)
+        if naive.truncated:
+            break
+    return fast
+
+
+def uncapped_beside_ternary(case):
+    # child tuples over the size cap are skipped without a charge, so
+    # under a cap a ternary operation walks every tuple of a level,
+    # unbounded by the budgets
+    alg, variables, cap, candidates, tables = case
+    if any(arity >= 3 for _, arity in alg.sig.ops):
+        cap = None
+    return alg, variables, cap, candidates, tables
+
+
+def search_cases():
+    """A system with operations of arity up to 3, the variables, a size
+    cap (none beside a ternary operation) and budgets that often run out
+    in the middle of a level."""
+    return st.tuples(
+        signatures(max_arity=3).flatmap(systems),
+        st.sampled_from([1, 3, "constants"]),
+        st.sampled_from([None, 5, 7]),
+        st.sampled_from([40, 400, 4000]),
+        st.sampled_from([12, 100, DEFAULT_TABLE_BUDGET]),
+    ).map(uncapped_beside_ternary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+def test_table_store_matches_the_naive_engine(case):
+    # tables in order, terms, keys, sizes, levels and budget use agree
+    # after every level
+    assert_matches_naive_engine(*case)
+
+
+def colliding_hash(self, rows):
+    return np.zeros(len(rows), np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_cases())
+def test_table_store_matches_the_naive_engine_when_every_hash_collides(case):
+    with patch.object(_TableSearch, "_hash", colliding_hash):
+        assert_matches_naive_engine(*case)
+
+
+def test_every_hash_colliding_keeps_witnesses_and_truncation(z4):
+    pair = detect_biternary(z4).pair
+    with patch.object(_TableSearch, "_hash", colliding_hash):
+        assert print_term(find_malcev_term(z4)) == \
+            "mul(inv(x1), mul(x0, x2))"
+        assert detect_biternary(z4).pair == pair
+        # truncated in the middle of level 3
+        search = assert_matches_naive_engine(tangle5(), 3, None, 1500,
+                                             DEFAULT_TABLE_BUDGET)
+        assert search.exhausted == "candidate"
+        assert search.levels[-1] == 3
+        assert_matches_naive_engine(z4, "constants", None, 10**6, 10**6, 4)
+
+
+def test_sixteen_hash_values_keep_the_s3_witness(s3):
+    # with every row colliding, S3's 14531 tables would take minutes;
+    # sixteen hash values still send nearly every slab down the exact path
+    row_hash = _TableSearch._hash
+    with patch.object(_TableSearch, "_hash",
+                      lambda self, rows: row_hash(self, rows) & np.uint64(15)):
+        assert print_term(find_malcev_term(s3)) == \
+            "mul(x0, mul(inv(x1), x2))"
 
 
 def test_second_identity_variant_admits_projection(z4):
