@@ -237,6 +237,16 @@ class Replica:
     hom_count: int
 
 
+def _homs_into(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra,
+               budget: int) -> tuple[list[tuple[int, ...]],
+                                     list[FiniteAlgebra]]:
+    """Every homomorphism from source into each generator in turn, and
+    beside them the generators they map into."""
+    found = [(h, g) for g in generators
+             for h in find_homomorphisms(source, g, budget=budget)]
+    return [h for h, _ in found], [g for _, g in found]
+
+
 def replica(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra, *,
             budget: int = DEFAULT_HOM_BUDGET) -> Replica:
     """Image of the source under the diagonal of all homomorphisms.
@@ -250,12 +260,7 @@ def replica(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra, *,
     _check_family(generators)
     if source.sig != generators[0].sig:
         raise AlgebraMismatch("source signature differs from the class")
-    homs: list[tuple[int, ...]] = []
-    hom_target: list[FiniteAlgebra] = []
-    for g in generators:
-        for h in find_homomorphisms(source, g, budget=budget):
-            homs.append(h)
-            hom_target.append(g)
+    homs, hom_target = _homs_into(generators, source, budget)
     diag = [tuple(h[a] for h in homs) for a in range(source.size)]
     carrier: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
@@ -321,12 +326,7 @@ def membership_in_closure(generators: Sequence[FiniteAlgebra],
     _check_family(generators)
     if candidate.sig != generators[0].sig:
         raise AlgebraMismatch("candidate signature differs from the class")
-    homs: list[tuple[int, ...]] = []
-    hom_target: list[FiniteAlgebra] = []
-    for g in generators:
-        for h in find_homomorphisms(candidate, g, budget=budget):
-            homs.append(h)
-            hom_target.append(g)
+    homs, hom_target = _homs_into(generators, candidate, budget)
     for a in range(candidate.size):
         for b in range(a + 1, candidate.size):
             if all(h[a] == h[b] for h in homs):

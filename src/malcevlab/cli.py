@@ -42,7 +42,7 @@ from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (load_algebra, load_class, load_signature,
                          save_algebra)
-from .quasigroups import (LatinSquare, equasigroup_from_latin,
+from .quasigroups import (LatinSquare, equasigroup_from_latin, latin_square,
                           malcev_polynomial, multiplication_group,
                           rectification_check)
 from .terms import (check_quasiidentity, eval_formula, eval_term,
@@ -144,10 +144,7 @@ def _partition(text: str, size: int) -> list[list[int]]:
 
 def _square(alg: FiniteAlgebra) -> LatinSquare:
     """Interpret an algebra's multiplication as a Latin square."""
-    name = _mul_name(alg)
-    n = alg.size
-    rows = [[alg.op_value(name, (r, c)) for c in range(n)] for r in range(n)]
-    return LatinSquare(tuple(tuple(row) for row in rows))
+    return latin_square(_rows(alg, _mul_name(alg)))
 
 
 def _mul_name(alg: FiniteAlgebra) -> str:
@@ -527,7 +524,7 @@ def _cmd_qg_verify(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     name = _mul_name(alg)
     try:
-        square = LatinSquare(tuple(tuple(r) for r in _rows(alg, name)))
+        square = latin_square(_rows(alg, name))
     except NotLatin as exc:
         result = {
             "summary": f"not a Latin square: {exc}",

@@ -5,20 +5,22 @@ term depth: level 0 holds the variable projections, and level d+1 holds
 every basic operation applied to vectors from earlier levels.  Distinct
 derived operations are deduplicated by their full value table, and each
 table is represented by the canonically least term among the candidates
-of the level that first produced it.  The tables are the rows of one
-2-D store, found again through a hash of each row that a full
-comparison confirms, and each table records only its derivation (an
-operation and the indices of its children).  Candidates are compared by
-integer keys built from their children's ranks in canonical order, the
-least witness is picked by the same ranks, and terms are built from the
-derivations only for the tables a caller asks about.  Qualification
-(the Mal'cev identities, or the biternary identities) depends only on
-the value table and is tested on each level's new tables at once, which
-makes the deduplicated search exact as a decision procedure within the
-depth bound; deterministic work budgets cap the exploration, and a
+of the level that first produced it.  The tables are the rows of one 2-D
+store, found again through a hash of each row that a full comparison
+confirms, and each table records only its derivation (an operation and
+the indices of its children).  Candidates are compared by integer keys
+built from their children's ranks in canonical order, the least witness
+is picked by the same ranks, and terms are built from the derivations
+only for the tables a caller asks about.  Every arity is walked in the
+same budget steps, a prefix of children against a slab of last children
+that fit the size cap, by one look-up.  Qualification (the Mal'cev
+identities, or the biternary identities) depends only on the value
+table and is tested on each level's new tables at once, which makes the
+deduplicated search exact as a decision procedure within the depth
+bound; deterministic work budgets cap the exploration, and a
 budget-truncated search reports absence within bounds and names the
-budget that ran out.  Every returned witness is re-verified
-exhaustively through the term evaluator, independently of the table
+budget that ran out.  Every returned witness is re-verified exhaustively
+through the compiled term evaluator, independently of the table
 arithmetic used during the search.
 
 TermEnumeration, by contrast, enumerates raw terms one by one in the
@@ -41,7 +43,8 @@ search nothing start without numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from functools import cache
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -50,7 +53,8 @@ from .algebras import FiniteAlgebra
 from .congruences import Congruence, all_congruences, non_permuting_pairs
 from .quasigroups import (TranslationGroup, composition_closure,
                           malcev_identities_hold)
-from .terms import App, Signature, Term, Var, eval_term, term_depth, term_key
+from .terms import (App, Signature, Term, Var, compile_evaluator,
+                    term_depth, term_key)
 
 DEFAULT_DEPTH = 4
 DEFAULT_TABLE_BUDGET = 150_000
@@ -122,7 +126,7 @@ class TermEnumeration:
 # heads below this are variables, by index; heads at or above it are
 # operations, by signature index
 _OP_HEAD = 1 << 32
-# the candidates of one (a, slab) step of a binary level, charged at once
+# the most last children of one (prefix, slab) step, charged at once
 _SLAB = 4096
 # rows hash as words times fixed odd 64-bit weights, summed mod 2^64,
 # one block of words at a time (the running hash is multiplied by
@@ -165,19 +169,20 @@ class _TableSearch:
     (_offer), which compares the row with every table of its hash.
 
     A level is walked in steps, each charged to the candidate budget as
-    one _spend: for a binary operation one a against up to _SLAB b's,
-    otherwise one tuple of children.  Consecutive steps that cannot run
-    a budget out are computed together (a binary one by looking up
-    (a << shift) | b) and hashed and deduplicated at once, with the
-    outcome of offering their rows one by one.  Each table keeps the
-    canonically least term among the candidates of its discovery level.
-    Candidates compare as integer tuples (size, head, rank of each
-    child), where the ranks order every table before the current level
-    by canonical key; they are recomputed once per level, and children
-    always come from earlier levels.  ranks() extends the ranking to
-    every table, which is how the searches pick their least witness;
-    term(i) and key(i) build the term and its nested canonical key
-    (term_key) from the derivations on demand.  exhausted names the
+    one _spend: for an operation of any positive arity, a prefix of all
+    children but the last against up to _SLAB last children that fit the
+    size cap, never one tuple at a time.  Consecutive steps that cannot
+    run a budget out are computed together, every table by one look-up
+    at (flat prefix << shift) | last, and hashed and deduplicated at
+    once, with the outcome of offering their rows one by one.  Each table
+    keeps the canonically least term among the candidates of its
+    discovery level.  Candidates compare as integer tuples (size, head,
+    rank of each child), where the ranks order every table before the
+    current level by canonical key; they are recomputed once per level,
+    and children always come from earlier levels.  ranks() extends the
+    ranking to every table, which is how the searches pick their least
+    witness; term(i) and key(i) build the term and its nested canonical
+    key (term_key) from the derivations on demand.  exhausted names the
     budget ("table" or "candidate") that truncated the search.
     """
 
@@ -211,11 +216,8 @@ class _TableSearch:
         self._level_start: dict[int, int] = {}
         row_bytes = self.length * self.dtype.itemsize
         self._word = np.dtype(f"u{min(4, row_bytes & -row_bytes)}")
-        # binary look-ups index (a << shift) | b, in the narrowest type
-        # that holds it (uint8 up to 16 elements)
+        # look-ups index (flat prefix << shift) | last child
         self._shift = (self.n - 1).bit_length()
-        self._index_dtype = np.min_scalar_type(
-            ((self.n - 1) << self._shift) | (self.n - 1))
         # per operation name its look-up table, and per (name, 2) the
         # table that looks up two byte indices at once
         self._luts: dict = {}
@@ -397,11 +399,14 @@ class _TableSearch:
             self._chains.setdefault(h, []).append(i)
 
     def _lookup(self, name: str, idx: np.ndarray, out: np.ndarray) -> None:
-        """Write op(a, b) at every index (a << shift) | b of idx to out."""
+        """Write op(prefix, last) at every index (flat prefix << shift) |
+        last of idx to out."""
         table = self._luts.get(name)
         if table is None:
-            table = np.zeros((self.n, 1 << self._shift), self.dtype)
-            table[:, :self.n] = self.op_arrays[name].reshape(self.n, self.n)
+            # the op table as rows of last children, padded to 2^shift
+            values = self.op_arrays[name].reshape(-1, self.n)
+            table = np.zeros((len(values), 1 << self._shift), self.dtype)
+            table[:, :self.n] = values
             table = self._luts[name] = table.ravel()
         if idx.size >= _PAIR_MIN and idx.dtype == np.uint8 and \
                 self.dtype == np.uint8 and self.length % 2 == 0:
@@ -434,50 +439,53 @@ class _TableSearch:
                     vec = np.full(self.length, self.alg.op_tables[name][0],
                                   dtype=self.dtype)
                     self._offer(vec, self._hash(vec[None])[0], 1, head, (), 1)
-            elif arity == 2:
-                self._expand(name, head, depth,
-                             self._binary_steps(frontier_start, start),
-                             self._binary_rows)
             else:
                 self._expand(name, head, depth,
-                             self._generic_steps(arity, frontier_start, start),
-                             self._generic_rows)
+                             self._steps(arity, frontier_start, start))
         self._level_start[depth] = start
         return range(start, self.count)
 
-    def _binary_steps(self, f0, r):
-        """(count, (a, bs)) per (a, slab): each a against up to _SLAB b's,
-        (frontier x all) then (old x frontier), b's that fit the size cap."""
-        cap = self.max_term_size
+    def _steps(self, arity, f0, r):
+        """(count, (prefix, lasts)) per step: a prefix of arity - 1
+        children against up to _SLAB last children, one block per leading
+        frontier position (old^i x frontier x all^(arity-1-i)), prefixes
+        in lexicographic order and last children ascending.  Each
+        position takes only the children that leave room under the size
+        cap for the positions after it, so every prefix walked has a step."""
         # sizes below r are final for the whole level
         sizes = self._sizes[:r]
-        for a_range, (b_lo, b_hi) in (((f0, r), (0, r)), ((0, f0), (f0, r))):
-            every = np.arange(b_lo, b_hi)
-            # the b that fit beside a, by 1 + size of a
-            partners: dict[int, np.ndarray] = {}
-            for a in range(*a_range):
-                b_list = every
-                if cap is not None:
-                    size_a = 1 + int(sizes[a])
-                    if size_a not in partners:
-                        partners[size_a] = every[
-                            sizes[b_lo:b_hi] <= cap - size_a]
-                    b_list = partners[size_a]
-                for c0 in range(0, len(b_list), _SLAB):
-                    batch = b_list[c0:c0 + _SLAB]
-                    yield len(batch), (a, batch)
-
-    def _generic_steps(self, arity, f0, r):
-        """(1, combo) per combo with a frontier child that fits the cap,
-        one block per leading frontier position."""
-        cap = self.max_term_size
-        sizes = self._sizes[:r].tolist()
+        size_of = sizes.tolist()
+        # the room for the children's sizes together; with no cap, ample
+        room = arity * max(size_of) if self.max_term_size is None \
+            else self.max_term_size - 1
         for lead in range(arity):
-            ranges = [range(0, f0)] * lead + [range(f0, r)] + \
-                     [range(0, r)] * (arity - 1 - lead)
-            for combo in product(*ranges):
-                if cap is None or 1 + sum(sizes[i] for i in combo) <= cap:
-                    yield 1, combo
+            spans = [(0, f0)] * lead + [(f0, r)] + \
+                    [(0, r)] * (arity - 1 - lead)
+            if any(lo == hi for lo, hi in spans):
+                continue
+            # need[p]: the least size the positions after p take together
+            least = [int(sizes[lo:hi].min()) for lo, hi in spans]
+            need = [sum(least[p + 1:]) for p in range(arity)]
+
+            @cache
+            def children(p, room):
+                """The children at p that fit in room and leave need[p]."""
+                lo, hi = spans[p]
+                return lo + np.flatnonzero(sizes[lo:hi] <= room - need[p])
+
+            def extend(prefixes, p):
+                for prefix, room in prefixes:
+                    for i in children(p, room).tolist():
+                        yield prefix + (i,), room - size_of[i]
+
+            prefixes = [((), room)]
+            for p in range(arity - 1):
+                prefixes = extend(prefixes, p)
+            for prefix, left in prefixes:
+                lasts = children(arity - 1, left)
+                for c0 in range(0, len(lasts), _SLAB):
+                    batch = lasts[c0:c0 + _SLAB]
+                    yield len(batch), (prefix, batch)
 
     def _fits(self, pending: int, count: int) -> bool:
         """Whether a step of count candidates after pending ones (each of
@@ -486,7 +494,7 @@ class _TableSearch:
                 <= self.candidate_budget
                 and self.count + pending <= self.table_budget)
 
-    def _expand(self, name, head, depth, steps, rows_of) -> None:
+    def _expand(self, name, head, depth, steps) -> None:
         """Offer the candidates of steps in order, charging each step as
         one _spend.  Consecutive steps that cannot run a budget out are
         charged and added together, up to a group of _SLAB candidates (or
@@ -498,49 +506,43 @@ class _TableSearch:
             if pending and (pending + count > limit
                             or not self._fits(pending, count)):
                 self.candidates_used += pending
-                self._add_rows(head, depth, *rows_of(name, group))
+                self._add_rows(head, depth, *self._rows(name, group))
                 group, pending = [], 0
             if self._fits(pending, count):
                 group.append(step)
                 pending += count
             elif self._spend(count):
-                self._add_rows(head, depth, *rows_of(name, [step]))
+                self._add_rows(head, depth, *self._rows(name, [step]))
             else:
                 return
         if pending:
             self.candidates_used += pending
-            self._add_rows(head, depth, *rows_of(name, group))
+            self._add_rows(head, depth, *self._rows(name, group))
 
-    def _binary_rows(self, name, steps):
-        """The children and tables of binary steps (a, bs), in order, each
-        table looked up at (a << shift) | b, a stretch of rows at a time."""
-        counts = [len(bs) for _, bs in steps]
-        heads = [a for a, _ in steps]
-        kids = np.column_stack((np.repeat(heads, counts),
-                                np.concatenate([bs for _, bs in steps])))
-        # a << shift once per step, then per row by the row's step
-        shifted = self._store[heads].astype(self._index_dtype) << self._shift
+    def _rows(self, name, steps):
+        """The children and tables of steps (prefix, lasts), in order, each
+        table looked up at (flat prefix << shift) | last, a stretch of rows
+        at a time; the flat prefix (x0 most significant) is computed once
+        per step, in the narrowest type that holds every index."""
+        counts = [len(lasts) for _, lasts in steps]
+        prefixes = np.array([prefix for prefix, _ in steps], np.int64)
+        kids = np.column_stack((np.repeat(prefixes, counts, axis=0),
+                                np.concatenate([ls for _, ls in steps])))
+        width = prefixes.shape[1]
+        flat = np.zeros((len(steps), self.length), np.min_scalar_type(
+            ((self.n**width - 1) << self._shift) | (self.n - 1)))
+        for column in prefixes.T:
+            flat *= self.n
+            flat += self._store[column]
+        flat <<= self._shift
         step_of = np.repeat(np.arange(len(steps)), counts)
         out = np.empty((len(kids), self.length), self.dtype)
         rows = max(1, _GROUP_ENTRIES // self.length)
         for lo in range(0, len(kids), rows):
-            idx = shifted[step_of[lo:lo + rows]]
-            idx |= self._store[kids[lo:lo + rows, 1]]
+            idx = flat[step_of[lo:lo + rows]]
+            idx |= self._store[kids[lo:lo + rows, -1]]
             self._lookup(name, idx, out[lo:lo + rows])
         return kids, out
-
-    def _generic_rows(self, name, steps):
-        """The children and tables of one-candidate steps, in order."""
-        kids = np.array(steps, np.int64).reshape(len(steps), -1)
-        return kids, self._apply(name, kids)
-
-    def _apply(self, name, kids: np.ndarray) -> np.ndarray:
-        """The tables of name applied to each row of child tables."""
-        idx = self._store[kids[:, 0]].astype(np.int64)
-        for j in range(1, kids.shape[1]):
-            idx *= self.n
-            idx += self._store[kids[:, j]]
-        return self.op_arrays[name][idx]
 
     def _add_rows(self, head, depth, kids, out) -> None:
         """Offer the tables out, row j reached by head(kids[j]), with the
@@ -813,16 +815,16 @@ def find_biternary_pair(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
 
 
 def _verify_biternary(alg: FiniteAlgebra, pair: BiternaryPair):
+    alpha = compile_evaluator(pair.alpha, alg, 3)
+    beta = compile_evaluator(pair.beta, alg, 3)
     for x in range(alg.size):
         for y in range(alg.size):
-            if eval_term(pair.alpha, (x, x, y), alg) != y:
+            if alpha((x, x, y)) != y:
                 raise AssertionError("alpha(x,x,y) = y fails")
             for z in range(alg.size):
-                w = eval_term(pair.beta, (x, y, z), alg)
-                if eval_term(pair.alpha, (w, y, z), alg) != x:
+                if alpha((beta((x, y, z)), y, z)) != x:
                     raise AssertionError("alpha(beta(x,y,z),y,z) = x fails")
-                w = eval_term(pair.alpha, (x, y, z), alg)
-                if eval_term(pair.beta, (w, y, z), alg) != x:
+                if beta((alpha((x, y, z)), y, z)) != x:
                     raise AssertionError("beta(alpha(x,y,z),y,z) = x fails")
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import FlavorMismatch, NoRightUnit, NotLatin
-from .terms import App, Signature, Term, Var, eval_term
+from .terms import App, Signature, Term, Var, compile_evaluator
 
 QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
 
@@ -269,17 +269,17 @@ def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
                            anchor: Optional[int] = None,
                            second_identity: str = "x") -> bool:
     """Whether P(x,x,z) = z and P(x,z,z) = x hold for all x, z, checked
-    with the term evaluator.
+    with the compiled term evaluator.
 
     With an anchor a the term is read as P(x,y,z,a), x3 standing for a.
     second_identity "z" expects P(x,z,z) = z instead.
     """
     tail = () if anchor is None else (anchor,)
+    p = compile_evaluator(term, alg, 3 + len(tail))
     for x in range(alg.size):
         for z in range(alg.size):
             expected = x if second_identity == "x" else z
-            if (eval_term(term, (x, x, z) + tail, alg) != z
-                    or eval_term(term, (x, z, z) + tail, alg) != expected):
+            if p((x, x, z) + tail) != z or p((x, z, z) + tail) != expected:
                 return False
     return True
 

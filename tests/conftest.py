@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from itertools import permutations
 
 import pytest
@@ -58,6 +59,16 @@ def tangle5() -> FiniteAlgebra:
     """Commutative unital groupoid with a non-permuting congruence pair."""
     mul = tuple(v for row in TANGLE5_ROWS for v in row)
     return FiniteAlgebra(GROUPOID_SIG, 5, {"mul": mul})
+
+
+def binary_beside_ternary() -> FiniteAlgebra:
+    """A 3-element algebra with a binary and a ternary operation, whose
+    derived operations under a size cap once took minutes to walk."""
+    sig = Signature(ops=(("m", 2), ("t", 3)))
+    return FiniteAlgebra(sig, 3, {
+        "m": (1, 1, 0, 1, 2, 1, 1, 1, 1),
+        "t": (1, 2, 0, 2, 0, 1, 0, 0, 2, 1, 2, 2, 2, 0, 1, 0, 2, 0,
+              2, 1, 1, 2, 0, 1, 1, 1, 2)})
 
 
 def groupoid_from_rows(rows) -> FiniteAlgebra:
@@ -243,3 +254,16 @@ def chain3():
 @pytest.fixture
 def tangle():
     return tangle5()
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) fails the test once it runs that long, so that
+    a search without a bound fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -347,24 +347,50 @@ class NaiveTableSearch:
                             depth, App, name, (term_a, terms[b]))
 
     def _generic_level(self, name, head_key, arity, ftab, f0, r, depth):
+        """Each prefix of arity - 1 children that some last child
+        completes within the cap, against its fitting last children in
+        slabs of 4096, one _spend per slab, one block per leading
+        frontier position."""
         n = self.n
         cap = self.max_term_size
+        # sizes below r are final for the whole level
+        sizes = self.sizes[:r]
         for lead in range(arity):
             ranges = [range(0, f0)] * lead + [range(f0, r)] + \
                      [range(0, r)] * (arity - 1 - lead)
-            for combo in product(*ranges):
-                size = 1 + sum(self.sizes[i] for i in combo)
-                if cap is not None and size > cap:
-                    continue
-                if not self._spend(1):
+            # least[p]: the least size positions p.. take together
+            least = [0] * (arity + 1)
+            for p in reversed(range(arity)):
+                least[p] = least[p + 1] + min(
+                    (sizes[i] for i in ranges[p]), default=0)
+
+            def fits(size, p):
+                return cap is None or size + least[p] <= cap
+
+            def prefixes(p, prefix, size):
+                if p == arity - 1:
+                    yield prefix, size
                     return
-                idx = self.vectors[combo[0]].astype(np.int64)
-                for b in combo[1:]:
-                    idx = idx * n + self.vectors[b]
-                vec = ftab[idx]
-                key = (size, head_key, tuple(self.keys[i] for i in combo))
-                self._add(vec, key, depth, App, name,
-                          tuple(self.terms[i] for i in combo))
+                for i in ranges[p]:
+                    if fits(size + sizes[i], p + 1):
+                        yield from prefixes(p + 1, prefix + (i,),
+                                            size + sizes[i])
+
+            for prefix, size in prefixes(0, (), 1):
+                lasts = [i for i in ranges[-1] if fits(size + sizes[i], arity)]
+                for c0 in range(0, len(lasts), 4096):
+                    batch = lasts[c0:c0 + 4096]
+                    if not self._spend(len(batch)):
+                        return
+                    for last in batch:
+                        combo = prefix + (last,)
+                        idx = self.vectors[combo[0]].astype(np.int64)
+                        for b in combo[1:]:
+                            idx = idx * n + self.vectors[b]
+                        key = (size + sizes[last], head_key,
+                               tuple(self.keys[i] for i in combo))
+                        self._add(ftab[idx], key, depth, App, name,
+                                  tuple(self.terms[i] for i in combo))
 
 
 def naive_generate_subalgebra(alg: FiniteAlgebra, seed) -> list[int]:

@@ -17,6 +17,9 @@ import sys
 import pytest
 
 from malcevlab.cli import main
+from malcevlab.fileformat import save_algebra
+
+from conftest import binary_beside_ternary
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -331,6 +334,20 @@ def test_capped_search_resolves_cleanly(capsys):
     code, out, _ = run(["malcev", "demos/data/tangle5.alg"], capsys)
     assert code == 0
     assert "no Mal'cev term within depth 4" in out
+
+
+def test_capped_search_beside_a_ternary_operation_ends(tmp_path, capsys,
+                                                      deadline):
+    # under the default --max-size 8 this search once ran for minutes
+    path = tmp_path / "mt.alg"
+    save_algebra(binary_beside_ternary(), str(path))
+    deadline(20)
+    code, out, err = run(["malcev", str(path), "--format", "machine"],
+                         capsys)
+    assert code == 0
+    assert err == ""
+    result = json.loads(out)["result"]
+    assert not result["found"] and result["max_size"] == 8
 
 
 def test_eval_short_assignment_is_exit_two(capsys):

@@ -16,12 +16,13 @@ from malcevlab import (App, FiniteAlgebra, Signature, TermEnumeration, Var,
                        find_malcev_term, malcev_from_biternary,
                        malcev_search, parse_term, print_term, term_key,
                        term_size, translation_group)
-from malcevlab.malcev import DEFAULT_TABLE_BUDGET, _TableSearch
+from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
+                              _TableSearch)
 
-from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, chain_semilattice,
-                      cyclic_group, groupoid_from_rows, klein_group,
-                      signatures, small_algebras, symmetric_group_3, systems,
-                      tangle5)
+from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, binary_beside_ternary,
+                      chain_semilattice, cyclic_group, groupoid_from_rows,
+                      klein_group, signatures, small_algebras,
+                      symmetric_group_3, systems, tangle5)
 from oracles_local import (NaiveTableSearch, naive_composition_closure,
                            naive_translation_group)
 
@@ -152,27 +153,16 @@ def assert_matches_naive_engine(alg, variables, cap, candidates, tables,
     return fast
 
 
-def uncapped_beside_ternary(case):
-    # child tuples over the size cap are skipped without a charge, so
-    # under a cap a ternary operation walks every tuple of a level,
-    # unbounded by the budgets
-    alg, variables, cap, candidates, tables = case
-    if any(arity >= 3 for _, arity in alg.sig.ops):
-        cap = None
-    return alg, variables, cap, candidates, tables
-
-
 def search_cases():
     """A system with operations of arity up to 3, the variables, a size
-    cap (none beside a ternary operation) and budgets that often run out
-    in the middle of a level."""
+    cap and budgets that often run out in the middle of a level."""
     return st.tuples(
         signatures(max_arity=3).flatmap(systems),
         st.sampled_from([1, 3, "constants"]),
         st.sampled_from([None, 5, 7]),
         st.sampled_from([40, 400, 4000]),
         st.sampled_from([12, 100, DEFAULT_TABLE_BUDGET]),
-    ).map(uncapped_beside_ternary)
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,6 +206,32 @@ def test_sixteen_hash_values_keep_the_s3_witness(s3):
                       lambda self, rows: row_hash(self, rows) & np.uint64(15)):
         assert print_term(find_malcev_term(s3)) == \
             "mul(x0, mul(inv(x1), x2))"
+
+
+def test_size_cap_bounds_a_ternary_operation(deadline):
+    # tuples over the cap once went by uncharged, one Python step each:
+    # depth 3 under cap 8 had not finished after minutes
+    alg = binary_beside_ternary()
+    deadline(20)
+    for cap in (7, 8):
+        res = malcev_search(alg, 4, max_term_size=cap)
+        search = assert_matches_naive_engine(
+            alg, 3, cap, DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET, 4)
+        assert res.term is None and not res.truncated
+        assert res.tables_explored == len(search)
+    res = detect_biternary(alg, max_term_size=8)
+    assert res.pair is None and not res.truncated
+    assert res.tables_explored == len(search)
+    # no table is an alpha with any table as its beta
+    tables = search.tables
+    triples = list(product(range(3), repeat=3))
+    alphas = [a for a in tables if all(a[9 * x + 3 * x + y] == y
+                                       for x, y, _ in triples)]
+    assert alphas
+    assert not any(all(a[9 * b[9 * x + 3 * y + z] + 3 * y + z] == x
+                       and b[9 * a[9 * x + 3 * y + z] + 3 * y + z] == x
+                       for x, y, z in triples)
+                   for a in alphas for b in tables)
 
 
 def test_second_identity_variant_admits_projection(z4):
