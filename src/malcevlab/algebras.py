@@ -90,41 +90,17 @@ class FiniteAlgebra:
 
 def algebra_from_nested(sig: Signature, size: int, ops: dict, preds: dict | None = None,
                         labels=None) -> FiniteAlgebra:
-    """Build an algebra from nested tables (lists of lists for arity 2,
-    flat lists for arity 1, a bare value for arity 0)."""
-    flat_ops = {}
-    for name, arity in sig.ops:
-        t = ops[name]
-        if arity == 0:
-            flat_ops[name] = (int(t),)
-        elif arity == 1:
-            flat_ops[name] = tuple(int(v) for v in t)
-        else:
-            flat = []
-            def walk(node, depth):
-                if depth == arity:
-                    flat.append(int(node))
-                    return
-                for sub in node:
-                    walk(sub, depth + 1)
-            walk(t, 0)
-            flat_ops[name] = tuple(flat)
-    flat_preds = {}
-    if preds:
-        for name, arity in sig.preds:
-            t = preds[name]
-            if arity == 0:
-                flat_preds[name] = (bool(t),)
-            else:
-                flat = []
-                def walkp(node, depth):
-                    if depth == arity:
-                        flat.append(bool(node))
-                        return
-                    for sub in node:
-                        walkp(sub, depth + 1)
-                walkp(t, 0)
-                flat_preds[name] = tuple(flat)
+    """Build an algebra from nested tables: a symbol of arity k is given
+    by k levels of lists indexed by its arguments in order (a bare
+    value for arity 0, a flat list for arity 1)."""
+    def flatten(table, arity: int, cast) -> tuple:
+        for _ in range(arity - 1):
+            table = chain.from_iterable(table)
+        return tuple(map(cast, table if arity else (table,)))
+
+    flat_ops = {name: flatten(ops[name], arity, int) for name, arity in sig.ops}
+    flat_preds = {name: flatten(preds[name], arity, bool)
+                  for name, arity in sig.preds} if preds else {}
     return FiniteAlgebra(sig, size, flat_ops, flat_preds, labels)
 
 
@@ -395,11 +371,12 @@ def is_homomorphism(phi: Sequence[int], a: FiniteAlgebra, b: FiniteAlgebra) -> b
     """phi preserves every operation and implies every predicate:
     phi(f(x...)) = f(phi(x)...) and p(x...) true in a forces it in b.
 
-    Walks each of a's tables by position next to the positions of the
-    images of the same argument tuples in b's table."""
+    False when phi is not a map from a's carrier into b's.  Walks each
+    of a's tables by position next to the positions of the images of the
+    same argument tuples in b's table."""
     if a.sig != b.sig:
         raise AlgebraMismatch("homomorphisms need a common signature")
-    if len(phi) != a.size:
+    if len(phi) != a.size or not all(0 <= y < b.size for y in phi):
         return False
     image = phi.__getitem__
     for name, arity in a.sig.ops:
@@ -476,7 +453,7 @@ def _new_tuples(old: list[int], new: list[int], width: int):
 def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = False,
                        limit: Optional[int] = None,
                        budget: int = DEFAULT_HOM_BUDGET) -> list[tuple[int, ...]]:
-    """All homomorphisms a -> b as image tuples, sorted lexicographically.
+    """All homomorphisms a -> b as image tuples, in lexicographic order.
 
     Backtracks over the images of a generating set of a, in derivation
     order (_generating_sequence).  The derivation splits into segments:
@@ -489,8 +466,13 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
     true one of b.  Nullary operations and predicates are checked in the
     constants' segment.  A failed check prunes every extension of the
     partial map.  The strong condition, when requested, is checked on
-    each complete map.  limit truncates the sorted result.  Raises
-    SearchBudgetExceeded when b.size ** #generators exceeds the budget.
+    each complete map.  Each generator is the least element outside
+    what the constants and the earlier generators generate, so the
+    elements below it have their images fixed by earlier choices:
+    trying each generator's images in increasing order finds the maps
+    in lexicographic order, and the search stops once it has limit of
+    them.  Raises SearchBudgetExceeded when b.size ** #generators
+    exceeds the budget.
     """
     if a.sig != b.sig:
         raise AlgebraMismatch("homomorphisms need a common signature")
@@ -552,104 +534,47 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
         return True
 
     found = []
-    if holds(0):
-        images = [-1] * len(segments)  # images[k]: the image of gens[k - 1]
-        segment = 1 if gens else 0
-        if not gens:
+
+    def complete() -> bool:
+        """Keep phi, a homomorphism; True once limit maps are kept."""
+        if not strong or is_strong_homomorphism(phi, a, b):
             found.append(tuple(phi))
-        while segment:
-            images[segment] += 1
-            if images[segment] == m:
-                images[segment] = -1
-                segment -= 1
-                continue
-            phi[gens[segment - 1]] = images[segment]
-            if holds(segment):
-                if segment == len(gens):
-                    found.append(tuple(phi))
-                else:
-                    segment += 1
-    if strong:
-        found = [h for h in found if is_strong_homomorphism(h, a, b)]
-    found.sort()
-    if limit is not None:
-        found = found[:limit]
+        return len(found) == limit
+
+    if limit == 0 or not holds(0):
+        return found
+    if not gens:
+        complete()
+    images = [-1] * len(segments)  # images[k]: the image of gens[k - 1]
+    segment = 1 if gens else 0
+    while segment:
+        images[segment] += 1
+        if images[segment] == m:
+            images[segment] = -1
+            segment -= 1
+            continue
+        phi[gens[segment - 1]] = images[segment]
+        if holds(segment):
+            if segment < len(gens):
+                segment += 1
+            elif complete():
+                break
     return found
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra
                      ) -> Optional[tuple[int, ...]]:
-    """A bijective map preserving and reflecting all tables, or None.
+    """The lexicographically least isomorphism a -> b, or None.
 
-    Backtracks over images element by element; a cheap per-element
-    invariant (the sorted content of an element's rows and unary
-    values) prunes candidates before the full table check.
+    Between carriers of one size a strong homomorphism is onto, hence a
+    bijection, and a bijection is strong exactly when it reflects every
+    predicate; so the isomorphisms are the strong homomorphisms, and
+    this is find_homomorphisms(a, b, strong=True, limit=1).  Like that
+    search it raises SearchBudgetExceeded when b.size ** #generators
+    exceeds DEFAULT_HOM_BUDGET: an operation-free system on 8 elements
+    (8^8 generator images) already does.
     """
     if a.sig != b.sig or a.size != b.size:
         return None
-
-    def profile(alg: FiniteAlgebra, x: int):
-        parts = []
-        for name, arity in alg.sig.ops:
-            table = alg.op_tables[name]
-            if arity == 1:
-                parts.append(("u", name, table[x] == x))
-            elif arity == 2:
-                n = alg.size
-                row = table[x * n:(x + 1) * n]
-                parts.append(("d", name, table[x * n + x] == x,
-                              tuple(sorted(row.count(v) for v in set(row)))))
-        for name, arity in alg.sig.preds:
-            if arity == 1:
-                parts.append(("p", name, alg.pred_tables[name][x]))
-        return tuple(parts)
-
-    prof_a = [profile(a, x) for x in range(a.size)]
-    prof_b = [profile(b, x) for x in range(b.size)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    n = a.size
-    image: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def consistent(x: int) -> bool:
-        assigned = [i for i in range(n) if image[i] is not None]
-        for name, arity in a.sig.ops:
-            for args in product(assigned, repeat=arity):
-                if x not in args and arity > 0:
-                    continue
-                value = a.op_value(name, args)
-                if image[value] is None:
-                    continue
-                mapped = tuple(image[i] for i in args)
-                if b.op_value(name, mapped) != image[value]:
-                    return False
-        for name, arity in a.sig.preds:
-            for args in product(assigned, repeat=arity):
-                if x not in args and arity > 0:
-                    continue
-                mapped = tuple(image[i] for i in args)
-                if a.pred_value(name, args) != b.pred_value(name, mapped):
-                    return False
-        return True
-
-    def place(x: int) -> bool:
-        if x == n:
-            return True
-        for y in range(n):
-            if used[y] or prof_a[x] != prof_b[y]:
-                continue
-            image[x] = y
-            used[y] = True
-            if consistent(x) and place(x + 1):
-                return True
-            image[x] = None
-            used[y] = False
-        return False
-
-    if not place(0):
-        return None
-    mapping = tuple(image)
-    if not is_homomorphism(mapping, a, b):
-        return None
-    return mapping
+    isos = find_homomorphisms(a, b, strong=True, limit=1)
+    return isos[0] if isos else None

@@ -7,7 +7,7 @@ package can be checked against it on small inputs.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -502,17 +502,35 @@ def naive_find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *,
                 phi[element] = b.op_value(name, tuple(phi[x] for x in args))
         if not naive_is_homomorphism(phi, a, b):
             continue
-        if strong and (set(phi) != set(range(b.size)) or any(
-                b.pred_value(name, args) and not any(
-                    a.pred_value(name, pre)
-                    for pre in product(range(a.size), repeat=arity)
-                    if [phi[x] for x in pre] == list(args))
-                for name, arity in b.sig.preds
-                for args in product(range(b.size), repeat=arity))):
+        if strong and not _naive_is_strong(phi, a, b):
             continue
         found.append(tuple(phi))
     found.sort()
     return found if limit is None else found[:limit]
+
+
+def _naive_is_strong(phi, a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
+    """phi, a homomorphism, is onto and every predicate tuple true in b
+    has a true preimage tuple in a."""
+    return set(phi) == set(range(b.size)) and not any(
+        b.pred_value(name, args) and not any(
+            a.pred_value(name, pre)
+            for pre in product(range(a.size), repeat=arity)
+            if [phi[x] for x in pre] == list(args))
+        for name, arity in b.sig.preds
+        for args in product(range(b.size), repeat=arity))
+
+
+def naive_find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
+    """The least permutation of the carrier, in lexicographic order,
+    that is a strong homomorphism a -> b, or None (also for systems of
+    different signatures or sizes)."""
+    if a.sig != b.sig or a.size != b.size:
+        return None
+    for phi in permutations(range(a.size)):
+        if naive_is_homomorphism(phi, a, b) and _naive_is_strong(phi, a, b):
+            return phi
+    return None
 
 
 def naive_check_quasiidentity(q: Quasiidentity, alg) -> CheckResult:

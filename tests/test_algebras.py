@@ -7,21 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malcevlab import (FiniteAlgebra, Signature, direct_product,
-                       find_homomorphisms, find_isomorphism, flat_index,
-                       generate_subalgebra, is_homomorphism,
-                       is_strong_homomorphism, is_unitary, product_decode,
-                       product_encode, subalgebra_as_algebra,
+from malcevlab import (FiniteAlgebra, Signature, algebra_from_nested,
+                       direct_product, find_homomorphisms, find_isomorphism,
+                       flat_index, generate_subalgebra, is_homomorphism,
+                       is_strong_homomorphism, is_unitary, kernel,
+                       product_decode, product_encode, subalgebra_as_algebra,
                        unitary_system)
 from malcevlab.algebras import Subpower, _generating_sequence
 from malcevlab.errors import (EmptyUngeneratable, MalcevLabError,
-                              SearchBudgetExceeded, SizeOverflow)
+                              NotAHomomorphism, SearchBudgetExceeded,
+                              SizeOverflow)
 
 from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
                       klein_group, random_algebra, signatures,
                       symmetric_group_3, systems)
-from oracles_local import (naive_find_homomorphisms, naive_generate_subalgebra,
-                           naive_generating_sequence, naive_is_homomorphism)
+from oracles_local import (naive_find_homomorphisms, naive_find_isomorphism,
+                           naive_generate_subalgebra, naive_generating_sequence,
+                           naive_is_homomorphism)
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -237,6 +239,53 @@ def test_is_homomorphism_hand_cases(z4, z2):
     assert not is_strong_homomorphism((0, 0, 0, 0), z4, z2)
 
 
+UNARY_PRED_SIG = Signature(ops=(), preds=(("p", 1),))
+
+
+@pytest.mark.parametrize("phi", [(-1,), (2,)])
+def test_is_homomorphism_rejects_images_outside_the_target(phi):
+    """-1 would index b's tables from the end and 2 past it."""
+    a = FiniteAlgebra(UNARY_PRED_SIG, 1, {}, {"p": (True,)})
+    b = FiniteAlgebra(UNARY_PRED_SIG, 2, {}, {"p": (False, True)})
+    assert not is_homomorphism(phi, a, b)
+    assert not is_strong_homomorphism(phi, a, b)
+    with pytest.raises(NotAHomomorphism):
+        kernel(phi, a, b)
+
+
+def test_algebra_from_nested_flattens_every_arity():
+    """A symbol of arity k is k levels of lists, indexed by its
+    arguments in order; operations become ints, predicates bools."""
+    sig = Signature(ops=(("c", 0), ("u", 1), ("m", 2), ("t", 3)),
+                    preds=(("p0", 0), ("p1", 1), ("p2", 2), ("p3", 3)))
+    n = 3
+
+    def op(*args):
+        return (sum(i * v for i, v in enumerate(args, 1)) + 1) % n
+
+    def pred(*args):
+        return op(*args) == 0
+
+    def nested(f, arity, wrap, prefix=()):
+        if arity == len(prefix):
+            return wrap(f(*prefix))
+        return [nested(f, arity, wrap, prefix + (x,)) for x in range(n)]
+
+    ops = {name: nested(op, arity, str) for name, arity in sig.ops}
+    preds = {name: nested(pred, arity, int) for name, arity in sig.preds}
+    alg = algebra_from_nested(sig, n, ops, preds)
+    for name, arity in sig.ops:
+        assert alg.op_tables[name] == tuple(
+            op(*args) for args in product(range(n), repeat=arity))
+        assert {type(v) for v in alg.op_tables[name]} == {int}
+    for name, arity in sig.preds:
+        assert alg.pred_tables[name] == tuple(
+            pred(*args) for args in product(range(n), repeat=arity))
+        assert {type(v) for v in alg.pred_tables[name]} == {bool}
+    assert alg.op_value("t", (2, 0, 1)) == op(2, 0, 1)
+    assert alg.pred_value("p3", (1, 1, 2)) == pred(1, 1, 2)
+
+
 def test_strong_needs_predicate_reflection():
     c2 = ordered_chain(2)
     flat = FiniteAlgebra(PRED_SIG, 2, dict(c2.op_tables),
@@ -342,30 +391,77 @@ def test_unitary_system_and_predicates():
     assert not is_unitary(ordered_chain(2))
 
 
+def relabel(a: FiniteAlgebra, perm) -> FiniteAlgebra:
+    """The copy of a whose element x is called perm[x]."""
+    inverse = [0] * a.size
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    ops = {name: tuple(perm[a.op_value(name, tuple(inverse[c] for c in combo))]
+                       for combo in product(range(a.size), repeat=arity))
+           for name, arity in a.sig.ops}
+    preds = {name: tuple(a.pred_value(name, tuple(inverse[c] for c in combo))
+                         for combo in product(range(a.size), repeat=arity))
+             for name, arity in a.sig.preds}
+    return FiniteAlgebra(a.sig, a.size, ops, preds)
+
+
 def test_find_isomorphism_detects_relabelings_seeded():
+    """The exact map, against the least strong permutation by brute
+    force, on relabelled copies, self pairs and random pairs of one
+    signature and size (almost all of them not isomorphic)."""
     rng = random.Random(777)
-    for _ in range(40):
+    absent = 0
+    for _ in range(150):
         a = random_algebra(rng, max_size=5)
         perm = list(range(a.size))
         rng.shuffle(perm)
-        inverse = [0] * a.size
-        for i, p in enumerate(perm):
-            inverse[p] = i
-        ops = {}
-        for name, arity in a.sig.ops:
-            ops[name] = tuple(
-                perm[a.op_value(name, tuple(inverse[c] for c in combo))]
-                for combo in product(range(a.size), repeat=arity))
-        preds = {}
-        for name, arity in a.sig.preds:
-            preds[name] = tuple(
-                a.pred_value(name, tuple(inverse[c] for c in combo))
-                for combo in product(range(a.size), repeat=arity))
-        b = FiniteAlgebra(a.sig, a.size, ops, preds)
-        iso = find_isomorphism(a, b)
-        assert iso is not None
-        assert is_homomorphism(iso, a, b)
-        assert sorted(iso) == list(range(a.size))
+        tables = {name: tuple(rng.randrange(a.size)
+                              for _ in range(a.size**arity))
+                  for name, arity in a.sig.ops}
+        ptables = {name: tuple(rng.random() < 0.5
+                               for _ in range(a.size**arity))
+                   for name, arity in a.sig.preds}
+        pairs = {"relabelled": relabel(a, perm), "self": a,
+                 "random": FiniteAlgebra(a.sig, a.size, tables, ptables)}
+        for kind, b in pairs.items():
+            iso = find_isomorphism(a, b)
+            assert iso == naive_find_isomorphism(a, b), (kind, a, b)
+            assert iso is not None or kind == "random"
+            absent += iso is None
+    assert absent > 50
+
+
+def test_find_isomorphism_checks_equations_whose_value_is_placed():
+    """phi(f0(x)) = f0(phi(x)) constrains the image of the value f0(x)
+    as well as that of x; the least isomorphism here is (3, 1, 4, 0, 2)."""
+    sig = Signature(ops=(("f0", 1),))
+    a = FiniteAlgebra(sig, 5, {"f0": (1, 1, 2, 4, 0)})
+    b = FiniteAlgebra(sig, 5, {"f0": (2, 1, 3, 1, 4)})
+    assert find_isomorphism(a, b) == (3, 1, 4, 0, 2)
+    assert find_isomorphism(a, b) == naive_find_isomorphism(a, b)
+
+
+def directed_cycle(n: int) -> FiniteAlgebra:
+    edge = tuple(y == (x + 1) % n for x in range(n) for y in range(n))
+    return FiniteAlgebra(Signature(ops=(), preds=(("e", 2),)), n, {},
+                         {"e": edge})
+
+
+def test_find_isomorphism_keeps_the_homomorphism_budget():
+    """With no operations every element is a generator: 7^7 images fit
+    the default budget, 8^8 do not."""
+    assert find_isomorphism(directed_cycle(7), directed_cycle(7)) == tuple(
+        range(7))
+    with pytest.raises(SearchBudgetExceeded):
+        find_isomorphism(directed_cycle(8), directed_cycle(8))
+
+
+def test_find_isomorphism_stops_at_the_least_isomorphism(deadline):
+    """All 7^7 maps of this system to itself are homomorphisms; listing
+    them all takes seconds, the search stops at the identity."""
+    deadline(5)
+    a = FiniteAlgebra(UNARY_PRED_SIG, 7, {}, {"p": (True,) * 7})
+    assert find_isomorphism(a, a) == tuple(range(7))
 
 
 def test_find_isomorphism_distinguishes_z4_from_klein():
