@@ -397,8 +397,13 @@ def is_strong_homomorphism(phi: Sequence[int], a: FiniteAlgebra,
                            b: FiniteAlgebra) -> bool:
     """Surjective homomorphism such that every predicate tuple true in b
     has a true preimage tuple in a."""
-    if not is_homomorphism(phi, a, b):
-        return False
+    return is_homomorphism(phi, a, b) and _onto_and_reflecting(phi, a, b)
+
+
+def _onto_and_reflecting(phi: Sequence[int], a: FiniteAlgebra,
+                         b: FiniteAlgebra) -> bool:
+    """The part of is_strong_homomorphism after is_homomorphism: phi is
+    onto b and every predicate tuple true in b has a true preimage."""
     if set(phi) != set(range(b.size)):
         return False
     fibers = [[x for x in range(a.size) if phi[x] == y] for y in range(b.size)]
@@ -537,7 +542,7 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
 
     def complete() -> bool:
         """Keep phi, a homomorphism; True once limit maps are kept."""
-        if not strong or is_strong_homomorphism(phi, a, b):
+        if not strong or _onto_and_reflecting(phi, a, b):
             found.append(tuple(phi))
         return len(found) == limit
 

@@ -20,7 +20,7 @@ homomorphisms into the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from operator import getitem
 from typing import Optional, Sequence
 
@@ -29,7 +29,7 @@ from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, Subpower,
                        is_unitary)
 from .errors import (AlgebraMismatch, InputError, SizeOverflow,
                      TrivialClassRankConflict)
-from .terms import Formula, compile_evaluator
+from .terms import Formula, satisfaction_mask
 
 DEFAULT_SIZE_BOUND = 10_000
 
@@ -84,8 +84,9 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
     Relations are formulas over x0..x{rank-1}; each product factor is a
     (generator, assignment) pair whose assignment satisfies all of
     them.  An unsatisfiable presentation leaves no factors and yields
-    the one-element system.  Relations are compiled once per generator
-    (compile_evaluator), so a symbol missing from the generators raises
+    the one-element system.  Relations are evaluated over all of a
+    generator's assignments at once (satisfaction_mask), compiled
+    first, so a symbol missing from the generators raises
     SignatureMismatch before any assignment is tried.
 
     The carrier, its discovery order, steps and operation tables are
@@ -109,10 +110,9 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
             f"size bound {size_bound}")
     factors: list[tuple[int, tuple[int, ...]]] = []
     for gi, g in enumerate(generators):
-        checks = [compile_evaluator(rel, g, rank) for rel in relations]
-        for assignment in product(range(g.size), repeat=rank):
-            if all(check(assignment) for check in checks):
-                factors.append((gi, assignment))
+        mask = satisfaction_mask(relations, g, rank)
+        factors.extend((gi, assignment) for assignment in compress(
+            product(range(g.size), repeat=rank), mask))
 
     seeds = [tuple(assignment[i] for _, assignment in factors)
              for i in range(rank)]
@@ -198,11 +198,10 @@ def verify_universal_property(fr: FreeAlgebra,
         for h in all_homs:
             key = tuple(h[g] for g in fr.generator_images)
             by_gen_image[key] = by_gen_image.get(key, 0) + 1
-        checks = [compile_evaluator(rel, target, fr.rank)
-                  for rel in fr.relations]
-        for assignment in product(range(target.size), repeat=fr.rank):
+        mask = satisfaction_mask(fr.relations, target, fr.rank)
+        for assignment, satisfied in zip(
+                product(range(target.size), repeat=fr.rank), mask):
             assignments_checked += 1
-            satisfied = all(check(assignment) for check in checks)
             candidate = extend_assignment(fr, target, assignment)
             extends = is_homomorphism(candidate, fr.algebra, target)
             expected = 1 if satisfied else 0

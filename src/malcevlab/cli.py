@@ -246,15 +246,17 @@ def _cmd_check(args, inputs):
     outcome = check_quasiidentity(q, alg)
     if outcome.holds:
         summary = f"holds over all {total} assignments"
-    else:
+    elif outcome.witness:
         pairs = ", ".join(
             f"x{i}={v}" for i, v in enumerate(outcome.witness))
         summary = f"fails at {pairs}"
+    else:
+        summary = "fails at the empty assignment (no variables)"
     result = {
         "summary": summary,
         "holds": outcome.holds,
         "formula": str(q),
-        "witness": list(outcome.witness) if outcome.witness else None,
+        "witness": None if outcome.holds else list(outcome.witness),
         "assignments": total,
     }
     checks = [f"scanned {total} assignments over "

@@ -53,8 +53,8 @@ from .algebras import FiniteAlgebra
 from .congruences import Congruence, all_congruences, non_permuting_pairs
 from .quasigroups import (TranslationGroup, composition_closure,
                           malcev_identities_hold)
-from .terms import (App, Signature, Term, Var, compile_evaluator,
-                    term_depth, term_key)
+from .terms import (App, Signature, Term, Var, assignment_columns,
+                    compile_evaluator, term_depth, term_key)
 
 DEFAULT_DEPTH = 4
 DEFAULT_TABLE_BUDGET = 150_000
@@ -815,17 +815,18 @@ def find_biternary_pair(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
 
 
 def _verify_biternary(alg: FiniteAlgebra, pair: BiternaryPair):
+    """Re-check the three identities over all assignments by evaluating
+    the terms, composed as columns, independently of the search."""
     alpha = compile_evaluator(pair.alpha, alg, 3)
     beta = compile_evaluator(pair.beta, alg, 3)
-    for x in range(alg.size):
-        for y in range(alg.size):
-            if alpha((x, x, y)) != y:
-                raise AssertionError("alpha(x,x,y) = y fails")
-            for z in range(alg.size):
-                if alpha((beta((x, y, z)), y, z)) != x:
-                    raise AssertionError("alpha(beta(x,y,z),y,z) = x fails")
-                if beta((alpha((x, y, z)), y, z)) != x:
-                    raise AssertionError("beta(alpha(x,y,z),y,z) = x fails")
+    x, y = assignment_columns(alg.size, 2)
+    if alpha((x, x, y)) != y:
+        raise AssertionError("alpha(x,x,y) = y fails")
+    x, y, z = assignment_columns(alg.size, 3)
+    if alpha((beta((x, y, z)), y, z)) != x:
+        raise AssertionError("alpha(beta(x,y,z),y,z) = x fails")
+    if beta((alpha((x, y, z)), y, z)) != x:
+        raise AssertionError("beta(alpha(x,y,z),y,z) = x fails")
 
 
 def malcev_from_biternary(alg: FiniteAlgebra, pair: BiternaryPair,

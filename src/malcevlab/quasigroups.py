@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import FlavorMismatch, NoRightUnit, NotLatin
-from .terms import App, Signature, Term, Var, compile_evaluator
+from .terms import (App, Signature, Term, Var, assignment_columns,
+                    compile_evaluator)
 
 QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
 
@@ -269,19 +270,17 @@ def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
                            anchor: Optional[int] = None,
                            second_identity: str = "x") -> bool:
     """Whether P(x,x,z) = z and P(x,z,z) = x hold for all x, z, checked
-    with the compiled term evaluator.
+    by the compiled term evaluator over the n**2 columns (x,x,z) and
+    (x,z,z).
 
     With an anchor a the term is read as P(x,y,z,a), x3 standing for a.
     second_identity "z" expects P(x,z,z) = z instead.
     """
     tail = () if anchor is None else (anchor,)
     p = compile_evaluator(term, alg, 3 + len(tail))
-    for x in range(alg.size):
-        for z in range(alg.size):
-            expected = x if second_identity == "x" else z
-            if p((x, x, z) + tail) != z or p((x, z, z) + tail) != expected:
-                return False
-    return True
+    x, z = assignment_columns(alg.size, 2)
+    expected = x if second_identity == "x" else z
+    return p((x, x, z) + tail) == z and p((x, z, z) + tail) == expected
 
 
 # ---------------------------------------------------------------------------

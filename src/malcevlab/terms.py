@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
-from operator import itemgetter
+from itertools import chain, compress, count, islice, product, repeat
+from operator import add, and_, eq, itemgetter, not_
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
@@ -39,6 +39,12 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # comparing terms recurse once or twice per level, so this keeps every
 # parsed term well inside Python's default recursion limit of 1000.
 MAX_TERM_DEPTH = 200
+
+# check_quasiidentity evaluates at most _BLOCK_CAP assignments at once
+# (more only when one variable alone has more values), which bounds its
+# memory; its first block holds _FIRST_BLOCK, so an early witness is cheap
+_BLOCK_CAP = 1 << 14
+_FIRST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -449,28 +455,63 @@ class CheckResult:
         return self.holds
 
 
-def compile_evaluator(node: Union[Term, Formula], alg,
-                      width: int) -> Callable[[Sequence[int]], object]:
-    """Closure evaluating a term (to an element) or a formula (to a bool).
+def assignment_columns(n: int, width: int) -> list[tuple[int, ...]]:
+    """The n**width assignments of width variables into range(n), in
+    lexicographic order, as width columns: column i holds the value of
+    x_i at every position."""
+    columns = []
+    for i in range(width):
+        run = n**(width - 1 - i)
+        pattern = tuple(chain.from_iterable(repeat(v, run) for v in range(n)))
+        columns.append(pattern * n**i)
+    return columns
 
-    The closure takes an assignment of width values and agrees with
-    eval_term / eval_formula on it.  Symbols, arities and variable
-    indices are checked here, once, with the errors those raise:
-    SignatureMismatch for an operation or predicate the algebra lacks or
-    an operation applied with another arity, AssignmentTooShort for a
-    variable at or past width.  A predicate applied with another arity
-    raises SignatureMismatch too, where eval_formula reads a wrong table
-    cell.  Each node binds its table, so evaluation is table lookups
-    only.
+
+def compile_evaluator(node: Union[Term, Formula], alg,
+                      width: int) -> Callable[[Sequence], object]:
+    """Block evaluator of a term (to elements) or a formula (to bools).
+
+    The evaluator takes width columns, one per variable x0..x{width-1}:
+    each a nonempty tuple of ints, all of one length, so that each
+    position holds one assignment, or an int, a scalar standing for the
+    same value at every position.  It returns a tuple over the
+    positions, or a single value when every column is a scalar, and
+    agrees at each position with eval_term / eval_formula.
+
+    Each operation or predicate node is one gather from its table with
+    one itemgetter.  The flat indices are sums over the arguments, each
+    argument read from a copy of its table multiplied by its place
+    value n**(arity - 1 - j); scalar arguments add up to one offset and
+    are never expanded.  Inside, itemgetter returns a one-position
+    column as a scalar, which stands for the same value.
+
+    Symbols, arities and variable indices are checked here, once, with
+    the errors those raise: SignatureMismatch for an operation or
+    predicate the algebra lacks or an operation applied with another
+    arity, AssignmentTooShort for a variable at or past width.  A
+    predicate applied with another arity raises SignatureMismatch too,
+    where eval_formula reads a wrong table cell.
     """
     n = alg.size
+    scaled: dict[tuple[str, int], tuple] = {}
 
-    def term(t):
+    def term(t, weight):
+        """Closure giving weight times the value of t."""
         if isinstance(t, Var):
             if t.index >= width:
                 raise AssignmentTooShort(
                     f"term uses x{t.index} but only {width} values given")
-            return itemgetter(t.index)
+            index = t.index
+            if weight == 1:
+                return itemgetter(index)
+            multiples = tuple(range(0, n * weight, weight))
+
+            def var(columns):
+                value = columns[index]
+                if isinstance(value, int):
+                    return value * weight
+                return itemgetter(*value)(multiples)
+            return var
         arity = alg.sig.op_arity(t.op)
         if arity is None:
             raise SignatureMismatch(f"algebra has no operation {t.op!r}")
@@ -478,30 +519,51 @@ def compile_evaluator(node: Union[Term, Formula], alg,
             raise SignatureMismatch(
                 f"operation {t.op!r} has arity {arity} in this algebra,"
                 f" term applies it to {len(t.args)}")
-        return lookup(alg.op_tables[t.op], [term(a) for a in t.args])
+        return gather(t.op, alg.op_tables, weight, t.args)
 
-    def lookup(table, args):
-        if not args:
-            value = table[0]
-            return lambda a: value
-        if len(args) == 1:
-            f, = args
-            return lambda a: table[f(a)]
-        if len(args) == 2:
-            f, g = args
-            return lambda a: table[f(a) * n + g(a)]
+    def gather(name, tables, weight, args):
+        if (name, weight) not in scaled:
+            scaled[name, weight] = tables[name] if weight == 1 else tuple(
+                v * weight for v in tables[name])
+        table = scaled[name, weight]
+        places = [n**(len(args) - 1 - j) for j in range(len(args))]
+        parts = [(term(a, w), w * (n - 1)) for a, w in zip(args, places)]
 
-        def apply(a):
-            i = 0
-            for f in args:
-                i = i * n + f(a)
-            return table[i]
+        def apply(columns):
+            offset, index, length, span = 0, None, 0, 1
+            for part, top in parts:
+                value = part(columns)
+                if isinstance(value, int):
+                    offset += value
+                    continue
+                span += top
+                if index is None:
+                    index, length = value, len(value)
+                else:
+                    index = map(add, index, value)
+            if index is None:
+                return table[offset]
+            # the scalars select a window of at most span cells; read it
+            # directly unless it is much longer than the block
+            source = table
+            if offset and span <= 8 * length:
+                source = table[offset:offset + span]
+            elif offset:
+                index = map(add, index, repeat(offset))
+            return itemgetter(*index)(source)
         return apply
 
     if isinstance(node, Equation):
-        lhs, rhs = term(node.lhs), term(node.rhs)
-        return lambda a: lhs(a) == rhs(a)
-    if isinstance(node, PredicateAtom):
+        lhs, rhs = term(node.lhs, 1), term(node.rhs, 1)
+
+        def run(columns):
+            left, right = lhs(columns), rhs(columns)
+            if isinstance(left, int) and isinstance(right, int):
+                return left == right
+            if left == right:  # two equal columns, compared in one call
+                return (True,) * len(left)
+            return tuple(map(eq, _column(left), _column(right)))
+    elif isinstance(node, PredicateAtom):
         arity = alg.sig.pred_arity(node.pred)
         if arity is None:
             raise SignatureMismatch(f"algebra has no predicate {node.pred!r}")
@@ -509,24 +571,86 @@ def compile_evaluator(node: Union[Term, Formula], alg,
             raise SignatureMismatch(
                 f"predicate {node.pred!r} has arity {arity} in this algebra,"
                 f" formula applies it to {len(node.args)}")
-        return lookup(alg.pred_tables[node.pred], [term(a) for a in node.args])
-    return term(node)
+        run = gather(node.pred, alg.pred_tables, 1, node.args)
+    else:
+        run = term(node, 1)
+
+    def evaluate(columns):
+        value = run(columns)
+        if isinstance(value, int):
+            for column in columns:
+                if not isinstance(column, int):
+                    return (value,) * len(column)
+        return value
+    return evaluate
+
+
+def _column(value):
+    """A scalar as an endless column, for map to cut to length."""
+    return repeat(value) if isinstance(value, int) else value
+
+
+def satisfaction_mask(formulas: Sequence[Formula], alg,
+                      width: int) -> list[bool]:
+    """Which of the alg.size**width assignments, in lexicographic order,
+    satisfy every formula.  All formulas are compiled before any is
+    evaluated."""
+    checks = [compile_evaluator(f, alg, width) for f in formulas]
+    columns = assignment_columns(alg.size, width)
+    mask = [True] * alg.size**width
+    for check in checks:
+        mask = list(map(and_, mask, _column(check(columns))))
+    return mask
 
 
 def check_quasiidentity(q: Quasiidentity, alg) -> CheckResult:
     """Check q over every assignment of its variables into alg's carrier.
 
-    Assignments are scanned in lexicographic order so the witness, when
-    one exists, is reproducible; the scan stops at the first one.  The
-    premises and the conclusion are compiled once (compile_evaluator),
-    so a symbol the algebra lacks raises SignatureMismatch before any
-    assignment is tried.
+    Assignments are scanned in lexicographic order, so the witness, when
+    one exists, is reproducible.  The premises and the conclusion are
+    compiled once (compile_evaluator), so a symbol the algebra lacks
+    raises SignatureMismatch before any assignment is tried, and then
+    evaluated a block of assignments at a time: the leading variables
+    come from itertools.product, the trailing ones from columns of at
+    most _BLOCK_CAP assignments (at least one variable).  The first
+    blocks hold _FIRST_BLOCK assignments and grow eightfold up to the
+    whole columns, which are built only then, so an early witness costs
+    little.  The premises are evaluated only on blocks where the
+    conclusion fails somewhere.  The scan stops at the first block
+    holding a witness, and the witness is its first failing position.
+    Memory is bounded by the block, not by alg.size ** variable_count.
     """
-    width = q.variable_count
+    width, n = q.variable_count, alg.size
     conclusion = compile_evaluator(q.conclusion, alg, width)
     premises = [compile_evaluator(p, alg, width) for p in q.premises]
-    for assignment in product(range(alg.size), repeat=width):
-        if not conclusion(assignment) and all(
-                p(assignment) for p in premises):
-            return CheckResult(False, assignment)
+    tail = min(width, 1)
+    while tail < width and n**(tail + 1) <= _BLOCK_CAP:
+        tail += 1
+    size = n**tail
+    step = min(size, _FIRST_BLOCK)
+    whole = None
+    for prefix in product(range(n), repeat=width - tail):
+        start = 0
+        while start < size:
+            stop = min(size, start + step)
+            if stop - start < size:  # one of the first, short blocks
+                block = tuple(zip(*islice(
+                    product(range(n), repeat=tail), start, stop)))
+            else:
+                if whole is None:
+                    whole = tuple(assignment_columns(n, tail))
+                block = whole
+            columns = prefix + block
+            # with no variables there are no columns and one position
+            holds = conclusion(columns) if block else (conclusion(()),)
+            if False in holds:
+                failing = map(not_, holds)
+                for p in premises:
+                    failing = map(and_, failing, _column(p(columns)))
+                at = next(compress(count(), failing), None)
+                if at is not None:
+                    return CheckResult(
+                        False, prefix + tuple(c[at] for c in block))
+            start = stop
+            step = min(size, step * 8)
     return CheckResult(True, None)

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from malcevlab import FiniteAlgebra, Signature
 from malcevlab.cli import main
 from malcevlab.fileformat import save_algebra
 
@@ -301,6 +302,28 @@ def test_check_assignment_budget_is_exit_three(capsys):
     argv = ["check", "demos/data/z4.alg", "mul(x0, x1) = mul(x1, x0)"]
     assert run(argv + ["--max-product", "15"], capsys)[0] == 3
     assert run(argv + ["--max-product", "16"], capsys)[0] == 0
+
+
+def test_check_without_variables_reports_an_empty_witness(tmp_path,
+                                                        capsys):
+    path = tmp_path / "ab.alg"
+    save_algebra(FiniteAlgebra(Signature(ops=(("a", 0), ("b", 0))), 2,
+                               {"a": (0,), "b": (1,)}), str(path))
+    code, out, _ = run(["check", str(path), "a = b", "--format", "machine"],
+                       capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["holds"] is False
+    assert result["witness"] == []
+    assert result["summary"] == "fails at the empty assignment (no variables)"
+    code, out, err = run(["check", str(path), "a = b", "--assert"], capsys)
+    assert code == 1
+    assert "fails at the empty assignment" in out
+    assert "Traceback" not in err
+    code, out, _ = run(["check", str(path), "a = a", "--assert",
+                        "--format", "machine"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["witness"] is None
 
 
 def test_truncated_search_is_exit_three(capsys):

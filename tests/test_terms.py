@@ -2,24 +2,27 @@
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malcevlab import (App, Equation, FiniteAlgebra, PredicateAtom,
-                       Quasiidentity, Signature, Var, check_quasiidentity,
-                       compile_evaluator, eval_formula, eval_term,
-                       formula_vars, parse_formula, parse_quasiidentity,
-                       parse_term, print_term, term_depth, term_key,
-                       term_size, term_vars)
+from malcevlab import (App, CheckResult, Equation, FiniteAlgebra,
+                       PredicateAtom, Quasiidentity, Signature, Var,
+                       check_quasiidentity, compile_evaluator, eval_formula,
+                       eval_term, formula_vars, parse_formula,
+                       parse_quasiidentity, parse_term, print_term,
+                       term_depth, term_key, term_size, term_vars)
 from malcevlab.errors import (ArityMismatch, AssignmentTooShort,
                               SignatureMismatch, TermSyntaxError,
                               UnknownSymbol)
-from malcevlab.terms import MAX_TERM_DEPTH
+from malcevlab import terms as terms_module
+from malcevlab.terms import (MAX_TERM_DEPTH, assignment_columns,
+                             satisfaction_mask)
 
-from conftest import (GROUP_SIG, MEET_SIG, cyclic_group, formulas,
-                      random_algebra, signatures, systems, terms)
+from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, cyclic_group,
+                      formulas, random_algebra, signatures, systems, terms)
 from oracles_local import naive_check_quasiidentity
 
 PRED_SIG = Signature(ops=(("mul", 2), ("e", 0)), preds=(("leq", 2),))
@@ -199,12 +202,12 @@ def _renamed(node, names):
 
 
 @st.composite
-def systems_with_quasiidentities(draw):
+def systems_with_quasiidentities(draw, max_width: int = 3):
     """A random system and a quasiidentity over its signature, with up to
-    three variables renumbered densely."""
+    max_width variables renumbered densely."""
     sig = draw(signatures(max_arity=3))
     alg = draw(systems(sig))
-    width = draw(st.integers(1, 3))
+    width = draw(st.integers(1, max_width))
     premises = draw(st.lists(formulas(sig, width), max_size=2))
     conclusion = draw(formulas(sig, width))
     used = formula_vars(conclusion).union(*map(formula_vars, premises))
@@ -221,6 +224,19 @@ def test_check_quasiidentity_matches_the_interpreting_oracle(case):
     assert check_quasiidentity(q, alg) == naive_check_quasiidentity(q, alg)
 
 
+@settings(max_examples=150, deadline=None)
+@given(systems_with_quasiidentities(max_width=4), st.integers(1, 5),
+       st.integers(1, 3))
+def test_blocked_scan_matches_the_interpreting_oracle(case, cap, first):
+    """Blocks of a few assignments put most witnesses past the first
+    block; a cap below the carrier size still scans one variable."""
+    alg, q = case
+    with mock.patch.object(terms_module, "_BLOCK_CAP", cap), \
+            mock.patch.object(terms_module, "_FIRST_BLOCK", first):
+        assert check_quasiidentity(q, alg) == naive_check_quasiidentity(
+            q, alg)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compiled_evaluator_agrees_with_the_interpreter(data):
@@ -230,8 +246,16 @@ def test_compiled_evaluator_agrees_with_the_interpreter(data):
     run = compile_evaluator(node, alg, 3)
     interpret = eval_formula if isinstance(
         node, (Equation, PredicateAtom)) else eval_term
-    for assignment in product(range(alg.size), repeat=3):
-        assert run(assignment) == interpret(node, assignment, alg)
+    assignments = list(product(range(alg.size), repeat=3))
+    expected = [interpret(node, a, alg) for a in assignments]
+    # whole columns, a scalar beside two columns, one assignment at a time
+    assert list(run(assignment_columns(alg.size, 3))) == expected
+    x0 = data.draw(st.integers(0, alg.size - 1))
+    rest = assignment_columns(alg.size, 2)
+    assert list(run([x0] + rest)) == [
+        value for a, value in zip(assignments, expected) if a[0] == x0]
+    for assignment, value in zip(assignments, expected):
+        assert run(assignment) == value
 
 
 def test_compiled_evaluator_errors_match_the_interpreter(z4):
@@ -263,6 +287,104 @@ def test_missing_operation_is_rejected_before_the_scan():
     assert naive_check_quasiidentity(q, swap).holds
     with pytest.raises(SignatureMismatch, match="no operation 'g'"):
         check_quasiidentity(q, swap)
+
+
+CONSTANTS_SIG = Signature(ops=(("a", 0), ("b", 0), ("mul", 2)))
+
+
+def test_check_without_variables():
+    alg = FiniteAlgebra(CONSTANTS_SIG, 2,
+                        {"a": (0,), "b": (1,), "mul": (0, 0, 0, 1)})
+    for text, holds in (("a = b", False), ("mul(a, b) = a", True),
+                        ("a = b => mul(b, b) = a", True),
+                        ("mul(b, b) = b => a = b", False)):
+        q = parse_quasiidentity(text, CONSTANTS_SIG)
+        assert q.variable_count == 0
+        result = check_quasiidentity(q, alg)
+        assert result == naive_check_quasiidentity(q, alg)
+        assert result.holds == holds
+        assert result.witness == (None if holds else ())
+
+
+def test_check_with_constants_on_both_sides():
+    # mul is the left projection, so mul(a, x0) = mul(x0, a) says a = x0
+    alg = FiniteAlgebra(CONSTANTS_SIG, 3,
+                        {"a": (1,), "b": (2,),
+                         "mul": tuple(x for x in range(3) for _ in range(3))})
+    for text, witness in (("mul(a, x0) = mul(x0, a)", (0,)),
+                          ("mul(a, b) = mul(a, a)", None),
+                          ("mul(x0, a) = b => mul(b, x1) = mul(x0, b)",
+                           None),
+                          ("mul(b, x0) = mul(x1, a)", (0, 0))):
+        q = parse_quasiidentity(text, CONSTANTS_SIG)
+        result = check_quasiidentity(q, alg)
+        assert result == naive_check_quasiidentity(q, alg)
+        assert result.witness == witness
+
+
+def test_check_with_predicates_in_premises_and_conclusion():
+    mul = tuple(min(a, b) for a in range(4) for b in range(4))
+    preorder = tuple(a // 2 <= b // 2 for a in range(4) for b in range(4))
+    # 0 -> 1 -> 2 -> 3 and every loop, not transitive
+    steps = tuple(b - a in (0, 1) for a in range(4) for b in range(4))
+    transitive = parse_quasiidentity(
+        "leq(x0, x1) & leq(x1, x2) => leq(x0, x2)", PRED_SIG)
+    antisymmetric = parse_quasiidentity(
+        "leq(x0, x1) & leq(x1, mul(x0, x0)) => x0 = x1", PRED_SIG)
+    for leq, witnesses in ((preorder, (None, (0, 1))),
+                           (steps, ((0, 1, 2), None))):
+        alg = FiniteAlgebra(PRED_SIG, 4, {"mul": mul, "e": (0,)},
+                            {"leq": leq})
+        for q, witness in zip((transitive, antisymmetric), witnesses):
+            result = check_quasiidentity(q, alg)
+            assert result == naive_check_quasiidentity(q, alg)
+            assert result.witness == witness
+
+
+def test_check_over_17_elements_indexes_past_255():
+    # addition mod 17 but for one cell at flat index 16 * 17 + 15 = 287
+    n = 17
+    add = [(a + b) % n for a in range(n) for b in range(n)]
+    add[16 * n + 15] = 0
+    alg = FiniteAlgebra(GROUPOID_SIG, n, {"mul": tuple(add)})
+    for text, witness in (("mul(x0, x1) = mul(x1, x0)", (15, 16)),
+                          ("mul(mul(x0, x1), x2) = mul(x0, mul(x1, x2))",
+                           (1, 15, 15))):
+        q = parse_quasiidentity(text, GROUPOID_SIG)
+        result = check_quasiidentity(q, alg)
+        assert result == naive_check_quasiidentity(q, alg)
+        assert result.witness == witness
+    mul = compile_evaluator(parse_term("mul(x0, x1)", GROUPOID_SIG), alg, 2)
+    assert list(mul(assignment_columns(n, 2))) == add
+    assert list(mul([16, tuple(range(n))])) == add[16 * n:]
+
+
+def test_check_finds_a_witness_in_a_late_block():
+    # addition mod 12 and a copy of it that differs at (11, 5)
+    n = 12
+    add = tuple((a + b) % n for a in range(n) for b in range(n))
+    sig = Signature(ops=(("add", 2), ("mul", 2)))
+    alg = FiniteAlgebra(sig, n, {"add": add, "mul": add[:11 * n + 5] + (0,)
+                                 + add[11 * n + 6:]})
+    q = parse_quasiidentity(
+        "add(mul(x0, x3), add(x1, add(x2, x4)))"
+        " = add(add(x0, x3), add(x1, add(x2, x4)))", sig)
+    result = check_quasiidentity(q, alg)
+    assert result == CheckResult(False, (11, 0, 0, 5, 0))
+    # the witness sits 11 * 12**4 + 5 * 12 assignments into the scan
+    assert 11 * n**4 + 5 * n > terms_module._BLOCK_CAP
+    with mock.patch.object(terms_module, "_BLOCK_CAP", 100):
+        assert check_quasiidentity(q, alg) == result
+
+
+def test_satisfaction_mask_matches_the_interpreter(chain3):
+    relations = [parse_formula("meet(x0, x1) = x0", MEET_SIG),
+                 parse_formula("meet(x1, x2) = x1", MEET_SIG)]
+    mask = satisfaction_mask(relations, chain3, 3)
+    assert mask == [
+        all(eval_formula(r, a, chain3) for r in relations)
+        for a in product(range(3), repeat=3)]
+    assert satisfaction_mask([], chain3, 0) == [True]
 
 
 def test_term_key_orders_by_size_first():
