@@ -10,14 +10,21 @@ predicate holds on blocks iff it holds on some choice of representatives
 Con(A) is a sublattice of the partition lattice Eq(A): the join of two
 congruences is their plain partition join, and the whole lattice is the
 join-closure of the principal congruences Cg(a, b) (Freese, Computing
-congruences efficiently, Algebra Universalis 59, 2008).  Enumerating it
-is bounded by a budget on joins.
+congruences efficiently, Algebra Universalis 59, 2008).  By Mal'cev's
+lemma Cg(a, b) is the equivalence generated by the pairs {t(a), t(b)},
+t a composite of basic translations x -> f(c.., x, ..c): the pairs
+reachable from {a, b} in the pair graph.  all_congruences finds every
+principal congruence in one pass over that graph's strongly connected
+components; congruence_generated_by, for one arbitrary set of pairs,
+runs a union-find worklist instead.  Enumerating the lattice is bounded
+by a budget on joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import add
 from typing import Iterable, Sequence
 
 from .algebras import FiniteAlgebra, flat_index, is_homomorphism
@@ -73,12 +80,6 @@ class Congruence:
         inner = ",".join(
             "{" + ",".join(str(x) for x in blk) + "}" for blk in self.blocks())
         return "{" + inner + "}"
-
-
-def _root(parent: Sequence[int], x: int) -> int:
-    while parent[x] != x:
-        x = parent[x]
-    return x
 
 
 def _normalize(parent: Sequence[int]) -> tuple[int, ...]:
@@ -202,15 +203,19 @@ def congruence_generated_by(alg: FiniteAlgebra,
         alg.size, _translation_rows(alg), pairs))
 
 
-def _join_partitions(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    parent = list(x)  # parent[e] <= e, so every walk ends
-    for e, r in enumerate(y):
-        if r != e:
-            a, b = _root(parent, e), _root(parent, r)
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
+def _join_links(block_of: Sequence[int],
+                links: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """block_of of the partition joined with every link (a, b)."""
+    parent = list(block_of)  # parent[e] <= e, so every walk ends
+    for a, b in links:
+        while parent[a] != a:  # path halving keeps parent[a] <= a
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
     return _normalize(parent)
 
 
@@ -224,41 +229,110 @@ def join(theta: Congruence, xi: Congruence) -> Congruence:
     if theta.algebra is not xi.algebra and theta.algebra != xi.algebra:
         raise AlgebraMismatch("join needs congruences of one algebra")
     return Congruence(theta.algebra,
-                      _join_partitions(theta.block_of, xi.block_of))
+                      _join_links(theta.block_of, enumerate(xi.block_of)))
+
+
+def _principal_partitions(n: int, rows: Sequence[Sequence[int]]
+                          ) -> dict[int, tuple[int, ...]]:
+    """block_of of Cg(a, b) for every pair a < b, keyed a * n + b.
+
+    The pair graph has a node per pair a < b and an edge from {a, b} to
+    {f(a), f(b)} per translation row f, collapsed pairs left out; by
+    Mal'cev's lemma Cg(a, b) is the equivalence generated by the pairs
+    reachable from {a, b}.  So every pair of one strongly connected
+    component has the same partition: the join of the component's own
+    pairs with its successor components' partitions.  An iterative
+    Tarjan (SIAM J. Comput. 1, 1972) emits each component after all it
+    reaches, on an explicit stack, so deep graphs need no recursion.
+    """
+    key = [-1 if x == y else min(x, y) * n + max(x, y)
+           for x in range(n) for y in range(n)]
+    scaled = [[r[x] * n for r in rows] for x in range(n)]
+    plain = [[r[x] for r in rows] for x in range(n)]
+    succ = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            out = set(map(key.__getitem__, map(add, scaled[a], plain[b])))
+            out.discard(-1)
+            succ[a * n + b] = tuple(out)
+    order, low, comp = [0] * n * n, [0] * n * n, [-1] * n * n
+    parts, links, stack, count = [], [], [], 0
+    for root in succ:
+        if order[root]:
+            continue
+        frames = [(root, iter(succ[root]), 0)]
+        count = order[root] = low[root] = count + 1
+        stack.append(root)
+        while frames:
+            v, edges, height = frames[-1]
+            for w in edges:
+                if not order[w]:
+                    frames.append((w, iter(succ[w]), len(stack)))
+                    count = order[w] = low[w] = count + 1
+                    stack.append(w)
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]  # w is on the stack: v's component
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = stack[height:]
+                    del stack[height:]
+                    c = len(parts)
+                    for m in members:
+                        comp[m] = c
+                    below = {comp[w] for m in members for w in succ[m]}
+                    below.discard(c)
+                    p = _join_links(range(n), chain(
+                        (divmod(m, n) for m in members),
+                        *(links[d] for d in below)))
+                    parts.append(p)
+                    links.append([(e, r) for e, r in enumerate(p) if r != e])
+    return {k: parts[comp[k]] for k in succ}
 
 
 def all_congruences(alg: FiniteAlgebra, *,
                     budget: int = DEFAULT_LATTICE_BUDGET) -> list[Congruence]:
     """Every congruence, as the join-closure of the principal congruences.
 
-    Every congruence is the join of the principal congruences it
-    contains, so joining each newly found congruence with each distinct
-    principal congruence reaches the whole lattice; two non-principal
-    congruences are never joined.  The translation rows are listed once
-    for all principal congruences, and joins run on plain block_of
-    tuples.  budget bounds the number of joins; past it
-    SearchBudgetExceeded is raised.  Returns the lattice sorted by the
-    canonical partition key.
+    The principal congruences Cg(a, b) come from one pass over the pair
+    graph's strongly connected components (_principal_partitions), not
+    one generation per pair.  Every congruence is the join of the
+    principal congruences it contains, so joining each newly found
+    congruence with each distinct principal congruence reaches the
+    whole lattice; two non-principal congruences are never joined.  A
+    join with a principal that c already contains, seen from c relating
+    its first generating pair, is skipped; any other unions only the
+    principal's non-singleton links into c.  budget bounds the joins,
+    skipped ones included, so the lattice needs (congruences - 1) x
+    (principal congruences) of them; past budget SearchBudgetExceeded
+    is raised.  Returns the lattice sorted by the canonical partition
+    key.
     """
     n = alg.size
-    rows = _translation_rows(alg)
-    generators = list(dict.fromkeys(
-        _generated_partition(n, rows, [(a, b)])
-        for a in range(n) for b in range(a + 1, n)))
-    found = set(generators)
+    principal: dict[tuple[int, ...], tuple[int, int]] = {}
+    for k, p in _principal_partitions(n, _translation_rows(alg)).items():
+        principal.setdefault(p, divmod(k, n))
+    generators = [(a, b, [(e, r) for e, r in enumerate(p) if r != e])
+                  for p, (a, b) in principal.items()]
+    found = set(principal)
     found.add(tuple(range(n)))
-    frontier = generators
+    frontier = list(principal)
     joins = 0
     while frontier:
         fresh = []
         for c in frontier:
-            for p in generators:
+            for a, b, p_links in generators:
                 if joins == budget:
                     raise SearchBudgetExceeded(
                         f"lattice budget of {budget} joins exhausted after "
                         f"{joins} joins with {len(found)} congruences found")
                 joins += 1
-                j = _join_partitions(c, p)
+                if c[a] == c[b]:
+                    continue
+                j = _join_links(c, p_links)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import FlavorMismatch, NoRightUnit, NotLatin
-from .terms import (App, Signature, Term, Var, assignment_columns,
-                    compile_evaluator)
+from .terms import (_BLOCK_CAP, App, Signature, Term, Var,
+                    assignment_columns, compile_evaluator)
 
 QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
 
@@ -245,12 +245,10 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
     back.
     """
     alg = to_algebra(q, "quasigroup")
-    anchors: Sequence[Optional[int]] = [None]
     if flavor == "quasigroup":
         term = App("rdiv", (
             App("mul", (Var(0), App("ldiv", (Var(1), Var(3))))),
             App("ldiv", (Var(2), Var(3)))))
-        anchors = range(q.size)
     elif flavor == "right_eloop":
         if q.right_unit is None:
             raise NoRightUnit("no element e satisfies x*e = x for all x")
@@ -261,26 +259,42 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
         term = App("mul", (App("rdiv", (Var(0), Var(1))), Var(2)))
     else:
         raise FlavorMismatch(f"no explicit form for flavor {flavor!r}")
-    if not all(malcev_identities_hold(alg, term, a) for a in anchors):
+    if not malcev_identities_hold(alg, term,
+                                  every_anchor=flavor == "quasigroup"):
         raise AssertionError("Mal'cev identities fail on a Latin square")
     return term
 
 
 def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
                            anchor: Optional[int] = None,
-                           second_identity: str = "x") -> bool:
+                           second_identity: str = "x", *,
+                           every_anchor: bool = False) -> bool:
     """Whether P(x,x,z) = z and P(x,z,z) = x hold for all x, z, checked
     by the compiled term evaluator over the n**2 columns (x,x,z) and
     (x,z,z).
 
     With an anchor a the term is read as P(x,y,z,a), x3 standing for a.
+    every_anchor checks that form for every element a with one compile:
+    the anchor is a third column, over blocks of at most _BLOCK_CAP
+    positions (one anchor a block once n**2 exceeds it).
     second_identity "z" expects P(x,z,z) = z instead.
     """
-    tail = () if anchor is None else (anchor,)
-    p = compile_evaluator(term, alg, 3 + len(tail))
-    x, z = assignment_columns(alg.size, 2)
+    n = alg.size
+    x, z = assignment_columns(n, 2)
     expected = x if second_identity == "x" else z
-    return p((x, x, z) + tail) == z and p((x, z, z) + tail) == expected
+    if not every_anchor:
+        tail = () if anchor is None else (anchor,)
+        p = compile_evaluator(term, alg, 3 + len(tail))
+        return p((x, x, z) + tail) == z and p((x, z, z) + tail) == expected
+    p = compile_evaluator(term, alg, 4)
+    step = max(1, _BLOCK_CAP // n**2)
+    for start in range(0, n, step):
+        anchors = range(start, min(start + step, n))
+        a = tuple(v for v in anchors for _ in x)
+        xs, zs, want = (col * len(anchors) for col in (x, z, expected))
+        if p((xs, xs, zs, a)) != zs or p((xs, zs, zs, a)) != want:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

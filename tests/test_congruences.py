@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from malcevlab import (FiniteAlgebra, Signature, all_congruences,
                        compose_permute, compose_relation,
-                       congruence_generated_by,
+                       congruence_generated_by, direct_product,
                        find_homomorphisms, find_isomorphism,
                        full_congruence, identity_congruence,
                        is_strong_homomorphism, join, kernel,
                        partition_congruence, quotient,
                        subalgebra_as_algebra)
+from malcevlab.congruences import _principal_partitions, _translation_rows
 from malcevlab.errors import NotStable, SearchBudgetExceeded
 
 from conftest import (chain_semilattice, cyclic_group, klein_group,
@@ -109,6 +111,53 @@ def test_principal_congruence_is_the_least_stable_partition(data):
     least = [x for x in above
              if all(y[e] == y[x[e]] for y in above for e in range(alg.size))]
     assert [congruence_generated_by(alg, [(a, b)]).block_of] == least
+
+
+def principals_by_pair(alg):
+    n = alg.size
+    found = _principal_partitions(n, _translation_rows(alg))
+    assert list(found) == [a * n + b for a in range(n)
+                           for b in range(a + 1, n)]
+    return {divmod(k, n): p for k, p in found.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_component_principals_match_the_worklist(data):
+    alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    for (a, b), p in principals_by_pair(alg).items():
+        assert p == congruence_generated_by(alg, [(a, b)]).block_of
+
+
+def test_component_principals_of_z12_are_subgroup_cosets():
+    # the translations x -> x + c keep a pair's difference up to sign, so
+    # each component is one difference +-d and no edge leaves it
+    z12 = cyclic_group(12)
+    for (a, b), p in principals_by_pair(z12).items():
+        step = gcd(b - a, 12)
+        assert p == tuple(x % step for x in range(12))
+        assert p == congruence_generated_by(z12, [(a, b)]).block_of
+
+
+def test_component_principals_of_a_chain_are_intervals():
+    # x -> min(c, x) sends {a, b} to {a, c} for a < c < b: every component
+    # is one pair, and the components form a DAG down to the adjacent pairs
+    chain = chain_semilattice(6)
+    for (a, b), p in principals_by_pair(chain).items():
+        assert p == tuple(a if a <= x <= b else x for x in range(6))
+        assert p == congruence_generated_by(chain, [(a, b)]).block_of
+
+
+def test_lattice_of_z96_is_fast(deadline):
+    # one union-find worklist per pair a < b takes 13-20 s on Z96
+    deadline(3)
+    assert len(all_congruences(cyclic_group(96))) == 12
+
+
+def test_lattice_of_z2_to_the_fifth_counts_subspaces():
+    z2 = cyclic_group(2)
+    cube = direct_product([z2] * 5)
+    assert len(all_congruences(cube)) == 1 + 31 + 155 + 155 + 31 + 1
 
 
 def test_lattice_sees_every_argument_position_seeded():

@@ -8,8 +8,10 @@ from malcevlab import (QUASIGROUP_SIGNATURE, equasigroup_from_latin,
                        eval_term, latin_square, malcev_polynomial,
                        multiplication_group, parse_term, print_term,
                        rectification_check, to_algebra)
+from malcevlab import quasigroups
 from malcevlab.cli import _closed_under_generators
 from malcevlab.errors import FlavorMismatch, NoRightUnit, NotLatin
+from malcevlab.quasigroups import malcev_identities_hold
 
 from conftest import (UNIT_FREE_ROWS, all_latin_squares, random_square)
 from oracles_local import naive_composition_closure
@@ -168,6 +170,36 @@ def test_malcev_polynomial_on_seeded_larger_squares():
         for _ in range(5):
             q = q_from(random_square(rng, n))
             check_anchored_malcev(q, malcev_polynomial(q))
+
+
+def test_every_anchor_check_matches_one_check_per_anchor(monkeypatch):
+    # with ldiv(x2, mul(x3, x3)) the identities hold at anchor a iff
+    # a * a = a; the wrong variants below fail at scattered (x, z, a).
+    # Caps of 20 and 40 positions give blocks of one to four anchors,
+    # the last one shorter for n = 3
+    idem = parse_term("rdiv(mul(x0, ldiv(x1, x3)), ldiv(x2, mul(x3, x3)))",
+                      QUASIGROUP_SIGNATURE)
+    wrong = [parse_term(text, QUASIGROUP_SIGNATURE) for text in (
+        "mul(mul(x0, ldiv(x1, x3)), ldiv(x3, x2))",
+        "ldiv(mul(x0, rdiv(x3, x1)), rdiv(x3, x2))")]
+    seen = set()
+    for cap in (20, 40):
+        monkeypatch.setattr(quasigroups, "_BLOCK_CAP", cap)
+        for n in (3, 4):
+            for rows in all_latin_squares(n):
+                alg = to_algebra(q_from(rows), "quasigroup")
+                idempotent = [rows[a][a] == a for a in range(n)]
+                assert [malcev_identities_hold(alg, idem, a)
+                        for a in range(n)] == idempotent
+                assert malcev_identities_hold(
+                    alg, idem, every_anchor=True) == all(idempotent)
+                seen.add(tuple(idempotent))
+                for term in wrong:
+                    assert malcev_identities_hold(
+                        alg, term, every_anchor=True) == all(
+                        malcev_identities_hold(alg, term, a)
+                        for a in range(n))
+    assert (False,) * 3 + (True,) in seen and (True,) * 4 in seen
 
 
 # The obvious-looking alternatives fail; these squares witness it and
