@@ -9,9 +9,10 @@ names, when a file provides them, are cosmetic labels only.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, product
-from operator import eq, getitem, le
+from itertools import chain, compress, product
+from operator import add, and_, eq, getitem, le
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -33,6 +34,31 @@ def flat_index(args: Sequence[int], size: int) -> int:
     for a in args:
         idx = idx * size + a
     return idx
+
+
+def _image_positions(phi: Sequence[int], arity: int, size: int):
+    """Flat positions, in a table over 0..size-1, of the images under phi
+    of all argument tuples of the given arity, in lexicographic order."""
+    weights = [[y * size**(arity - 1 - i) for y in phi] for i in range(arity)]
+    return map(sum, product(*weights))
+
+
+def _read_through(table: Sequence, phi: Sequence[int], arity: int, size: int):
+    """table, over 0..size-1, read through phi: its entry at the image
+    under phi of each argument tuple over phi's domain, in lexicographic
+    order."""
+    return map(table.__getitem__, _image_positions(phi, arity, size))
+
+
+def _image_table(table: Sequence[bool], phi: Sequence[int], arity: int,
+                 size: int) -> tuple[bool, ...]:
+    """The image of a predicate table along phi, a map from its carrier
+    into 0..size-1: true at a tuple over 0..size-1 exactly where some
+    tuple mapping onto it is true."""
+    image = [False] * size**arity
+    for position in compress(_image_positions(phi, arity, size), table):
+        image[position] = True
+    return tuple(image)
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,10 @@ def direct_product(factors: Sequence[FiniteAlgebra],
 
     Elements are mixed-radix codes of coordinate tuples (use
     product_encode/product_decode to convert).  Raises SizeOverflow when
-    the carrier would exceed max_product.
+    the carrier would exceed max_product.  Each factor's tables, its
+    operations scaled by its coordinate's place value, are read through
+    the projection onto it: the product's operation tables are their
+    positionwise sums, its predicate tables their conjunctions.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -157,26 +186,24 @@ def direct_product(factors: Sequence[FiniteAlgebra],
         if size > max_product:
             raise SizeOverflow(
                 f"product carrier exceeds {max_product}")
-    sizes = [f.size for f in factors]
-    op_tables = {}
-    for name, arity in sig.ops:
-        table = []
-        for args in product(range(size), repeat=arity):
-            coords = [product_decode(a, sizes) for a in args]
-            value = tuple(
-                f.op_value(name, tuple(c[i] for c in coords))
-                for i, f in enumerate(factors))
-            table.append(product_encode(value, sizes))
-        op_tables[name] = tuple(table)
-    pred_tables = {}
-    for name, arity in sig.preds:
-        table = []
-        for args in product(range(size), repeat=arity):
-            coords = [product_decode(a, sizes) for a in args]
-            table.append(all(
-                f.pred_value(name, tuple(c[i] for c in coords))
-                for i, f in enumerate(factors)))
-        pred_tables[name] = tuple(table)
+    # the sums accumulate in 8-byte arrays: a tuple of partial sums would
+    # hold an int object per entry beside the next one
+    sums = {name: array("q", [0]) * size**arity for name, arity in sig.ops}
+    pred_tables = {name: (True,) * size**arity for name, arity in sig.preds}
+    place = size
+    for f in factors:
+        place //= f.size
+        # the coordinate in f of every product element
+        projection = [c for c in range(f.size) for _ in range(place)] \
+            * (size // (place * f.size))
+        for name, arity in sig.ops:
+            scaled = [v * place for v in f.op_tables[name]]
+            sums[name] = array("q", map(add, sums[name], _read_through(
+                scaled, projection, arity, f.size)))
+        for name, arity in sig.preds:
+            held = _read_through(f.pred_tables[name], projection, arity, f.size)
+            pred_tables[name] = tuple(map(and_, pred_tables[name], held))
+    op_tables = {name: tuple(table) for name, table in sums.items()}
     return FiniteAlgebra(sig, size, op_tables, pred_tables)
 
 
@@ -335,60 +362,54 @@ def generate_subalgebra(alg: FiniteAlgebra, seed: Iterable[int]) -> list[int]:
 
 def subalgebra_as_algebra(alg: FiniteAlgebra, carrier: Sequence[int]) -> FiniteAlgebra:
     """Restrict alg to a closed carrier subset, reindexed to 0..k-1 in
-    carrier order.  Predicates restrict pointwise."""
-    index = {e: i for i, e in enumerate(carrier)}
-    k = len(carrier)
-    op_tables = {}
-    for name, arity in alg.sig.ops:
-        table = []
-        for args in product(carrier, repeat=arity):
-            v = alg.op_value(name, args)
-            if v not in index:
-                raise ValueError("carrier is not closed under operations")
-            table.append(index[v])
-        op_tables[name] = tuple(table)
-    pred_tables = {}
-    for name, arity in alg.sig.preds:
-        pred_tables[name] = tuple(
-            alg.pred_value(name, args) for args in product(carrier, repeat=arity))
+    carrier order: each table is read through the carrier, and operation
+    values are mapped back through its index.  Raises ValueError for an
+    element outside alg's carrier or listed twice, and for a carrier not
+    closed under the operations."""
+    index: dict[int, int] = {}
+    for e in carrier:
+        if not 0 <= e < alg.size:
+            raise ValueError(f"carrier element {e} outside the algebra")
+        if e in index:
+            raise ValueError(f"carrier element {e} listed twice")
+        index[e] = len(index)
+    try:
+        op_tables = {name: tuple(map(index.__getitem__, _read_through(
+            alg.op_tables[name], carrier, arity, alg.size)))
+                     for name, arity in alg.sig.ops}
+    except KeyError:
+        raise ValueError("carrier is not closed under operations") from None
+    pred_tables = {name: tuple(_read_through(
+        alg.pred_tables[name], carrier, arity, alg.size))
+                   for name, arity in alg.sig.preds}
     labels = None
     if alg.labels is not None:
         labels = tuple(alg.labels[e] for e in carrier)
-    return FiniteAlgebra(alg.sig, k, op_tables, pred_tables, labels)
+    return FiniteAlgebra(alg.sig, len(index), op_tables, pred_tables, labels)
 
 
 # ---------------------------------------------------------------------------
 # homomorphisms
-
-def _image_positions(phi: Sequence[int], arity: int, size: int):
-    """Flat positions, in a table over 0..size-1, of the images under phi
-    of all argument tuples of the given arity, in lexicographic order."""
-    weights = [[y * size**(arity - 1 - i) for y in phi] for i in range(arity)]
-    return map(sum, product(*weights))
-
 
 def is_homomorphism(phi: Sequence[int], a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """phi preserves every operation and implies every predicate:
     phi(f(x...)) = f(phi(x)...) and p(x...) true in a forces it in b.
 
     False when phi is not a map from a's carrier into b's.  Walks each
-    of a's tables by position next to the positions of the images of the
-    same argument tuples in b's table."""
+    of a's tables by position next to b's table read through phi."""
     if a.sig != b.sig:
         raise AlgebraMismatch("homomorphisms need a common signature")
     if len(phi) != a.size or not all(0 <= y < b.size for y in phi):
         return False
     image = phi.__getitem__
     for name, arity in a.sig.ops:
-        if not all(map(eq, map(image, a.op_tables[name]),
-                       map(b.op_tables[name].__getitem__,
-                           _image_positions(phi, arity, b.size)))):
+        if not all(map(eq, map(image, a.op_tables[name]), _read_through(
+                b.op_tables[name], phi, arity, b.size))):
             return False
     for name, arity in a.sig.preds:
         # True <= False is the one failing pair: a true tuple, a false image
-        if not all(map(le, a.pred_tables[name],
-                       map(b.pred_tables[name].__getitem__,
-                           _image_positions(phi, arity, b.size)))):
+        if not all(map(le, a.pred_tables[name], _read_through(
+                b.pred_tables[name], phi, arity, b.size))):
             return False
     return True
 
@@ -403,18 +424,13 @@ def is_strong_homomorphism(phi: Sequence[int], a: FiniteAlgebra,
 def _onto_and_reflecting(phi: Sequence[int], a: FiniteAlgebra,
                          b: FiniteAlgebra) -> bool:
     """The part of is_strong_homomorphism after is_homomorphism: phi is
-    onto b and every predicate tuple true in b has a true preimage."""
+    onto b and each of b's predicate tables lies below the image of a's
+    along phi."""
     if set(phi) != set(range(b.size)):
         return False
-    fibers = [[x for x in range(a.size) if phi[x] == y] for y in range(b.size)]
-    for name, arity in b.sig.preds:
-        for args in product(range(b.size), repeat=arity):
-            if b.pred_value(name, args):
-                if not any(
-                        a.pred_value(name, pre)
-                        for pre in product(*(fibers[y] for y in args))):
-                    return False
-    return True
+    return all(all(map(le, b.pred_tables[name], _image_table(
+        a.pred_tables[name], phi, arity, b.size)))
+               for name, arity in b.sig.preds)
 
 
 def _generating_sequence(alg: FiniteAlgebra):
@@ -471,13 +487,14 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
     true one of b.  Nullary operations and predicates are checked in the
     constants' segment.  A failed check prunes every extension of the
     partial map.  The strong condition, when requested, is checked on
-    each complete map.  Each generator is the least element outside
-    what the constants and the earlier generators generate, so the
-    elements below it have their images fixed by earlier choices:
-    trying each generator's images in increasing order finds the maps
-    in lexicographic order, and the search stops once it has limit of
-    them.  Raises SearchBudgetExceeded when b.size ** #generators
-    exceeds the budget.
+    each complete map; between carriers of one size, where a strong map
+    is a bijection, a partial map that is not injective is pruned.
+    Each generator is the least element outside what the constants and
+    the earlier generators generate, so the elements below it have
+    their images fixed by earlier choices: trying each generator's
+    images in increasing order finds the maps in lexicographic order,
+    and the search stops once it has limit of them.  Raises
+    SearchBudgetExceeded when b.size ** #generators exceeds the budget.
     """
     if a.sig != b.sig:
         raise AlgebraMismatch("homomorphisms need a common signature")
@@ -509,6 +526,7 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
                     for name, arity in a.sig.preds if arity]
     phi = [0] * n
     image = phi.__getitem__
+    injective = strong and n == m
 
     def holds(segment: int) -> bool:
         """Map the derived elements of the segment and check the
@@ -516,6 +534,9 @@ def find_homomorphisms(a: FiniteAlgebra, b: FiniteAlgebra, *, strong: bool = Fal
         start, new, derived = segments[segment]
         for x, table, args in derived:
             phi[x] = table[flat_index(map(image, args), m)]
+        end = start + len(new)
+        if injective and len(set(map(image, order[:end]))) < end:
+            return False
         if segment == 0 and (any(
                 phi[a.op_tables[name][0]] != b.op_tables[name][0]
                 for name, arity in a.sig.ops if not arity) or any(

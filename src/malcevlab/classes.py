@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
-from operator import getitem
+from operator import and_, getitem
 from typing import Optional, Sequence
 
 from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, Subpower,
-                       find_homomorphisms, flat_index, is_homomorphism,
-                       is_unitary)
+                       _read_through, find_homomorphisms, flat_index,
+                       is_homomorphism, is_unitary)
 from .errors import (AlgebraMismatch, InputError, SizeOverflow,
                      TrivialClassRankConflict)
 from .terms import Formula, satisfaction_mask
@@ -246,13 +246,29 @@ def _homs_into(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra,
     return [h for h, _ in found], [g for _, g in found]
 
 
+def _forced_table(name: str, arity: int, size: int,
+                  homs: Sequence[Sequence[int]],
+                  targets: Sequence[FiniteAlgebra]) -> list[bool]:
+    """The table, over the common source 0..size-1 of homs, of the
+    predicate that every hom forces: the conjunction, over the homs, of
+    the predicate's table in each hom's target read through it."""
+    table = [True] * size**arity
+    for h, t in zip(homs, targets):
+        table = list(map(and_, table, _read_through(
+            t.pred_tables[name], h, arity, t.size)))
+    return table
+
+
 def replica(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra, *,
             budget: int = DEFAULT_HOM_BUDGET) -> Replica:
     """Image of the source under the diagonal of all homomorphisms.
 
-    Operations descend along the diagonal; predicates hold in the
-    replica exactly when they hold in every coordinate, which is the
-    strongest interpretation making every projection a homomorphism.
+    Operations descend along the diagonal: each table is read through
+    the least source element of every class and mapped by the canonical
+    map.  Predicates hold in the replica exactly when they hold in every
+    coordinate, which is the strongest interpretation making every
+    projection a homomorphism: the table every homomorphism forces
+    (_forced_table), read through the same least elements.
     With no homomorphisms at all the diagonal is the empty tuple and
     the replica is the one-element system.
     """
@@ -260,41 +276,22 @@ def replica(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra, *,
     if source.sig != generators[0].sig:
         raise AlgebraMismatch("source signature differs from the class")
     homs, hom_target = _homs_into(generators, source, budget)
-    diag = [tuple(h[a] for h in homs) for a in range(source.size)]
-    carrier: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
-    for d in diag:
-        if d not in index:
-            index[d] = len(carrier)
-            carrier.append(d)
-    cmap = tuple(index[d] for d in diag)
-    size = len(carrier)
+    cmap = tuple(index.setdefault(tuple(h[a] for h in homs), len(index))
+                 for a in range(source.size))
+    size = len(index)
     reps = [cmap.index(i) for i in range(size)]
-
-    op_tables = {}
-    for name, arity in source.sig.ops:
-        table = []
-        for combo in product(range(size), repeat=arity):
-            args = tuple(reps[c] for c in combo)
-            value = source.op_tables[name][flat_index(args, source.size)]
-            table.append(cmap[value])
-        op_tables[name] = tuple(table)
-    pred_tables = {}
-    for name, arity in source.sig.preds:
-        table = []
-        for combo in product(range(size), repeat=arity):
-            holds = all(
-                t.pred_tables[name][flat_index(
-                    tuple(carrier[c][j] for c in combo), t.size)]
-                for j, t in enumerate(hom_target))
-            table.append(bool(holds))
-        pred_tables[name] = tuple(table)
+    op_tables = {name: tuple(map(cmap.__getitem__, _read_through(
+        source.op_tables[name], reps, arity, source.size)))
+                 for name, arity in source.sig.ops}
+    pred_tables = {name: tuple(_read_through(
+        _forced_table(name, arity, source.size, homs, hom_target),
+        reps, arity, source.size)) for name, arity in source.sig.preds}
     alg = FiniteAlgebra(source.sig, size, op_tables, pred_tables)
     if not is_homomorphism(cmap, source, alg):
         raise AssertionError("canonical map fails to be a homomorphism")
-    for j, t in enumerate(hom_target):
-        proj = tuple(carrier[i][j] for i in range(size))
-        if not is_homomorphism(proj, alg, t):
+    for h, t in zip(homs, hom_target):
+        if not is_homomorphism([h[r] for r in reps], alg, t):
             raise AssertionError("a projection fails to be a homomorphism")
     return Replica(alg, cmap, len(homs))
 
@@ -331,13 +328,14 @@ def membership_in_closure(generators: Sequence[FiniteAlgebra],
             if all(h[a] == h[b] for h in homs):
                 return MembershipReport(False, len(homs),
                                         ("unseparated", a, b))
+    n = candidate.size
     for name, arity in candidate.sig.preds:
-        for combo in product(range(candidate.size), repeat=arity):
-            if candidate.pred_tables[name][flat_index(combo, candidate.size)]:
-                continue
-            if all(t.pred_tables[name][flat_index(
-                    tuple(h[c] for c in combo), t.size)]
-                    for h, t in zip(homs, hom_target)):
+        for position, (must, held) in enumerate(zip(
+                _forced_table(name, arity, n, homs, hom_target),
+                candidate.pred_tables[name])):
+            if must and not held:
+                combo = tuple(position // n**(arity - 1 - i) % n
+                              for i in range(arity))
                 return MembershipReport(False, len(homs),
                                         ("forced_predicate", name, combo))
     return MembershipReport(True, len(homs), None)

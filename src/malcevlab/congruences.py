@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
-from operator import add
+from operator import add, eq
 from typing import Iterable, Sequence
 
-from .algebras import FiniteAlgebra, flat_index, is_homomorphism
+from .algebras import (FiniteAlgebra, _image_table, _read_through,
+                       flat_index, is_homomorphism)
 from .errors import (AlgebraMismatch, NotAHomomorphism, NotStable,
                      SearchBudgetExceeded)
 
@@ -122,20 +123,20 @@ def full_congruence(alg: FiniteAlgebra) -> Congruence:
 
 def is_stable_partition(alg: FiniteAlgebra, block_of: Sequence[int]) -> bool:
     """Does x ~ y force f(..x..) ~ f(..y..) for every operation and context?
-    Checked directly from the definition over all argument tuples."""
-    n = alg.size
+
+    block_of labels each element's block; a label need not name a
+    member.  With rep sending each element to the first element with
+    its label, the partition is stable exactly when f(x) ~ f(rep(x))
+    for every argument tuple x, read coordinatewise: one read of each
+    table through rep."""
+    first: dict[int, int] = {}
+    rep = [first.setdefault(label, x) for x, label in enumerate(block_of)]
+    block = block_of.__getitem__
     for name, arity in alg.sig.ops:
         table = alg.op_tables[name]
-        for args in product(range(n), repeat=arity):
-            v = block_of[table[flat_index(args, n)]]
-            for pos in range(arity):
-                x = args[pos]
-                for y in range(n):
-                    if y == x or block_of[y] != block_of[x]:
-                        continue
-                    alt = args[:pos] + (y,) + args[pos + 1:]
-                    if block_of[table[flat_index(alt, n)]] != v:
-                        return False
+        at_reps = _read_through(table, rep, arity, alg.size)
+        if not all(map(eq, map(block, table), map(block, at_reps))):
+            return False
     return True
 
 
@@ -383,43 +384,27 @@ def non_permuting_pairs(congs: Sequence[Congruence]
 def quotient(alg: FiniteAlgebra, theta: Congruence):
     """Quotient system and the canonical map onto it.
 
-    Blocks are indexed in order of their least elements.  Operations act
-    through representatives and are re-verified to be independent of the
-    choice (NotStable otherwise).  A predicate holds on a block tuple iff
-    it holds for some choice of members, one from each block.
+    Blocks are indexed in order of their least elements.  The partition
+    is checked to be stable first (NotStable otherwise); operations then
+    act through the least members, each table read through them and its
+    values mapped by the canonical map.  A predicate holds on a block
+    tuple iff it holds for some choice of members, one from each block:
+    its table is the image of alg's along the canonical map.
     """
     if theta.algebra is not alg and theta.algebra != alg:
         raise AlgebraMismatch("congruence belongs to a different algebra")
+    if not is_stable_partition(alg, theta.block_of):
+        raise NotStable("partition is not stable under the operations")
     reps = sorted(set(theta.block_of))
     index = {r: i for i, r in enumerate(reps)}
     canonical = tuple(index[r] for r in theta.block_of)
-    k = len(reps)
-    members: list[list[int]] = [[] for _ in range(k)]
-    for x in range(alg.size):
-        members[canonical[x]].append(x)
-    op_tables = {}
-    for name, arity in alg.sig.ops:
-        table = []
-        for blocks_args in product(range(k), repeat=arity):
-            rep_args = tuple(reps[i] for i in blocks_args)
-            value = canonical[alg.op_value(name, rep_args)]
-            # well-definedness: every member choice lands in the same block
-            for choice in product(*(members[i] for i in blocks_args)):
-                if canonical[alg.op_value(name, choice)] != value:
-                    raise NotStable(
-                        f"operation {name!r} not constant on blocks")
-            table.append(value)
-        op_tables[name] = tuple(table)
-    pred_tables = {}
-    for name, arity in alg.sig.preds:
-        table = []
-        for blocks_args in product(range(k), repeat=arity):
-            table.append(any(
-                alg.pred_value(name, choice)
-                for choice in product(*(members[i] for i in blocks_args))))
-        pred_tables[name] = tuple(table)
-    q = FiniteAlgebra(alg.sig, k, op_tables, pred_tables)
-    return q, canonical
+    op_tables = {name: tuple(map(canonical.__getitem__, _read_through(
+        alg.op_tables[name], reps, arity, alg.size)))
+                 for name, arity in alg.sig.ops}
+    pred_tables = {name: _image_table(alg.pred_tables[name], canonical,
+                                      arity, len(reps))
+                   for name, arity in alg.sig.preds}
+    return FiniteAlgebra(alg.sig, len(reps), op_tables, pred_tables), canonical
 
 
 def kernel(phi: Sequence[int], a: FiniteAlgebra, b: FiniteAlgebra) -> Congruence:
@@ -429,10 +414,5 @@ def kernel(phi: Sequence[int], a: FiniteAlgebra, b: FiniteAlgebra) -> Congruence
     if not is_homomorphism(phi, a, b):
         raise NotAHomomorphism("kernel of a non-homomorphism")
     first: dict[int, int] = {}
-    block_of = []
-    for x in range(a.size):
-        y = phi[x]
-        if y not in first:
-            first[y] = x
-        block_of.append(first[y])
-    return Congruence(a, tuple(block_of))
+    return Congruence(a, tuple(first.setdefault(y, x)
+                               for x, y in enumerate(phi)))

@@ -13,11 +13,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
-                       Quasiidentity, TranslationGroup, eval_formula,
-                       flat_index, is_stable_partition, is_unitary)
+                       MembershipReport, Quasiidentity, Replica,
+                       TranslationGroup, eval_formula, flat_index, is_unitary,
+                       product_decode, product_encode)
 from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
-                              InputError, SearchBudgetExceeded, SizeBound,
-                              SizeOverflow, TrivialClassRankConflict)
+                              InputError, NotStable, SearchBudgetExceeded,
+                              SizeBound, SizeOverflow,
+                              TrivialClassRankConflict)
 from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET,
                               DEFAULT_TABLE_BUDGET)
 from malcevlab.terms import App, Formula, Term, Var
@@ -48,12 +50,33 @@ def _partitions(n: int):
     yield from rec(1, 0)
 
 
+def naive_is_stable_partition(alg: FiniteAlgebra,
+                              block_of: Sequence[int]) -> bool:
+    """is_stable_partition from the definition: at every argument tuple
+    and position, replacing the argument by each other member of its
+    block keeps the value in the same block."""
+    n = alg.size
+    for name, arity in alg.sig.ops:
+        table = alg.op_tables[name]
+        for args in product(range(n), repeat=arity):
+            v = block_of[table[flat_index(args, n)]]
+            for pos in range(arity):
+                x = args[pos]
+                for y in range(n):
+                    if y == x or block_of[y] != block_of[x]:
+                        continue
+                    alt = args[:pos] + (y,) + args[pos + 1:]
+                    if block_of[table[flat_index(alt, n)]] != v:
+                        return False
+    return True
+
+
 def all_stable_partitions(alg: FiniteAlgebra) -> list[Congruence]:
     """Brute-force congruence enumeration: filter every partition of the
     carrier by stability."""
     out = []
     for block_of in _partitions(alg.size):
-        if is_stable_partition(alg, block_of):
+        if naive_is_stable_partition(alg, block_of):
             out.append(Congruence(alg, block_of))
     out.sort(key=lambda c: c.block_of)
     return out
@@ -652,3 +675,152 @@ def naive_presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
     alg = FiniteAlgebra(sig, size, op_tables, pred_tables)
     return FreeAlgebra(alg, rank, tuple(gen_images), tuple(factors),
                        tuple(elements), tuple(steps), relations)
+
+
+def naive_direct_product(factors: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
+    """direct_product tuple by tuple: decode each argument into its
+    coordinates, apply every factor's table (op_value, pred_value) and
+    encode the value tuple."""
+    sig = factors[0].sig
+    sizes = [f.size for f in factors]
+    size = 1
+    for s in sizes:
+        size *= s
+    op_tables = {}
+    for name, arity in sig.ops:
+        table = []
+        for args in product(range(size), repeat=arity):
+            coords = [product_decode(a, sizes) for a in args]
+            value = tuple(
+                f.op_value(name, tuple(c[i] for c in coords))
+                for i, f in enumerate(factors))
+            table.append(product_encode(value, sizes))
+        op_tables[name] = tuple(table)
+    pred_tables = {}
+    for name, arity in sig.preds:
+        table = []
+        for args in product(range(size), repeat=arity):
+            coords = [product_decode(a, sizes) for a in args]
+            table.append(all(
+                f.pred_value(name, tuple(c[i] for c in coords))
+                for i, f in enumerate(factors)))
+        pred_tables[name] = tuple(table)
+    return FiniteAlgebra(sig, size, op_tables, pred_tables)
+
+
+def naive_subalgebra_as_algebra(alg: FiniteAlgebra,
+                                carrier: Sequence[int]) -> FiniteAlgebra:
+    """subalgebra_as_algebra for a carrier of distinct elements of alg,
+    applying op_value and pred_value to every tuple over the carrier."""
+    index = {e: i for i, e in enumerate(carrier)}
+    op_tables = {}
+    for name, arity in alg.sig.ops:
+        table = []
+        for args in product(carrier, repeat=arity):
+            v = alg.op_value(name, args)
+            if v not in index:
+                raise ValueError("carrier is not closed under operations")
+            table.append(index[v])
+        op_tables[name] = tuple(table)
+    pred_tables = {
+        name: tuple(alg.pred_value(name, args)
+                    for args in product(carrier, repeat=arity))
+        for name, arity in alg.sig.preds}
+    labels = None
+    if alg.labels is not None:
+        labels = tuple(alg.labels[e] for e in carrier)
+    return FiniteAlgebra(alg.sig, len(carrier), op_tables, pred_tables,
+                         labels)
+
+
+def naive_quotient(alg: FiniteAlgebra, theta: Congruence):
+    """quotient by choosing members: an operation's value on blocks is
+    its value at the least members, and every other choice of members
+    must land in the same block (NotStable otherwise); a predicate holds
+    on blocks when it holds at some choice of members."""
+    reps = sorted(set(theta.block_of))
+    index = {r: i for i, r in enumerate(reps)}
+    canonical = tuple(index[r] for r in theta.block_of)
+    k = len(reps)
+    members: list[list[int]] = [[] for _ in range(k)]
+    for x in range(alg.size):
+        members[canonical[x]].append(x)
+    op_tables = {}
+    for name, arity in alg.sig.ops:
+        table = []
+        for blocks_args in product(range(k), repeat=arity):
+            rep_args = tuple(reps[i] for i in blocks_args)
+            value = canonical[alg.op_value(name, rep_args)]
+            for choice in product(*(members[i] for i in blocks_args)):
+                if canonical[alg.op_value(name, choice)] != value:
+                    raise NotStable(
+                        f"operation {name!r} not constant on blocks")
+            table.append(value)
+        op_tables[name] = tuple(table)
+    pred_tables = {}
+    for name, arity in alg.sig.preds:
+        pred_tables[name] = tuple(
+            any(alg.pred_value(name, choice)
+                for choice in product(*(members[i] for i in blocks_args)))
+            for blocks_args in product(range(k), repeat=arity))
+    return FiniteAlgebra(alg.sig, k, op_tables, pred_tables), canonical
+
+
+def _naive_homs_into(generators, source):
+    """Every homomorphism from source into each generator in turn, by
+    generate and test, beside the generator it maps into."""
+    return [(h, g) for g in generators
+            for h in naive_find_homomorphisms(source, g)]
+
+
+def naive_replica(generators: Sequence[FiniteAlgebra],
+                  source: FiniteAlgebra) -> Replica:
+    """replica tuple by tuple: the carrier is the set of diagonal
+    tuples, operations act through the least source element of each,
+    and a predicate holds at a tuple of diagonal tuples when it holds
+    in every coordinate's target."""
+    found = _naive_homs_into(generators, source)
+    diag = [tuple(h[a] for h, _ in found) for a in range(source.size)]
+    carrier: list[tuple[int, ...]] = []
+    for d in diag:
+        if d not in carrier:
+            carrier.append(d)
+    cmap = tuple(carrier.index(d) for d in diag)
+    size = len(carrier)
+    reps = [cmap.index(i) for i in range(size)]
+    op_tables = {
+        name: tuple(cmap[source.op_value(name, tuple(reps[c] for c in combo))]
+                    for combo in product(range(size), repeat=arity))
+        for name, arity in source.sig.ops}
+    pred_tables = {
+        name: tuple(all(t.pred_value(name, tuple(carrier[c][j]
+                                                 for c in combo))
+                        for j, (_, t) in enumerate(found))
+                    for combo in product(range(size), repeat=arity))
+        for name, arity in source.sig.preds}
+    alg = FiniteAlgebra(source.sig, size, op_tables, pred_tables)
+    return Replica(alg, cmap, len(found))
+
+
+def naive_membership_in_closure(generators: Sequence[FiniteAlgebra],
+                                candidate: FiniteAlgebra
+                                ) -> MembershipReport:
+    """membership_in_closure tuple by tuple: the first pair no
+    homomorphism separates, else the first tuple, in lexicographic
+    order, false in the candidate and true at its image in every
+    homomorphism's target."""
+    found = _naive_homs_into(generators, candidate)
+    n = candidate.size
+    for a in range(n):
+        for b in range(a + 1, n):
+            if all(h[a] == h[b] for h, _ in found):
+                return MembershipReport(False, len(found),
+                                        ("unseparated", a, b))
+    for name, arity in candidate.sig.preds:
+        for combo in product(range(n), repeat=arity):
+            if not candidate.pred_value(name, combo) and all(
+                    t.pred_value(name, tuple(h[c] for c in combo))
+                    for h, t in found):
+                return MembershipReport(False, len(found),
+                                        ("forced_predicate", name, combo))
+    return MembershipReport(True, len(found), None)

@@ -1,7 +1,7 @@
 """Finite systems: products, subalgebras, homomorphisms, isomorphisms."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +21,10 @@ from malcevlab.errors import (EmptyUngeneratable, MalcevLabError,
 from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
                       klein_group, random_algebra, signatures,
                       symmetric_group_3, systems)
-from oracles_local import (naive_find_homomorphisms, naive_find_isomorphism,
-                           naive_generate_subalgebra, naive_generating_sequence,
-                           naive_is_homomorphism)
+from oracles_local import (naive_direct_product, naive_find_homomorphisms,
+                           naive_find_isomorphism, naive_generate_subalgebra,
+                           naive_generating_sequence, naive_is_homomorphism,
+                           naive_subalgebra_as_algebra)
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -95,6 +96,22 @@ def test_direct_product_size_bound():
     z10 = cyclic_group(10)
     with pytest.raises(SizeOverflow):
         direct_product([z10] * 7)
+
+
+@st.composite
+def families(draw):
+    """One to three systems over one signature drawn by signatures(),
+    their product at most 16 elements."""
+    sig = draw(signatures(max_arity=3))
+    count = draw(st.integers(1, 3))
+    return [draw(systems(sig, max_size=(4, 4, 2)[count - 1]))
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_direct_product_matches_the_tuple_by_tuple_product(factors):
+    assert direct_product(factors) == naive_direct_product(factors)
 
 
 def test_generate_subalgebra_known_values(z6):
@@ -228,6 +245,29 @@ def test_subalgebra_as_algebra_restricts_tables(z6):
     assert sub.op_value("mul", (1, 2)) == 0
     iso = find_isomorphism(sub, cyclic_group(3))
     assert iso is not None
+
+
+@pytest.mark.parametrize("carrier, message", [
+    ([0, 3, 3], "element 3 listed twice"),
+    ([0, -3], "element -3 outside"),
+    ([0, 6], "element 6 outside")])
+def test_subalgebra_as_algebra_rejects_bad_carriers(z6, carrier, message):
+    with pytest.raises(ValueError, match=message):
+        subalgebra_as_algebra(z6, carrier)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subalgebra_as_algebra_matches_the_tuple_by_tuple_restriction(data):
+    """On subuniverses in any order, and on random sets of distinct
+    elements, mostly not closed."""
+    alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    elements = st.integers(0, alg.size - 1)
+    seed = data.draw(st.lists(elements, min_size=1, unique=True))
+    carrier = data.draw(st.permutations(generate_subalgebra(alg, seed))
+                        | st.lists(elements, unique=True))
+    assert outcome(subalgebra_as_algebra, alg, carrier) == \
+        outcome(naive_subalgebra_as_algebra, alg, carrier)
 
 
 def test_is_homomorphism_hand_cases(z4, z2):
@@ -462,6 +502,21 @@ def test_find_isomorphism_stops_at_the_least_isomorphism(deadline):
     deadline(5)
     a = FiniteAlgebra(UNARY_PRED_SIG, 7, {}, {"p": (True,) * 7})
     assert find_isomorphism(a, a) == tuple(range(7))
+
+
+def test_strong_search_prunes_maps_that_are_not_injective(deadline):
+    """Between carriers of one size a strong map is a bijection.  All
+    7^7 maps of the all-true system to itself are homomorphisms, its 7!
+    permutations the strong ones; walking every map takes seconds."""
+    deadline(2)
+    a = FiniteAlgebra(UNARY_PRED_SIG, 7, {}, {"p": (True,) * 7})
+    assert find_homomorphisms(a, a, strong=True) == \
+        list(permutations(range(7)))
+    one = FiniteAlgebra(UNARY_PRED_SIG, 7, {}, {"p": (True,) + (False,) * 6})
+    two = FiniteAlgebra(UNARY_PRED_SIG, 7, {},
+                        {"p": (True, True) + (False,) * 5})
+    for x, y in ((one, two), (two, one), (two, two)):
+        assert find_isomorphism(x, y) == naive_find_isomorphism(x, y)
 
 
 def test_find_isomorphism_distinguishes_z4_from_klein():

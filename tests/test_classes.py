@@ -19,7 +19,8 @@ from malcevlab.errors import (AlgebraMismatch, MalcevLabError,
 
 from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
                       formulas, klein_group, signatures, systems)
-from oracles_local import naive_presented_algebra
+from oracles_local import (naive_membership_in_closure,
+                           naive_presented_algebra, naive_replica)
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -207,6 +208,26 @@ def test_every_member_embeds_via_its_replica(chain2, chain3):
     rep = replica([chain2], chain3)
     # injective canonical map realizes the embedding claimed by member
     assert len(set(rep.canonical_map)) == chain3.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_replica_and_membership_match_the_tuple_by_tuple_oracles(data):
+    """The replica and the membership verdict and witness, with a
+    candidate drawn at random or as a generator with some predicate
+    tuples switched off, so that forced predicates occur."""
+    sig = data.draw(signatures(max_arity=3))
+    generators = data.draw(st.lists(systems(sig), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        source = data.draw(systems(sig))
+    else:
+        g = data.draw(st.sampled_from(generators))
+        source = FiniteAlgebra(sig, g.size, g.op_tables, {
+            name: tuple(v and data.draw(st.booleans()) for v in table)
+            for name, table in g.pred_tables.items()})
+    assert replica(generators, source) == naive_replica(generators, source)
+    assert membership_in_closure(generators, source) == \
+        naive_membership_in_closure(generators, source)
 
 
 def outcome(construct, *args, **kwargs):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malcevlab import (FiniteAlgebra, Signature, all_congruences,
-                       compose_permute, compose_relation,
+from malcevlab import (Congruence, FiniteAlgebra, Signature,
+                       all_congruences, compose_permute, compose_relation,
                        congruence_generated_by, direct_product,
                        find_homomorphisms, find_isomorphism,
                        full_congruence, identity_congruence,
-                       is_strong_homomorphism, join, kernel,
-                       partition_congruence, quotient,
+                       is_stable_partition, is_strong_homomorphism, join,
+                       kernel, partition_congruence, quotient,
                        subalgebra_as_algebra)
 from malcevlab.congruences import _principal_partitions, _translation_rows
 from malcevlab.errors import NotStable, SearchBudgetExceeded
@@ -22,7 +22,8 @@ from malcevlab.errors import NotStable, SearchBudgetExceeded
 from conftest import (chain_semilattice, cyclic_group, klein_group,
                       random_algebra, signatures, small_algebras,
                       symmetric_group_3, systems, tangle5)
-from oracles_local import all_stable_partitions, relation_is_congruence
+from oracles_local import (all_stable_partitions, naive_is_stable_partition,
+                           naive_quotient, relation_is_congruence)
 
 
 def blocks_of(c):
@@ -280,6 +281,47 @@ def test_quotient_predicate_holds_when_some_member_pair_does():
     # only downward: block-of-2 meets block-of-1 via 1 <= 2 existentially
     assert q.pred_value("leq", (canonical[1], canonical[2]))
     assert not q.pred_value("leq", (canonical[2], canonical[1]))
+
+
+def quotient_or_unstable(construct, alg, theta):
+    """The quotient and canonical map, or NotStable."""
+    try:
+        return construct(alg, theta)
+    except NotStable:
+        return NotStable
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quotient_matches_the_member_choice_quotient(data):
+    """By congruences and by random, mostly unstable, partitions."""
+    alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    labels = data.draw(st.lists(st.integers(0, alg.size - 1),
+                                min_size=alg.size, max_size=alg.size))
+    first = {}
+    partition = Congruence(alg, tuple(first.setdefault(label, x)
+                                      for x, label in enumerate(labels)))
+    theta = data.draw(st.sampled_from(all_congruences(alg) + [partition]))
+    assert quotient_or_unstable(quotient, alg, theta) == \
+        quotient_or_unstable(naive_quotient, alg, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_stable_partition_matches_the_definition(data):
+    """On random labellings, whose labels need not name a member of
+    their block."""
+    alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    labels = data.draw(st.lists(st.integers(-1, alg.size + 1),
+                                min_size=alg.size, max_size=alg.size))
+    assert is_stable_partition(alg, labels) == \
+        naive_is_stable_partition(alg, labels)
+
+
+def test_stability_does_not_read_through_the_labels(z4):
+    # label 3 names the block {0, 2} and label 1 the block {1, 3}
+    assert is_stable_partition(z4, (3, 1, 3, 1))
+    assert not is_stable_partition(z4, (3, 3, 1, 1))
 
 
 def test_kernel_of_mod_two_map(z4, z2):
