@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, product
+from itertools import chain, compress, product, starmap
 from operator import add, and_, eq, getitem, le
 from typing import Iterable, Optional, Sequence
 
@@ -39,8 +39,10 @@ def flat_index(args: Sequence[int], size: int) -> int:
 def _image_positions(phi: Sequence[int], arity: int, size: int):
     """Flat positions, in a table over 0..size-1, of the images under phi
     of all argument tuples of the given arity, in lexicographic order."""
-    weights = [[y * size**(arity - 1 - i) for y in phi] for i in range(arity)]
-    return map(sum, product(*weights))
+    positions = [0]
+    for place in [size**i for i in reversed(range(arity))]:
+        positions = starmap(add, product(positions, [y * place for y in phi]))
+    return positions
 
 
 def _read_through(table: Sequence, phi: Sequence[int], arity: int, size: int):

@@ -27,16 +27,14 @@ import os
 import re
 import sys
 import time
-from typing import Optional
+from dataclasses import replace
 
 from .algebras import (FiniteAlgebra, _read_through, find_homomorphisms,
-                       generate_subalgebra, is_homomorphism,
-                       is_strong_homomorphism)
+                       generate_subalgebra, is_strong_homomorphism)
 from .classes import (free_algebra, membership_in_closure, presented_algebra,
                       replica, verify_universal_property)
-from .congruences import (DEFAULT_LATTICE_BUDGET, all_congruences,
-                          is_stable_partition, non_permuting_pairs,
-                          partition_congruence, quotient)
+from .congruences import (Congruence, all_congruences, is_stable_partition,
+                          non_permuting_pairs, quotient)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (load_algebra, load_class, load_signature,
@@ -49,8 +47,8 @@ from .terms import (check_quasiidentity, eval_formula, eval_term,
                     parse_term, print_term, term_depth, term_size,
                     term_vars)
 
-# default --max-product for homomorphism searches; construction commands
-# fall back to the class file's size bound instead
+# default --max-product for map searches, check assignments, lattice joins
+# and congruence pairs; free and present default to the class's size_bound
 MAP_SEARCH_BUDGET = 1_000_000
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,8 @@ def _load_sig(path: str, inputs: dict[str, str]):
     return load_signature(path)
 
 
-def _load_cls(path: str, inputs: dict[str, str]):
+def _load_cls(path: str, inputs: dict[str, str], size_bound=None):
+    """The class file, members digested; size_bound overrides the file's."""
     _digest(path, inputs)
     cls = load_class(path)
     base = os.path.dirname(os.path.abspath(path))
@@ -86,7 +85,7 @@ def _load_cls(path: str, inputs: dict[str, str]):
             resolved = os.path.join(base, member)
             name = os.path.join(os.path.dirname(path), member)
         _digest(resolved, inputs, name)
-    return cls
+    return cls if size_bound is None else replace(cls, size_bound=size_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +109,9 @@ def _assignment(text: str, alg: FiniteAlgebra) -> list[int]:
     return values
 
 
-def _partition(text: str, size: int) -> list[list[int]]:
-    """Parse a partition written as ``{{0,2},{1,3}}`` or ``0 2 | 1 3``."""
+def _partition(text: str, size: int) -> tuple[int, ...]:
+    """Parse a partition written as ``{{0,2},{1,3}}`` or ``0 2 | 1 3``
+    into the least member of each element's block."""
     if "{" in text:
         compact = "".join(text.split())
         if not re.fullmatch(r"\{\{[^{}]*\}(,\{[^{}]*\})*\}", compact):
@@ -121,24 +121,23 @@ def _partition(text: str, size: int) -> list[list[int]]:
         chunks = re.findall(r"\{([^{}]*)\}", compact)
     else:
         chunks = text.split("|")
-    blocks = []
-    seen: set[int] = set()
+    block_of = [-1] * size
     for chunk in chunks:
         block = _ints(chunk, "partition elements")
         if not block:
             raise InputError("empty block in partition")
+        least = min(block)
         for x in block:
             if not (0 <= x < size):
                 raise InputError(
                     f"partition element {x} outside carrier 0..{size - 1}")
-            if x in seen:
+            if block_of[x] != -1:
                 raise InputError(f"element {x} appears in two blocks")
-            seen.add(x)
-        blocks.append(block)
-    if len(seen) != size:
-        missing = sorted(set(range(size)) - seen)
+            block_of[x] = least
+    missing = [x for x, r in enumerate(block_of) if r == -1]
+    if missing:
         raise InputError(f"partition misses elements {missing}")
-    return blocks
+    return tuple(block_of)
 
 
 def _square(alg: FiniteAlgebra) -> LatinSquare:
@@ -162,12 +161,6 @@ def _mul_name(alg: FiniteAlgebra) -> str:
 def _rows(alg: FiniteAlgebra, name: str) -> list[tuple[int, ...]]:
     n, table = alg.size, alg.op_tables[name]
     return [table[r * n:(r + 1) * n] for r in range(n)]
-
-
-def _effective_cap(args) -> Optional[int]:
-    if args.max_size is None or args.max_size <= 0:
-        return None
-    return args.max_size
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +229,11 @@ def _cmd_check(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     q = parse_quasiidentity(args.formula, alg.sig)
     total = alg.size**q.variable_count
-    budget = args.max_product if args.max_product else MAP_SEARCH_BUDGET
-    if total > budget:
+    if total > args.max_product:
         raise SearchBudgetExceeded(
             f"{total} assignments over {q.variable_count} variables exceed "
-            f"the assignment budget of {budget}; a larger --max-product "
-            f"raises it")
+            f"the assignment budget of {args.max_product}; a larger "
+            f"--max-product raises it")
     outcome = check_quasiidentity(q, alg)
     if outcome.holds:
         summary = f"holds over all {total} assignments"
@@ -293,8 +285,8 @@ def _cmd_subalg(args, inputs):
 def _cmd_homs(args, inputs):
     a = _load_alg(args.source, inputs)
     b = _load_alg(args.target, inputs)
-    budget = args.max_product if args.max_product else MAP_SEARCH_BUDGET
-    maps = find_homomorphisms(a, b, strong=args.strong, budget=budget)
+    maps = find_homomorphisms(a, b, strong=args.strong,
+                              budget=args.max_product)
     annotated = [{"map": list(m), "strong": is_strong_homomorphism(m, a, b)}
                  for m in maps]
     strong_count = sum(1 for m in annotated if m["strong"])
@@ -313,15 +305,10 @@ def _cmd_homs(args, inputs):
     return result, checks, bool(maps)
 
 
-def _lattice_budget(args) -> int:
-    return args.max_product if args.max_product else DEFAULT_LATTICE_BUDGET
-
-
 def _lattice(args, alg):
     """all_congruences with --max-product as its join budget."""
-    budget = _lattice_budget(args)
     try:
-        return all_congruences(alg, budget=budget)
+        return all_congruences(alg, budget=args.max_product)
     except SearchBudgetExceeded as exc:
         raise SearchBudgetExceeded(
             f"{exc}; a larger --max-product raises it") from None
@@ -350,11 +337,10 @@ def _cmd_permutable(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     congs = _lattice(args, alg)
     pair_count = len(congs) * (len(congs) - 1) // 2
-    budget = _lattice_budget(args)
-    if pair_count > budget:
+    if pair_count > args.max_product:
         raise SearchBudgetExceeded(
             f"{pair_count} congruence pairs exceed the pair budget of "
-            f"{budget}; a larger --max-product raises it")
+            f"{args.max_product}; a larger --max-product raises it")
     bad = [{"theta": str(theta), "xi": str(xi)}
            for theta, xi in non_permuting_pairs(congs)]
     if bad:
@@ -375,14 +361,12 @@ def _cmd_permutable(args, inputs):
 
 def _cmd_quotient(args, inputs):
     alg = _load_alg(args.algebra, inputs)
-    blocks = _partition(args.by, alg.size)
-    theta = partition_congruence(alg, blocks)
+    # quotient checks stability itself (NotStable), so the partition is not
+    # checked first through partition_congruence
+    theta = Congruence(alg, _partition(args.by, alg.size))
     q, canonical = quotient(alg, theta)
-    if not is_homomorphism(canonical, alg, q):  # pragma: no cover
-        raise AssertionError("canonical map is not a homomorphism")
-    strong = is_strong_homomorphism(canonical, alg, q)
-    if not strong:  # pragma: no cover
-        raise AssertionError("canonical map is not strong")
+    if not is_strong_homomorphism(canonical, alg, q):  # pragma: no cover
+        raise AssertionError("canonical map is not a strong homomorphism")
     result = {
         "summary": f"quotient has {q.size} elements",
         "size": q.size,
@@ -414,7 +398,7 @@ def _search_budget_error(res, depth: int, cap_note: str):
 def _cmd_malcev(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     from .malcev import malcev_search
-    cap = _effective_cap(args)
+    cap = args.max_size
     res = malcev_search(alg, args.depth, max_term_size=cap)
     cap_note = f" and size <= {cap}" if cap is not None else ""
     if res.term is not None:
@@ -454,7 +438,7 @@ def _cmd_malcev(args, inputs):
 def _cmd_biternary(args, inputs):
     alg = _load_alg(args.algebra, inputs)
     from .malcev import detect_biternary
-    cap = _effective_cap(args)
+    cap = args.max_size
     res = detect_biternary(alg, args.depth, max_term_size=cap)
     cap_note = f" and size <= {cap}" if cap is not None else ""
     if res.pair is not None:
@@ -631,9 +615,8 @@ def _cmd_qg_rectify(args, inputs):
 
 
 def _cmd_free(args, inputs):
-    cls = _load_cls(args.cls, inputs)
-    bound = args.max_product if args.max_product else cls.size_bound
-    fr = free_algebra(cls.algebras, args.rank, size_bound=bound)
+    cls = _load_cls(args.cls, inputs, args.max_product)
+    fr = free_algebra(cls.algebras, args.rank, size_bound=cls.size_bound)
     result = {
         "summary": f"free algebra of rank {args.rank} over "
                    f"{len(cls.algebras)} generators has "
@@ -662,7 +645,7 @@ def _cmd_free(args, inputs):
 
 
 def _cmd_present(args, inputs):
-    cls = _load_cls(args.cls, inputs)
+    cls = _load_cls(args.cls, inputs, args.max_product)
     sig = cls.algebras[0].sig
     relations = []
     for text in args.relation or []:
@@ -673,9 +656,8 @@ def _cmd_present(args, inputs):
                 f"relation {text!r} uses x{max(bad)} but the rank is "
                 f"{args.rank}")
         relations.append(rel)
-    bound = args.max_product if args.max_product else cls.size_bound
     fr = presented_algebra(cls.algebras, args.rank, relations,
-                           size_bound=bound)
+                           size_bound=cls.size_bound)
     result = {
         "summary": f"presented algebra of rank {args.rank} with "
                    f"{len(relations)} relations has "
@@ -707,8 +689,7 @@ def _cmd_present(args, inputs):
 def _cmd_replica(args, inputs):
     cls = _load_cls(args.cls, inputs)
     source = _load_alg(args.algebra, inputs)
-    budget = args.max_product if args.max_product else MAP_SEARCH_BUDGET
-    rep = replica(cls.algebras, source, budget=budget)
+    rep = replica(cls.algebras, source, budget=args.max_product)
     result = {
         "summary": f"replica has {rep.algebra.size} elements, separated "
                    f"by {rep.hom_count} homomorphisms",
@@ -730,8 +711,8 @@ def _cmd_replica(args, inputs):
 def _cmd_member(args, inputs):
     cls = _load_cls(args.cls, inputs)
     candidate = _load_alg(args.algebra, inputs)
-    budget = args.max_product if args.max_product else MAP_SEARCH_BUDGET
-    report = membership_in_closure(cls.algebras, candidate, budget=budget)
+    report = membership_in_closure(cls.algebras, candidate,
+                                   budget=args.max_product)
     if report.member:
         summary = (f"member of the generated class "
                    f"({report.hom_count} homomorphisms separate all points)")
@@ -768,160 +749,170 @@ def _cmd_member(args, inputs):
 # parser and report plumbing
 
 
+def _at_least(low: int, zero=0):
+    """An argparse type: an integer no less than low, with 0 read as zero."""
+    def integer(text: str):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value if value else zero
+    return integer
+
+
+# the options beyond --format and --assert, each declared once with its
+# range and default; a command takes only those its handler reads
+_OPTIONS = {
+    "depth": ("--depth", dict(
+        type=_at_least(0), default=4, metavar="D",
+        help="composition depth bound for the search (default 4)")),
+    "max_size": ("--max-size", dict(
+        type=_at_least(0, zero=None), default=8, metavar="S",
+        help="term size cap for the search; 0 removes the cap (default 8)")),
+    "budget": ("--max-product", dict(
+        type=_at_least(1), default=MAP_SEARCH_BUDGET, metavar="N",
+        help="budget of candidate maps, check assignments, lattice joins "
+             "and congruence pairs (default 1000000)")),
+    "size_bound": ("--max-product", dict(
+        type=_at_least(1), default=None, metavar="N",
+        help="bound on generator assignments and elements (default: the "
+             "class file's size_bound)")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--depth", type=int, default=4, metavar="D",
-        help="composition depth bound for searches (default 4)")
-    common.add_argument(
-        "--max-size", type=int, default=8, metavar="S",
-        help="term size cap for searches; 0 removes the cap (default 8)")
-    common.add_argument(
-        "--max-product", type=int, default=None, metavar="N",
-        help="bound on constructed widths and search budgets; overrides a "
-             "class file's size_bound (default 1000000 for map searches, "
-             "check assignments, congruence-lattice joins and congruence "
-             "pairs)")
-    common.add_argument(
+    # shared by every command: a parent adds its actions without rebuilding
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="machine prints deterministic JSON with no timing data")
-    common.add_argument(
+    output.add_argument(
         "--assert", dest="assert_flag", action="store_true",
         help="exit 1 when the checked property does not hold")
+
+    def command(sub, name: str, handler, help: str, *options: str):
+        """A leaf command with --format, --assert and the named _OPTIONS."""
+        p = sub.add_parser(name, help=help, parents=[output])
+        p.set_defaults(handler=handler)
+        for option in options:
+            flag, spec = _OPTIONS[option]
+            p.add_argument(flag, **spec)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="malcev-lab",
         description="workbench for finite algebraic systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common],
-                       help="parse and canonically print a term or formula")
+    p = command(sub, "parse", _cmd_parse,
+                "parse and canonically print a term or formula")
     p.add_argument("text", help="the text to parse")
     p.add_argument("--sig", required=True, help="signature file (.sig)")
     p.add_argument("--kind", choices=("term", "formula", "quasiidentity"),
                    default="term")
-    p.set_defaults(handler=_cmd_parse)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a term under an assignment")
+    p = command(sub, "eval", _cmd_eval, "evaluate a term under an assignment")
     p.add_argument("algebra", help="algebra file (.alg)")
     p.add_argument("term", help="term text over the algebra's signature")
     p.add_argument("--at", required=True, metavar="VALUES",
                    help="comma separated values for x0, x1, ...")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="check a quasiidentity on an algebra")
+    p = command(sub, "check", _cmd_check,
+                "check a quasiidentity on an algebra", "budget")
     p.add_argument("algebra", help="algebra file (.alg)")
     p.add_argument("formula", help="identity or quasiidentity text")
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("subalg", parents=[common],
-                       help="subuniverse generated by a seed set")
+    p = command(sub, "subalg", _cmd_subalg,
+                "subuniverse generated by a seed set")
     p.add_argument("algebra", help="algebra file (.alg)")
     p.add_argument("--seed", default="", metavar="VALUES",
                    help="comma separated seed elements (default: constants)")
-    p.set_defaults(handler=_cmd_subalg)
 
-    p = sub.add_parser("homs", parents=[common],
-                       help="all homomorphisms between two algebras")
+    p = command(sub, "homs", _cmd_homs,
+                "all homomorphisms between two algebras", "budget")
     p.add_argument("source", help="source algebra file (.alg)")
     p.add_argument("target", help="target algebra file (.alg)")
     p.add_argument("--strong", action="store_true",
                    help="list only strong homomorphisms")
-    p.set_defaults(handler=_cmd_homs)
 
-    p = sub.add_parser("congruences", parents=[common],
-                       help="list every congruence of an algebra")
+    p = command(sub, "congruences", _cmd_congruences,
+                "list every congruence of an algebra", "budget")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_congruences)
 
-    p = sub.add_parser("permutable", parents=[common],
-                       help="check all congruence pairs for permutability")
+    p = command(sub, "permutable", _cmd_permutable,
+                "check all congruence pairs for permutability", "budget")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_permutable)
 
-    p = sub.add_parser("quotient", parents=[common],
-                       help="quotient by a congruence partition")
+    p = command(sub, "quotient", _cmd_quotient,
+                "quotient by a congruence partition")
     p.add_argument("algebra", help="algebra file (.alg)")
     p.add_argument("--by", required=True, metavar="PARTITION",
                    help="blocks like '{{0,2},{1,3}}' or '0 2 | 1 3'")
     p.add_argument("--out", metavar="FILE", help="write the quotient (.alg)")
-    p.set_defaults(handler=_cmd_quotient)
 
-    p = sub.add_parser("malcev", parents=[common],
-                       help="search for a Mal'cev term within bounds")
+    p = command(sub, "malcev", _cmd_malcev,
+                "search for a Mal'cev term within bounds", "depth", "max_size")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_malcev)
 
-    p = sub.add_parser("biternary", parents=[common],
-                       help="search for a biternary operation pair")
+    p = command(sub, "biternary", _cmd_biternary,
+                "search for a biternary operation pair", "depth", "max_size")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_biternary)
 
-    p = sub.add_parser("translations", parents=[common],
-                       help="reversible translation maps and their closure")
+    p = command(sub, "translations", _cmd_translations,
+                "reversible translation maps and their closure", "depth")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_translations)
 
     qg = sub.add_parser("quasigroup", help="quasigroup-specific commands")
     qsub = qg.add_subparsers(dest="qcommand", required=True)
 
-    p = qsub.add_parser("verify", parents=[common],
-                        help="is the multiplication table a Latin square?")
+    p = command(qsub, "verify", _cmd_qg_verify,
+                "is the multiplication table a Latin square?")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_qg_verify)
 
-    p = qsub.add_parser("mulgroup", parents=[common],
-                        help="multiplication group of a quasigroup")
+    p = command(qsub, "mulgroup", _cmd_qg_mulgroup,
+                "multiplication group of a quasigroup")
     p.add_argument("algebra", help="algebra file (.alg)")
     p.add_argument("--side", choices=("left", "right", "both"),
                    default="left")
-    p.set_defaults(handler=_cmd_qg_mulgroup)
 
-    p = qsub.add_parser("malcev", parents=[common],
-                        help="division-based Mal'cev polynomial")
+    p = command(qsub, "malcev", _cmd_qg_malcev,
+                "division-based Mal'cev polynomial")
     p.add_argument("algebra", help="algebra file (.alg)")
     p.add_argument("--flavor",
                    choices=("quasigroup", "right_eloop", "left_eloop"),
                    default="quasigroup")
-    p.set_defaults(handler=_cmd_qg_malcev)
 
-    p = qsub.add_parser("rectify", parents=[common],
-                        help="check the division-rectification bijection")
+    p = command(qsub, "rectify", _cmd_qg_rectify,
+                "check the division-rectification bijection")
     p.add_argument("algebra", help="algebra file (.alg)")
-    p.set_defaults(handler=_cmd_qg_rectify)
 
-    p = sub.add_parser("free", parents=[common],
-                       help="free algebra over a class of generators")
+    p = command(sub, "free", _cmd_free,
+                "free algebra over a class of generators", "size_bound")
     p.add_argument("cls", help="class file (.cls)")
     p.add_argument("--rank", type=int, required=True,
                    help="number of free generators")
     p.add_argument("--out", metavar="FILE", help="write the result (.alg)")
-    p.set_defaults(handler=_cmd_free)
 
-    p = sub.add_parser("present", parents=[common],
-                       help="algebra presented by generators and relations")
+    p = command(sub, "present", _cmd_present,
+                "algebra presented by generators and relations",
+                "size_bound")
     p.add_argument("cls", help="class file (.cls)")
     p.add_argument("--rank", type=int, required=True,
                    help="number of generators")
     p.add_argument("--relation", action="append", metavar="FORMULA",
                    help="relation over x0..x{rank-1}; repeatable")
     p.add_argument("--out", metavar="FILE", help="write the result (.alg)")
-    p.set_defaults(handler=_cmd_present)
 
-    p = sub.add_parser("replica", parents=[common],
-                       help="replica of an algebra in a class")
+    p = command(sub, "replica", _cmd_replica,
+                "replica of an algebra in a class", "budget")
     p.add_argument("cls", help="class file (.cls)")
     p.add_argument("algebra", help="source algebra file (.alg)")
     p.add_argument("--out", metavar="FILE", help="write the result (.alg)")
-    p.set_defaults(handler=_cmd_replica)
 
-    p = sub.add_parser("member", parents=[common],
-                       help="decide membership in the class of generators")
+    p = command(sub, "member", _cmd_member,
+                "decide membership in the class of generators", "budget")
     p.add_argument("cls", help="class file (.cls)")
     p.add_argument("algebra", help="candidate algebra file (.alg)")
-    p.set_defaults(handler=_cmd_member)
 
     return parser
 

@@ -97,11 +97,16 @@ def _normalize(parent: Sequence[int]) -> tuple[int, ...]:
 
 
 def partition_congruence(alg: FiniteAlgebra, blocks: Iterable[Iterable[int]]) -> Congruence:
-    """Congruence from explicit blocks; raises NotStable if not stable."""
+    """Congruence from explicit blocks; raises NotStable if not stable,
+    and ValueError if the blocks do not partition the carrier."""
     block_of = [-1] * alg.size
-    for blk in blocks:
+    for blk in map(list, blocks):
+        if not blk:
+            raise ValueError("empty block")
         least = min(blk)
         for x in blk:
+            if not 0 <= x < alg.size:
+                raise ValueError(f"element {x} outside the carrier")
             if block_of[x] != -1:
                 raise ValueError(f"element {x} in two blocks")
             block_of[x] = least
@@ -364,10 +369,10 @@ def compose_relation(theta: Congruence, xi: Congruence) -> frozenset[tuple[int, 
 
 
 def compose_permute(theta: Congruence, xi: Congruence):
-    """(composition theta o xi, True iff theta o xi == xi o theta)."""
+    """(theta o xi, True iff theta o xi == xi o theta).  The second is the
+    converse of the first, so they are equal iff the first is symmetric."""
     forward = compose_relation(theta, xi)
-    backward = compose_relation(xi, theta)
-    return forward, forward == backward
+    return forward, all((c, a) in forward for a, c in forward)
 
 
 def non_permuting_pairs(congs: Sequence[Congruence]

@@ -14,8 +14,8 @@ import numpy as np
 
 from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
                        MembershipReport, Quasiidentity, Replica,
-                       TranslationGroup, eval_formula, flat_index, is_unitary,
-                       product_decode, product_encode)
+                       TranslationGroup, compose_relation, eval_formula,
+                       flat_index, is_unitary, product_decode, product_encode)
 from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
                               InputError, NotStable, SearchBudgetExceeded,
                               SizeBound, SizeOverflow,
@@ -69,6 +69,20 @@ def naive_is_stable_partition(alg: FiniteAlgebra,
                     if block_of[table[flat_index(alt, n)]] != v:
                         return False
     return True
+
+
+def naive_image_positions(phi: Sequence[int], arity: int, size: int):
+    """_image_positions as one weighted sum per argument tuple: the
+    place-value weights of every coordinate, summed over their product."""
+    weights = [[y * size**(arity - 1 - i) for y in phi] for i in range(arity)]
+    return map(sum, product(*weights))
+
+
+def naive_compose_permute(theta: Congruence, xi: Congruence):
+    """compose_permute by building both compositions and comparing them
+    as relation sets."""
+    forward = compose_relation(theta, xi)
+    return forward, forward == compose_relation(xi, theta)
 
 
 def all_stable_partitions(alg: FiniteAlgebra) -> list[Congruence]:

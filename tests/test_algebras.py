@@ -13,7 +13,8 @@ from malcevlab import (FiniteAlgebra, Signature, algebra_from_nested,
                        is_strong_homomorphism, is_unitary, kernel,
                        product_decode, product_encode, subalgebra_as_algebra,
                        unitary_system)
-from malcevlab.algebras import Subpower, _generating_sequence
+from malcevlab.algebras import (Subpower, _generating_sequence,
+                                _image_positions)
 from malcevlab.errors import (EmptyUngeneratable, MalcevLabError,
                               NotAHomomorphism, SearchBudgetExceeded,
                               SizeOverflow)
@@ -23,8 +24,8 @@ from conftest import (GROUP_SIG, MEET_SIG, chain_semilattice, cyclic_group,
                       symmetric_group_3, systems)
 from oracles_local import (naive_direct_product, naive_find_homomorphisms,
                            naive_find_isomorphism, naive_generate_subalgebra,
-                           naive_generating_sequence, naive_is_homomorphism,
-                           naive_subalgebra_as_algebra)
+                           naive_generating_sequence, naive_image_positions,
+                           naive_is_homomorphism, naive_subalgebra_as_algebra)
 
 PRED_SIG = Signature(ops=(("meet", 2),), preds=(("leq", 2),))
 
@@ -112,6 +113,14 @@ def families(draw):
 @given(families())
 def test_direct_product_matches_the_tuple_by_tuple_product(factors):
     assert direct_product(factors) == naive_direct_product(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 5), st.data())
+def test_image_positions_match_one_weighted_sum_per_tuple(arity, size, data):
+    phi = data.draw(st.lists(st.integers(0, size - 1), max_size=4))
+    assert (list(_image_positions(phi, arity, size))
+            == list(naive_image_positions(phi, arity, size)))
 
 
 def test_generate_subalgebra_known_values(z6):

@@ -7,6 +7,7 @@ output change with:
     MALCEVLAB_REGEN=1 python -m pytest tests/test_cli.py
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -16,8 +17,8 @@ import sys
 
 import pytest
 
-from malcevlab import FiniteAlgebra, Signature
-from malcevlab.cli import main
+from malcevlab import FiniteAlgebra, Signature, algebras, cli, congruences
+from malcevlab.cli import _build_parser, main
 from malcevlab.fileformat import save_algebra
 
 from conftest import binary_beside_ternary
@@ -169,6 +170,128 @@ def test_only_searches_load_numpy():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# one command line that runs to completion for each leaf command
+LEAVES = {
+    "parse": ["parse", "x0", "--sig", "demos/data/group.sig"],
+    "eval": ["eval", "demos/data/z4.alg", "x0", "--at", "1"],
+    "check": ["check", "demos/data/z4.alg", "mul(x0, x1) = mul(x1, x0)"],
+    "subalg": ["subalg", "demos/data/z4.alg"],
+    "homs": ["homs", "demos/data/z4.alg", "demos/data/z2.alg"],
+    "congruences": ["congruences", "demos/data/z4.alg"],
+    "permutable": ["permutable", "demos/data/z4.alg"],
+    "quotient": ["quotient", "demos/data/z4.alg", "--by", "0 2 | 1 3"],
+    "malcev": ["malcev", "demos/data/z4.alg"],
+    "biternary": ["biternary", "demos/data/z4.alg"],
+    "translations": ["translations", "demos/data/z4.alg"],
+    "quasigroup verify": ["quasigroup", "verify", "demos/data/qg3.alg"],
+    "quasigroup mulgroup": ["quasigroup", "mulgroup", "demos/data/qg3.alg"],
+    "quasigroup malcev": ["quasigroup", "malcev", "demos/data/qg3.alg"],
+    "quasigroup rectify": ["quasigroup", "rectify", "demos/data/qg3u.alg"],
+    "free": ["free", "demos/data/boolean.cls", "--rank", "2"],
+    "present": ["present", "demos/data/boolean.cls", "--rank", "1"],
+    "replica": ["replica", "demos/data/chain.cls", "demos/data/chain3.alg"],
+    "member": ["member", "demos/data/chain.cls", "demos/data/chain3.alg"],
+}
+
+# the commands that take each search or budget option, with a valid
+# value and values out of its range
+TAKERS = {
+    "--depth": (("malcev", "biternary", "translations"), "1",
+                ["-1", "two"]),
+    "--max-size": (("malcev", "biternary"), "0", ["-1", "8.5"]),
+    "--max-product": (("check", "homs", "congruences", "permutable",
+                       "replica", "member", "free", "present"), "100",
+                      ["0", "-1", "1e6"]),
+}
+
+IGNORED = [(command, option) for option, (takers, _, _) in TAKERS.items()
+           for command in LEAVES if command not in takers]
+TAKEN = [(command, option, valid)
+         for option, (takers, valid, _) in TAKERS.items()
+         for command in takers]
+OUT_OF_RANGE = [(command, option, bad)
+                for option, (takers, _, values) in TAKERS.items()
+                for command in takers for bad in values]
+
+
+def usage_error(argv, capsys):
+    """The exit code and stderr of a command line argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return exc.value.code, captured.err
+
+
+def leaf_parsers(parser, prefix=""):
+    """(command, parser) for every leaf command under parser."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(prefix, parser)]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in leaf_parsers(sub, f"{prefix} {name}".strip())]
+
+
+def test_each_command_declares_exactly_the_options_it_applies(capsys):
+    leaves = dict(leaf_parsers(_build_parser()))
+    assert sorted(leaves) == sorted(LEAVES)
+    for command, parser in leaves.items():
+        flags = {flag for a in parser._actions for flag in a.option_strings}
+        assert {"--format", "--assert"} <= flags
+        assert {option for option in TAKERS if option in flags} == {
+            option for option, (takers, _, _) in TAKERS.items()
+            if command in takers}, command
+        assert run(LEAVES[command], capsys)[0] == 0, command
+    assert len(IGNORED) == 16 + 17 + 11
+
+
+@pytest.mark.parametrize("command,option", IGNORED)
+def test_command_rejects_an_option_it_does_not_apply(command, option,
+                                                     capsys):
+    code, err = usage_error(LEAVES[command] + [option, "1"], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {option} 1" in err
+
+
+@pytest.mark.parametrize("command,option,value", TAKEN)
+def test_command_takes_its_options(command, option, value, capsys):
+    code, _, err = run(LEAVES[command] + [option, value], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command,option,value", OUT_OF_RANGE)
+def test_out_of_range_option_is_exit_two(command, option, value, capsys):
+    code, err = usage_error(LEAVES[command] + [f"{option}={value}"], capsys)
+    assert code == 2
+    assert f"argument {option}: " in err
+
+
+def test_max_size_zero_removes_the_cap(capsys):
+    code, out, _ = run(["malcev", "demos/data/z4.alg", "--max-size", "0",
+                        "--format", "machine"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["found"] and result["max_size"] is None
+
+
+def test_quotient_checks_stability_and_homomorphism_once(monkeypatch,
+                                                         capsys):
+    calls = []
+    for module, name in ((congruences, "is_stable_partition"),
+                         (cli, "is_stable_partition"),
+                         (algebras, "is_homomorphism")):
+        def counted(*args, _check=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _check(*args)
+        monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(["quotient", "demos/data/z4.alg", "--by",
+                      "{{0,2},{1,3}}", "--format", "machine"], capsys)
+    assert code == 0
+    assert sorted(calls) == ["is_homomorphism", "is_stable_partition"]
 
 
 def test_unstable_partition_is_exit_two(capsys):

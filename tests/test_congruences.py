@@ -22,8 +22,9 @@ from malcevlab.errors import NotStable, SearchBudgetExceeded
 from conftest import (chain_semilattice, cyclic_group, klein_group,
                       random_algebra, signatures, small_algebras,
                       symmetric_group_3, systems, tangle5)
-from oracles_local import (all_stable_partitions, naive_is_stable_partition,
-                           naive_quotient, relation_is_congruence)
+from oracles_local import (all_stable_partitions, naive_compose_permute,
+                           naive_is_stable_partition, naive_quotient,
+                           relation_is_congruence)
 
 
 def blocks_of(c):
@@ -193,6 +194,23 @@ def test_partition_congruence_validates(z4):
         partition_congruence(z4, [[0, 2], [1]])
 
 
+@pytest.mark.parametrize("blocks,message", [
+    ([[0, 2], [1, 3, 4]], "element 4 outside the carrier"),
+    ([[0, 2, -2], [1, 3]], "element -2 outside the carrier"),
+    ([[0, 2], [], [1, 3]], "empty block"),
+    ([[0, 2], [1, 3, 2]], "element 2 in two blocks"),
+])
+def test_partition_congruence_names_the_bad_element_or_block(z4, blocks,
+                                                            message):
+    with pytest.raises(ValueError, match=message):
+        partition_congruence(z4, blocks)
+
+
+def test_partition_congruence_takes_blocks_as_iterators(z4):
+    theta = partition_congruence(z4, (iter(b) for b in [[2, 0], [3, 1]]))
+    assert theta.block_of == (0, 1, 0, 1)
+
+
 def test_congruence_generated_by_is_least(z4):
     theta = congruence_generated_by(z4, [(0, 2)])
     assert blocks_of(theta) == [(0, 2), (1, 3)]
@@ -251,6 +269,23 @@ def test_tangle5_has_the_expected_non_permuting_pair():
     assert len(bad) == 1
     assert {congs_pair.block_of for congs_pair in bad[0]} == \
         {theta.block_of, xi.block_of}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_permute_matches_both_compositions(data):
+    """On congruences and on arbitrary partitions, which need not
+    permute even when the congruences of the same algebra do."""
+    alg = data.draw(systems(data.draw(signatures(max_arity=2)), max_size=5))
+    partitions = all_congruences(alg)
+    for _ in range(3):
+        labels = data.draw(st.lists(st.integers(0, alg.size - 1),
+                                    min_size=alg.size, max_size=alg.size))
+        first: dict[int, int] = {}
+        partitions.append(Congruence(alg, tuple(
+            first.setdefault(label, x) for x, label in enumerate(labels))))
+    for theta, xi in product(partitions, repeat=2):
+        assert compose_permute(theta, xi) == naive_compose_permute(theta, xi)
 
 
 def test_quotient_of_z4_is_z2(z4, z2):
