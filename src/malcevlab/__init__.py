@@ -52,7 +52,7 @@ from . import errors
 __version__ = "0.1.0"
 
 _SEARCH_NAMES = (
-    "TermEnumeration", "MalcevSearchResult", "malcev_search",
+    "MalcevSearchResult", "malcev_search",
     "find_malcev_term", "PermutabilityReport", "check_permutability_theorem",
     "BiternaryPair", "BiternarySearchResult", "detect_biternary",
     "find_biternary_pair", "malcev_from_biternary", "translation_group",

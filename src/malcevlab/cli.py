@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -33,8 +32,8 @@ from .algebras import (FiniteAlgebra, _read_through, find_homomorphisms,
                        generate_subalgebra, is_strong_homomorphism)
 from .classes import (free_algebra, membership_in_closure, presented_algebra,
                       replica, verify_universal_property)
-from .congruences import (Congruence, all_congruences, is_stable_partition,
-                          non_permuting_pairs, quotient)
+from .congruences import (Congruence, _block_of, all_congruences,
+                          is_stable_partition, non_permuting_pairs, quotient)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (load_algebra, load_class, load_signature,
@@ -55,10 +54,10 @@ MAP_SEARCH_BUDGET = 1_000_000
 # input loading with digests
 
 
-def _digest(path: str, inputs: dict[str, str], name: str | None = None) -> None:
+def _digest(path: str, inputs: dict[str, str]) -> None:
     try:
         with open(path, "rb") as fh:
-            inputs[name or path] = hashlib.sha256(fh.read()).hexdigest()
+            inputs[path] = hashlib.sha256(fh.read()).hexdigest()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -77,14 +76,8 @@ def _load_cls(path: str, inputs: dict[str, str], size_bound=None):
     """The class file, members digested; size_bound overrides the file's."""
     _digest(path, inputs)
     cls = load_class(path)
-    base = os.path.dirname(os.path.abspath(path))
     for member in cls.paths:
-        if os.path.isabs(member):
-            resolved = name = member
-        else:
-            resolved = os.path.join(base, member)
-            name = os.path.join(os.path.dirname(path), member)
-        _digest(resolved, inputs, name)
+        _digest(member, inputs)
     return cls if size_bound is None else replace(cls, size_bound=size_bound)
 
 
@@ -121,23 +114,11 @@ def _partition(text: str, size: int) -> tuple[int, ...]:
         chunks = re.findall(r"\{([^{}]*)\}", compact)
     else:
         chunks = text.split("|")
-    block_of = [-1] * size
-    for chunk in chunks:
-        block = _ints(chunk, "partition elements")
-        if not block:
-            raise InputError("empty block in partition")
-        least = min(block)
-        for x in block:
-            if not (0 <= x < size):
-                raise InputError(
-                    f"partition element {x} outside carrier 0..{size - 1}")
-            if block_of[x] != -1:
-                raise InputError(f"element {x} appears in two blocks")
-            block_of[x] = least
-    missing = [x for x, r in enumerate(block_of) if r == -1]
-    if missing:
-        raise InputError(f"partition misses elements {missing}")
-    return tuple(block_of)
+    blocks = [_ints(chunk, "partition elements") for chunk in chunks]
+    try:
+        return _block_of(blocks, size)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _square(alg: FiniteAlgebra) -> LatinSquare:
@@ -760,15 +741,46 @@ def _at_least(low: int, zero=0):
     return integer
 
 
-# the options beyond --format and --assert, each declared once with its
-# range and default; a command takes only those its handler reads
-_OPTIONS = {
+# every argument beyond --format and --assert, each declared once with
+# its range and default; a command takes only those its handler reads
+_ARGUMENTS = {
+    "text": ("text", dict(help="the text to parse")),
+    "algebra": ("algebra", dict(help="algebra file (.alg)")),
+    "source": ("source", dict(help="source algebra file (.alg)")),
+    "target": ("target", dict(help="target algebra file (.alg)")),
+    "cls": ("cls", dict(help="class file (.cls)")),
+    "term": ("term", dict(help="term text over the algebra's signature")),
+    "formula": ("formula", dict(help="identity or quasiidentity text")),
+    "sig": ("--sig", dict(required=True, help="signature file (.sig)")),
+    "kind": ("--kind", dict(choices=("term", "formula", "quasiidentity"),
+                            default="term")),
+    "at": ("--at", dict(required=True, metavar="VALUES",
+                        help="comma separated values for x0, x1, ...")),
+    "seed": ("--seed", dict(
+        default="", metavar="VALUES",
+        help="comma separated seed elements (default: constants)")),
+    "strong": ("--strong", dict(action="store_true",
+                                help="list only strong homomorphisms")),
+    "by": ("--by", dict(required=True, metavar="PARTITION",
+                        help="blocks like '{{0,2},{1,3}}' or '0 2 | 1 3'")),
+    "rank": ("--rank", dict(type=int, required=True,
+                            help="number of generators")),
+    "relation": ("--relation", dict(
+        action="append", metavar="FORMULA",
+        help="relation over x0..x{rank-1}; repeatable")),
+    "out": ("--out", dict(metavar="FILE", help="write the result (.alg)")),
+    "side": ("--side", dict(choices=("left", "right", "both"),
+                            default="left")),
+    "flavor": ("--flavor", dict(
+        choices=("quasigroup", "right_eloop", "left_eloop"),
+        default="quasigroup")),
     "depth": ("--depth", dict(
         type=_at_least(0), default=4, metavar="D",
         help="composition depth bound for the search (default 4)")),
     "max_size": ("--max-size", dict(
         type=_at_least(0, zero=None), default=8, metavar="S",
         help="term size cap for the search; 0 removes the cap (default 8)")),
+    # one flag, two defaults: a map search budget, or a class size bound
     "budget": ("--max-product", dict(
         type=_at_least(1), default=MAP_SEARCH_BUDGET, metavar="N",
         help="budget of candidate maps, check assignments, lattice joins "
@@ -778,6 +790,50 @@ _OPTIONS = {
         help="bound on generator assignments and elements (default: the "
              "class file's size_bound)")),
 }
+
+# (command, handler, help, the _ARGUMENTS keys it reads in order); a
+# command with no handler is a group of the commands named under it
+_COMMANDS = (
+    ("parse", _cmd_parse, "parse and canonically print a term or formula",
+     ("text", "sig", "kind")),
+    ("eval", _cmd_eval, "evaluate a term under an assignment",
+     ("algebra", "term", "at")),
+    ("check", _cmd_check, "check a quasiidentity on an algebra",
+     ("algebra", "formula", "budget")),
+    ("subalg", _cmd_subalg, "subuniverse generated by a seed set",
+     ("algebra", "seed")),
+    ("homs", _cmd_homs, "all homomorphisms between two algebras",
+     ("source", "target", "strong", "budget")),
+    ("congruences", _cmd_congruences, "list every congruence of an algebra",
+     ("algebra", "budget")),
+    ("permutable", _cmd_permutable,
+     "check all congruence pairs for permutability", ("algebra", "budget")),
+    ("quotient", _cmd_quotient, "quotient by a congruence partition",
+     ("algebra", "by", "out")),
+    ("malcev", _cmd_malcev, "search for a Mal'cev term within bounds",
+     ("algebra", "depth", "max_size")),
+    ("biternary", _cmd_biternary, "search for a biternary operation pair",
+     ("algebra", "depth", "max_size")),
+    ("translations", _cmd_translations,
+     "reversible translation maps and their closure", ("algebra", "depth")),
+    ("quasigroup", None, "quasigroup-specific commands", ()),
+    ("quasigroup verify", _cmd_qg_verify,
+     "is the multiplication table a Latin square?", ("algebra",)),
+    ("quasigroup mulgroup", _cmd_qg_mulgroup,
+     "multiplication group of a quasigroup", ("algebra", "side")),
+    ("quasigroup malcev", _cmd_qg_malcev, "division-based Mal'cev polynomial",
+     ("algebra", "flavor")),
+    ("quasigroup rectify", _cmd_qg_rectify,
+     "check the division-rectification bijection", ("algebra",)),
+    ("free", _cmd_free, "free algebra over a class of generators",
+     ("cls", "rank", "out", "size_bound")),
+    ("present", _cmd_present, "algebra presented by generators and relations",
+     ("cls", "rank", "relation", "out", "size_bound")),
+    ("replica", _cmd_replica, "replica of an algebra in a class",
+     ("cls", "algebra", "out", "budget")),
+    ("member", _cmd_member, "decide membership in the class of generators",
+     ("cls", "algebra", "budget")),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -790,130 +846,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--assert", dest="assert_flag", action="store_true",
         help="exit 1 when the checked property does not hold")
 
-    def command(sub, name: str, handler, help: str, *options: str):
-        """A leaf command with --format, --assert and the named _OPTIONS."""
-        p = sub.add_parser(name, help=help, parents=[output])
-        p.set_defaults(handler=handler)
-        for option in options:
-            flag, spec = _OPTIONS[option]
-            p.add_argument(flag, **spec)
-        return p
-
+    # options are spelled out in full: a prefix could name a different
+    # option in each command
     parser = argparse.ArgumentParser(
-        prog="malcev-lab",
+        prog="malcev-lab", allow_abbrev=False,
         description="workbench for finite algebraic systems")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = command(sub, "parse", _cmd_parse,
-                "parse and canonically print a term or formula")
-    p.add_argument("text", help="the text to parse")
-    p.add_argument("--sig", required=True, help="signature file (.sig)")
-    p.add_argument("--kind", choices=("term", "formula", "quasiidentity"),
-                   default="term")
-
-    p = command(sub, "eval", _cmd_eval, "evaluate a term under an assignment")
-    p.add_argument("algebra", help="algebra file (.alg)")
-    p.add_argument("term", help="term text over the algebra's signature")
-    p.add_argument("--at", required=True, metavar="VALUES",
-                   help="comma separated values for x0, x1, ...")
-
-    p = command(sub, "check", _cmd_check,
-                "check a quasiidentity on an algebra", "budget")
-    p.add_argument("algebra", help="algebra file (.alg)")
-    p.add_argument("formula", help="identity or quasiidentity text")
-
-    p = command(sub, "subalg", _cmd_subalg,
-                "subuniverse generated by a seed set")
-    p.add_argument("algebra", help="algebra file (.alg)")
-    p.add_argument("--seed", default="", metavar="VALUES",
-                   help="comma separated seed elements (default: constants)")
-
-    p = command(sub, "homs", _cmd_homs,
-                "all homomorphisms between two algebras", "budget")
-    p.add_argument("source", help="source algebra file (.alg)")
-    p.add_argument("target", help="target algebra file (.alg)")
-    p.add_argument("--strong", action="store_true",
-                   help="list only strong homomorphisms")
-
-    p = command(sub, "congruences", _cmd_congruences,
-                "list every congruence of an algebra", "budget")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    p = command(sub, "permutable", _cmd_permutable,
-                "check all congruence pairs for permutability", "budget")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    p = command(sub, "quotient", _cmd_quotient,
-                "quotient by a congruence partition")
-    p.add_argument("algebra", help="algebra file (.alg)")
-    p.add_argument("--by", required=True, metavar="PARTITION",
-                   help="blocks like '{{0,2},{1,3}}' or '0 2 | 1 3'")
-    p.add_argument("--out", metavar="FILE", help="write the quotient (.alg)")
-
-    p = command(sub, "malcev", _cmd_malcev,
-                "search for a Mal'cev term within bounds", "depth", "max_size")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    p = command(sub, "biternary", _cmd_biternary,
-                "search for a biternary operation pair", "depth", "max_size")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    p = command(sub, "translations", _cmd_translations,
-                "reversible translation maps and their closure", "depth")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    qg = sub.add_parser("quasigroup", help="quasigroup-specific commands")
-    qsub = qg.add_subparsers(dest="qcommand", required=True)
-
-    p = command(qsub, "verify", _cmd_qg_verify,
-                "is the multiplication table a Latin square?")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    p = command(qsub, "mulgroup", _cmd_qg_mulgroup,
-                "multiplication group of a quasigroup")
-    p.add_argument("algebra", help="algebra file (.alg)")
-    p.add_argument("--side", choices=("left", "right", "both"),
-                   default="left")
-
-    p = command(qsub, "malcev", _cmd_qg_malcev,
-                "division-based Mal'cev polynomial")
-    p.add_argument("algebra", help="algebra file (.alg)")
-    p.add_argument("--flavor",
-                   choices=("quasigroup", "right_eloop", "left_eloop"),
-                   default="quasigroup")
-
-    p = command(qsub, "rectify", _cmd_qg_rectify,
-                "check the division-rectification bijection")
-    p.add_argument("algebra", help="algebra file (.alg)")
-
-    p = command(sub, "free", _cmd_free,
-                "free algebra over a class of generators", "size_bound")
-    p.add_argument("cls", help="class file (.cls)")
-    p.add_argument("--rank", type=int, required=True,
-                   help="number of free generators")
-    p.add_argument("--out", metavar="FILE", help="write the result (.alg)")
-
-    p = command(sub, "present", _cmd_present,
-                "algebra presented by generators and relations",
-                "size_bound")
-    p.add_argument("cls", help="class file (.cls)")
-    p.add_argument("--rank", type=int, required=True,
-                   help="number of generators")
-    p.add_argument("--relation", action="append", metavar="FORMULA",
-                   help="relation over x0..x{rank-1}; repeatable")
-    p.add_argument("--out", metavar="FILE", help="write the result (.alg)")
-
-    p = command(sub, "replica", _cmd_replica,
-                "replica of an algebra in a class", "budget")
-    p.add_argument("cls", help="class file (.cls)")
-    p.add_argument("algebra", help="source algebra file (.alg)")
-    p.add_argument("--out", metavar="FILE", help="write the result (.alg)")
-
-    p = command(sub, "member", _cmd_member,
-                "decide membership in the class of generators", "budget")
-    p.add_argument("cls", help="class file (.cls)")
-    p.add_argument("algebra", help="candidate algebra file (.alg)")
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, handler, help, keys in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if handler is None:
+            p = subs[group].add_parser(leaf, help=help, allow_abbrev=False)
+            subs[name] = p.add_subparsers(dest="qcommand", required=True)
+            continue
+        p = subs[group].add_parser(leaf, help=help, parents=[output],
+                                   allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        for key in keys:
+            flag, spec = _ARGUMENTS[key]
+            p.add_argument(flag, **spec)
     return parser
 
 

@@ -99,23 +99,31 @@ def _normalize(parent: Sequence[int]) -> tuple[int, ...]:
 def partition_congruence(alg: FiniteAlgebra, blocks: Iterable[Iterable[int]]) -> Congruence:
     """Congruence from explicit blocks; raises NotStable if not stable,
     and ValueError if the blocks do not partition the carrier."""
-    block_of = [-1] * alg.size
+    cong = Congruence(alg, _block_of(blocks, alg.size))
+    if not is_stable_partition(alg, cong.block_of):
+        raise NotStable("partition is not stable under the operations")
+    return cong
+
+
+def _block_of(blocks: Iterable[Iterable[int]], size: int) -> tuple[int, ...]:
+    """The least member of each element's block; ValueError names the
+    first element or block that keeps blocks from partitioning 0..size-1."""
+    block_of = [-1] * size
     for blk in map(list, blocks):
         if not blk:
             raise ValueError("empty block")
         least = min(blk)
         for x in blk:
-            if not 0 <= x < alg.size:
-                raise ValueError(f"element {x} outside the carrier")
+            if not 0 <= x < size:
+                raise ValueError(
+                    f"element {x} outside the carrier 0..{size - 1}")
             if block_of[x] != -1:
                 raise ValueError(f"element {x} in two blocks")
             block_of[x] = least
-    if any(r == -1 for r in block_of):
-        raise ValueError("blocks do not cover the carrier")
-    cong = Congruence(alg, tuple(block_of))
-    if not is_stable_partition(alg, cong.block_of):
-        raise NotStable("partition is not stable under the operations")
-    return cong
+    missing = [x for x, r in enumerate(block_of) if r == -1]
+    if missing:
+        raise ValueError(f"partition misses elements {missing}")
+    return tuple(block_of)
 
 
 def identity_congruence(alg: FiniteAlgebra) -> Congruence:

@@ -179,7 +179,8 @@ class ClassDefinition:
 
     algebras are the loaded members (plus the one-element system when
     include_unitary is set), all sharing one signature; size_bound caps
-    free/presented construction over the class.
+    free/presented construction over the class; paths are the member
+    files as load_class opened them, joined to the .cls file's directory.
     """
 
     algebras: tuple[FiniteAlgebra, ...]
@@ -197,14 +198,15 @@ def load_class(path: str, *, default_size_bound: int = 10_000
     one-element system over that signature is appended.
     """
     reader = _Reader(path)
-    base = os.path.dirname(os.path.abspath(path))
+    base = os.path.dirname(path)
     member_paths: list[str] = []
     include_unitary = False
     size_bound = default_size_bound
     while not reader.done():
         key = reader.next("'algebra', 'include_unitary' or 'size_bound'")
         if key == "algebra":
-            member_paths.append(reader.next("an algebra file path"))
+            member_paths.append(
+                os.path.join(base, reader.next("an algebra file path")))
         elif key == "include_unitary":
             value = reader.next("true or false")
             if value not in ("true", "false"):
@@ -217,15 +219,12 @@ def load_class(path: str, *, default_size_bound: int = 10_000
             raise reader.error(f"unknown keyword {key!r}")
     if not member_paths:
         raise FormatError(f"{path}: a class needs at least one algebra")
-    algebras = []
-    for rel in member_paths:
-        member = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        algebras.append(load_algebra(member))
+    algebras = [load_algebra(member) for member in member_paths]
     sig = algebras[0].sig
-    for rel, alg in zip(member_paths[1:], algebras[1:]):
+    for member, alg in zip(member_paths[1:], algebras[1:]):
         if alg.sig != sig:
             raise AlgebraMismatch(
-                f"{path}: {rel} has a different signature from the first "
+                f"{path}: {member} has a different signature from the first "
                 f"class member")
     if include_unitary:
         algebras.append(unitary_system(sig))

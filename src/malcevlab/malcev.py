@@ -23,11 +23,6 @@ budget that ran out.  Every returned witness is re-verified exhaustively
 through the compiled term evaluator, independently of the table
 arithmetic used during the search.
 
-TermEnumeration, by contrast, enumerates raw terms one by one in the
-canonical order (size, then root symbol, then children) without any
-deduplication; it is the substrate for corpus generation and small
-exhaustive checks, not for deep searches.
-
 translation_group runs the same search over one variable, with the
 constant maps seeded beside x0 at level 0, so that its tables are the
 unary polynomial maps; it closes the bijective ones with
@@ -45,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,71 +48,11 @@ from .algebras import FiniteAlgebra
 from .congruences import Congruence, all_congruences, non_permuting_pairs
 from .quasigroups import (TranslationGroup, composition_closure,
                           malcev_identities_hold)
-from .terms import (App, Signature, Term, Var, assignment_columns,
-                    compile_evaluator, term_depth, term_key)
+from .terms import App, Term, Var, assignment_columns, compile_evaluator
 
 DEFAULT_DEPTH = 4
 DEFAULT_TABLE_BUDGET = 150_000
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
-
-
-# ---------------------------------------------------------------------------
-# raw term enumeration
-
-class TermEnumeration:
-    """All terms over sig in x0..x{var_count-1}, canonically ordered.
-
-    Terms are produced by size (node count), ties broken by root symbol
-    (variables first, then operations in signature order) and then by
-    children, recursively.  Iteration stops once both bounds (max_depth,
-    max_size) are exhausted; each in-bounds term appears exactly once.
-    Intended for small bounds: the term count grows doubly fast in depth.
-    """
-
-    def __init__(self, sig: Signature, max_depth: int = DEFAULT_DEPTH,
-                 var_count: int = 4, max_size: int = 8):
-        self.sig = sig
-        self.max_depth = max_depth
-        self.var_count = var_count
-        self.max_size = max_size
-        self._by_size: list[list[Term]] = [[]]  # index 0 unused
-
-    def _terms_of_size(self, s: int) -> list[Term]:
-        while len(self._by_size) <= s:
-            self._by_size.append(self._build(len(self._by_size)))
-        return self._by_size[s]
-
-    def _build(self, s: int) -> list[Term]:
-        out: list[Term] = []
-        if s == 1:
-            out.extend(Var(i) for i in range(self.var_count))
-            out.extend(App(name) for name, arity in self.sig.ops if arity == 0)
-            return out
-        for name, arity in self.sig.ops:
-            if arity == 0 or arity > s - 1:
-                continue
-            for children in self._child_tuples(arity, s - 1):
-                out.append(App(name, children))
-        # sort is stable and cheap; children tuples already come out in
-        # canonical order per operation, sizes are all s
-        out.sort(key=lambda t: term_key(t, self.sig))
-        return out
-
-    def _child_tuples(self, k: int, total: int):
-        if k == 1:
-            for t in self._terms_of_size(total):
-                yield (t,)
-            return
-        for first in range(1, total - (k - 1) + 1):
-            for head in self._terms_of_size(first):
-                for rest in self._child_tuples(k - 1, total - first):
-                    yield (head,) + rest
-
-    def __iter__(self) -> Iterator[Term]:
-        for s in range(1, self.max_size + 1):
-            for t in self._terms_of_size(s):
-                if term_depth(t) <= self.max_depth:
-                    yield t
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +116,8 @@ class _TableSearch:
     current level by canonical key; they are recomputed once per level,
     and children always come from earlier levels.  ranks() extends the
     ranking to every table, which is how the searches pick their least
-    witness; term(i) and key(i) build the term and its nested canonical
-    key (term_key) from the derivations on demand.  exhausted names the
+    witness; term(i) builds a table's term from the derivations on
+    demand, and terms.term_key is its canonical key.  exhausted names the
     budget ("table" or "candidate") that truncated the search.
     """
 
@@ -259,16 +194,6 @@ class _TableSearch:
             return Var(head)
         name, arity = self.alg.sig.ops[head - _OP_HEAD]
         return App(name, tuple(map(self.term, self._kids[i, :arity].tolist())))
-
-    def key(self, i: int) -> tuple:
-        """The canonical key (term_key) of table i's term."""
-        head = int(self._heads[i])
-        size = int(self._sizes[i])
-        if head < _OP_HEAD:
-            return (size, (0, head), ())
-        op = head - _OP_HEAD
-        kids = self._kids[i, :self.alg.sig.ops[op][1]].tolist()
-        return (size, (1, op), tuple(map(self.key, kids)))
 
     def ranks(self) -> np.ndarray:
         """Each table's position in the canonical order of the terms."""

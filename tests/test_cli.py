@@ -8,6 +8,7 @@ output change with:
 """
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -17,9 +18,10 @@ import sys
 
 import pytest
 
-from malcevlab import FiniteAlgebra, Signature, algebras, cli, congruences
+from malcevlab import (FiniteAlgebra, Signature, algebras, cli, congruences,
+                       fileformat)
 from malcevlab.cli import _build_parser, main
-from malcevlab.fileformat import save_algebra
+from malcevlab.fileformat import load_class, save_algebra
 
 from conftest import binary_beside_ternary
 
@@ -270,6 +272,24 @@ def test_out_of_range_option_is_exit_two(command, option, value, capsys):
     assert f"argument {option}: " in err
 
 
+# a prefix of an option once named a different option in each command
+ABBREVIATED = [
+    ["malcev", "demos/data/z4.alg", "--max", "1"],
+    ["malcev", "demos/data/z4.alg", "--dep", "1"],
+    ["homs", "demos/data/z4.alg", "demos/data/z2.alg", "--max", "1"],
+    ["check", "demos/data/z4.alg", "mul(x0, x1) = mul(x1, x0)",
+     "--max-p", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED,
+                         ids=[f"{a[0]} {a[-2]}" for a in ABBREVIATED])
+def test_abbreviated_option_is_exit_two(argv, capsys):
+    code, err = usage_error(argv, capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
 def test_max_size_zero_removes_the_cap(capsys):
     code, out, _ = run(["malcev", "demos/data/z4.alg", "--max-size", "0",
                         "--format", "machine"], capsys)
@@ -334,6 +354,40 @@ def test_malformed_braced_partition_is_exit_two(capsys):
         ["quotient", "demos/data/z4.alg", "--by", "{{0,2},{1,3}"], capsys)
     assert code == 2
     assert "partition must look like" in err
+
+
+def test_class_members_resolve_against_the_class_file(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family").mkdir()
+    relative = os.path.join("family", "z4.alg")
+    save_algebra(fileformat.load_algebra(str(ROOT / "demos/data/z4.alg")),
+                 relative)
+    absolute = str(ROOT / "demos" / "data" / "z2.alg")
+    pathlib.Path("family/members.cls").write_text(
+        f"algebra z4.alg\nalgebra {absolute}\n")
+    opened = []
+    monkeypatch.setattr(fileformat, "load_algebra",
+                        lambda path, _load=fileformat.load_algebra:
+                        opened.append(path) or _load(path))
+    assert load_class("family/members.cls").paths == tuple(opened) == (
+        relative, absolute)
+
+    candidate = str(ROOT / "demos" / "data" / "z4.alg")
+    code, out, _ = run(["member", "family/members.cls", candidate,
+                        "--format", "machine"], capsys)
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert sorted(inputs) == sorted(
+        ["family/members.cls", relative, absolute, candidate])
+    for path, digest in inputs.items():
+        assert digest == hashlib.sha256(
+            pathlib.Path(path).read_bytes()).hexdigest()
+
+    pathlib.Path("family/broken.cls").write_text("algebra absent.alg\n")
+    code, out, err = run(["member", "family/broken.cls", candidate], capsys)
+    assert code == 2 and out == ""
+    assert os.path.join("family", "absent.alg") in err
 
 
 def test_assert_failure_is_exit_one(capsys):

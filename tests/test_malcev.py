@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malcevlab import (App, FiniteAlgebra, Signature, TermEnumeration, Var,
+from malcevlab import (App, FiniteAlgebra, Signature, Var,
                        check_permutability_theorem, composition_closure,
                        detect_biternary, eval_term, find_biternary_pair,
                        find_malcev_term, malcev_from_biternary,
@@ -19,7 +19,7 @@ from malcevlab import (App, FiniteAlgebra, Signature, TermEnumeration, Var,
 from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
                               _TableSearch)
 
-from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, binary_beside_ternary,
+from conftest import (GROUP_SIG, MEET_SIG, binary_beside_ternary,
                       chain_semilattice, cyclic_group, groupoid_from_rows,
                       klein_group, signatures, small_algebras,
                       symmetric_group_3, systems, tangle5)
@@ -32,22 +32,6 @@ def assert_malcev_identities(alg, term):
         for z in range(alg.size):
             assert eval_term(term, (x, x, z), alg) == z
             assert eval_term(term, (x, z, z), alg) == x
-
-
-def test_term_enumeration_small_counts():
-    # depth <= 1 over a single binary symbol with three variables:
-    # 3 variables plus 3*3 products
-    terms = list(TermEnumeration(GROUPOID_SIG, max_depth=1, var_count=3))
-    assert len(terms) == 12
-    keys = [term_key(t, GROUPOID_SIG) for t in terms]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-
-
-def test_term_enumeration_respects_size_cap():
-    for t in TermEnumeration(GROUPOID_SIG, max_depth=3, var_count=2,
-                             max_size=5):
-        assert term_size(t) <= 5
 
 
 def test_groups_have_malcev_terms():
@@ -102,21 +86,21 @@ def test_tangle5_candidate_truncation_count():
 @settings(max_examples=40, deadline=None)
 @given(small_algebras(), st.integers(1, 3), st.sampled_from([None, 5, 7]))
 def test_table_search_invariants(alg, depth, cap):
-    # stored keys and sizes are those of the stored terms, and every
-    # term evaluates to its table, after each level and after truncation
+    # stored sizes are those of the stored terms, and every term
+    # evaluates to its table, after each level and after truncation
     search = _TableSearch(alg, 3, candidate_budget=1000, max_term_size=cap)
     assignments = list(product(range(alg.size), repeat=3))
     for level in range(1, depth + 1):
         search.run_level(level)
         for i in range(len(search)):
             term = search.term(i)
-            assert search.key(i) == term_key(term, alg.sig)
             assert search.sizes[i] == term_size(term)
             assert cap is None or search.sizes[i] <= cap
             values = [eval_term(term, a, alg) for a in assignments]
             assert values == search.tables[i].tolist()
-        assert np.argsort(search.ranks()).tolist() == \
-            sorted(range(len(search)), key=search.key)
+        assert np.argsort(search.ranks()).tolist() == sorted(
+            range(len(search)),
+            key=lambda i: term_key(search.term(i), alg.sig))
         if search.truncated:
             break
 
@@ -126,7 +110,8 @@ def assert_same_search(fast, naive):
     assert len(fast) == count
     assert fast.tables.tolist() == naive.tables.tolist()
     assert [fast.term(i) for i in range(count)] == naive.terms
-    assert [fast.key(i) for i in range(count)] == naive.keys
+    sig = fast.alg.sig
+    assert [term_key(fast.term(i), sig) for i in range(count)] == naive.keys
     assert fast.sizes.tolist() == naive.sizes
     assert fast.levels.tolist() == naive.levels
     assert fast.candidates_used == naive.candidates_used
@@ -424,7 +409,7 @@ PACKAGE_EXPORTS = """
     Congruence identity_congruence full_congruence partition_congruence
     congruence_generated_by join all_congruences is_stable_partition
     compose_relation compose_permute quotient kernel
-    TermEnumeration MalcevSearchResult malcev_search find_malcev_term
+    MalcevSearchResult malcev_search find_malcev_term
     PermutabilityReport check_permutability_theorem BiternaryPair
     BiternarySearchResult detect_biternary find_biternary_pair
     malcev_from_biternary TranslationGroup translation_group
