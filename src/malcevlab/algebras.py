@@ -112,12 +112,9 @@ class FiniteAlgebra:
         """Values of all nullary operations."""
         return [self.op_tables[n][0] for n, a in self.sig.ops if a == 0]
 
-    def elements(self) -> range:
-        return range(self.size)
 
-
-def algebra_from_nested(sig: Signature, size: int, ops: dict, preds: dict | None = None,
-                        labels=None) -> FiniteAlgebra:
+def algebra_from_nested(sig: Signature, size: int, ops: dict,
+                        preds: dict | None = None) -> FiniteAlgebra:
     """Build an algebra from nested tables: a symbol of arity k is given
     by k levels of lists indexed by its arguments in order (a bare
     value for arity 0, a flat list for arity 1)."""
@@ -129,7 +126,7 @@ def algebra_from_nested(sig: Signature, size: int, ops: dict, preds: dict | None
     flat_ops = {name: flatten(ops[name], arity, int) for name, arity in sig.ops}
     flat_preds = {name: flatten(preds[name], arity, bool)
                   for name, arity in sig.preds} if preds else {}
-    return FiniteAlgebra(sig, size, flat_ops, flat_preds, labels)
+    return FiniteAlgebra(sig, size, flat_ops, flat_preds)
 
 
 def is_unitary(alg: FiniteAlgebra) -> bool:
@@ -267,20 +264,14 @@ class Subpower:
             raise EmptyUngeneratable(
                 "empty seed and no constants: no least subalgebra exists")
         self._binders = {
-            name: self.binder([a.op_tables[name] for a in algebras], arity)
+            name: self._binder([a.op_tables[name] for a in algebras], arity)
             for name, arity in self.sig.ops if arity}
 
-    def binder(self, tables, arity: int):
-        """Coordinatewise lookup into one operation or predicate.
-
-        tables[k] is the symbol's table in algebras[k], of arity >= 1.
-        Returns bind(prefix): for each coordinate, the row of its
-        algebra's table selected by that coordinate of the elements at
-        the prefix indices, the leading arity-1 arguments.  Indexing
-        these rows coordinatewise by the last argument's element gives
-        the value tuple.  Each row is cut once per algebra, on first use;
-        arity 1 and 2 need no flat_index per coordinate.
-        """
+    def _binder(self, tables, arity: int):
+        """bind(prefix) for an operation of arity >= 1 with tables[k] its
+        table in algebras[k]: per coordinate, the row of its table at the
+        elements of the prefix indices, the leading arity-1 arguments;
+        arity 1 and 2 need no flat_index per coordinate."""
         if arity == 1:
             whole = [tables[k] for k in self.coords]
             return lambda prefix: whole

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
-from operator import and_, getitem
+from operator import and_
 from typing import Optional, Sequence
 
 from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, Subpower,
@@ -120,18 +120,13 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
     sub = Subpower(generators, coords, seeds, size_bound)
     sub.close()
     elements = sub.elements
-    pred_tables = {}
-    for name, arity in sig.preds:
-        if arity == 0:
-            pred_tables[name] = (all(generators[gi].pred_tables[name][0]
-                                     for gi in coords),)
-            continue
-        bind = sub.binder([g.pred_tables[name] for g in generators], arity)
-        table = []
-        for prefix in product(range(len(elements)), repeat=arity - 1):
-            bound = bind(prefix)
-            table.extend(all(map(getitem, bound, elem)) for elem in elements)
-        pred_tables[name] = tuple(table)
+    # a predicate holds where it holds in every coordinate: coordinate c
+    # maps the elements into generators[coords[c]]
+    projections = list(zip(*elements))
+    targets = [generators[gi] for gi in coords]
+    pred_tables = {name: tuple(_forced_table(
+        name, arity, len(elements), projections, targets))
+                   for name, arity in sig.preds}
     alg = FiniteAlgebra(sig, len(elements), sub.op_tables(), pred_tables)
     return FreeAlgebra(alg, rank, tuple(sub.seeds), tuple(factors),
                        tuple(elements), tuple(sub.steps), relations)
@@ -236,14 +231,19 @@ class Replica:
     hom_count: int
 
 
-def _homs_into(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra,
-               budget: int) -> tuple[list[tuple[int, ...]],
-                                     list[FiniteAlgebra]]:
-    """Every homomorphism from source into each generator in turn, and
-    beside them the generators they map into."""
+def _diagonal(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra,
+              budget: int):
+    """Every homomorphism from source into each generator in turn, beside
+    them the generators they map into, and the canonical map: each source
+    element to its class, the elements with one tuple of images, the
+    classes numbered in the order of their least members."""
     found = [(h, g) for g in generators
              for h in find_homomorphisms(source, g, budget=budget)]
-    return [h for h, _ in found], [g for _, g in found]
+    homs = [h for h, _ in found]
+    index: dict[tuple[int, ...], int] = {}
+    cmap = tuple(index.setdefault(tuple(h[a] for h in homs), len(index))
+                 for a in range(source.size))
+    return homs, [g for _, g in found], cmap
 
 
 def _forced_table(name: str, arity: int, size: int,
@@ -275,11 +275,8 @@ def replica(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra, *,
     _check_family(generators)
     if source.sig != generators[0].sig:
         raise AlgebraMismatch("source signature differs from the class")
-    homs, hom_target = _homs_into(generators, source, budget)
-    index: dict[tuple[int, ...], int] = {}
-    cmap = tuple(index.setdefault(tuple(h[a] for h in homs), len(index))
-                 for a in range(source.size))
-    size = len(index)
+    homs, hom_target, cmap = _diagonal(generators, source, budget)
+    size = max(cmap) + 1
     reps = [cmap.index(i) for i in range(size)]
     op_tables = {name: tuple(map(cmap.__getitem__, _read_through(
         source.op_tables[name], reps, arity, source.size)))
@@ -322,12 +319,16 @@ def membership_in_closure(generators: Sequence[FiniteAlgebra],
     _check_family(generators)
     if candidate.sig != generators[0].sig:
         raise AlgebraMismatch("candidate signature differs from the class")
-    homs, hom_target = _homs_into(generators, candidate, budget)
-    for a in range(candidate.size):
-        for b in range(a + 1, candidate.size):
-            if all(h[a] == h[b] for h in homs):
-                return MembershipReport(False, len(homs),
-                                        ("unseparated", a, b))
+    homs, hom_target, cmap = _diagonal(generators, candidate, budget)
+    # the least a, then the least b, with one class: the two least members
+    # of the first class, by least member, that has two
+    members: dict[int, list[int]] = {}
+    for x, c in enumerate(cmap):
+        members.setdefault(c, []).append(x)
+    shared = [m for m in members.values() if len(m) > 1]
+    if shared:
+        return MembershipReport(False, len(homs),
+                                ("unseparated", *shared[0][:2]))
     n = candidate.size
     for name, arity in candidate.sig.preds:
         for position, (must, held) in enumerate(zip(

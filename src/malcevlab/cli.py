@@ -21,7 +21,6 @@ input is loaded, so every other command starts without it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -36,7 +35,7 @@ from .congruences import (Congruence, _block_of, all_congruences,
                           is_stable_partition, non_permuting_pairs, quotient)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
-from .fileformat import (load_algebra, load_class, load_signature,
+from .fileformat import (_load_algebra, _load_class, _load_signature,
                          save_algebra)
 from .quasigroups import (LatinSquare, equasigroup_from_latin, latin_square,
                           malcev_polynomial, multiplication_group,
@@ -51,33 +50,12 @@ from .terms import (check_quasiidentity, eval_formula, eval_term,
 MAP_SEARCH_BUDGET = 1_000_000
 
 # ---------------------------------------------------------------------------
-# input loading with digests
-
-
-def _digest(path: str, inputs: dict[str, str]) -> None:
-    try:
-        with open(path, "rb") as fh:
-            inputs[path] = hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _load_alg(path: str, inputs: dict[str, str]) -> FiniteAlgebra:
-    _digest(path, inputs)
-    return load_algebra(path)
-
-
-def _load_sig(path: str, inputs: dict[str, str]):
-    _digest(path, inputs)
-    return load_signature(path)
+# input loading: the loaders record each file's digest in inputs
 
 
 def _load_cls(path: str, inputs: dict[str, str], size_bound=None):
-    """The class file, members digested; size_bound overrides the file's."""
-    _digest(path, inputs)
-    cls = load_class(path)
-    for member in cls.paths:
-        _digest(member, inputs)
+    """The class file and its members; size_bound overrides the file's."""
+    cls = _load_class(path, inputs)
     return cls if size_bound is None else replace(cls, size_bound=size_bound)
 
 
@@ -149,7 +127,7 @@ def _rows(alg: FiniteAlgebra, name: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_parse(args, inputs):
-    sig = _load_sig(args.sig, inputs)
+    sig = _load_signature(args.sig, inputs)
     if args.kind == "term":
         node = parse_term(args.text, sig)
         canonical = print_term(node)
@@ -192,7 +170,7 @@ def _cmd_parse(args, inputs):
 
 
 def _cmd_eval(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     term = parse_term(args.term, alg.sig)
     assignment = _assignment(args.at, alg)
     value = eval_term(term, assignment, alg)
@@ -207,7 +185,7 @@ def _cmd_eval(args, inputs):
 
 
 def _cmd_check(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     q = parse_quasiidentity(args.formula, alg.sig)
     total = alg.size**q.variable_count
     if total > args.max_product:
@@ -244,7 +222,7 @@ def _cmd_check(args, inputs):
 
 
 def _cmd_subalg(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     seed = _assignment(args.seed, alg) if args.seed else []
     elements = generate_subalgebra(alg, seed)
     inside = set(elements)
@@ -264,8 +242,8 @@ def _cmd_subalg(args, inputs):
 
 
 def _cmd_homs(args, inputs):
-    a = _load_alg(args.source, inputs)
-    b = _load_alg(args.target, inputs)
+    a = _load_algebra(args.source, inputs)
+    b = _load_algebra(args.target, inputs)
     maps = find_homomorphisms(a, b, strong=args.strong,
                               budget=args.max_product)
     annotated = [{"map": list(m), "strong": is_strong_homomorphism(m, a, b)}
@@ -296,7 +274,7 @@ def _lattice(args, alg):
 
 
 def _cmd_congruences(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     congs = _lattice(args, alg)
     for c in congs:
         if not is_stable_partition(alg, c.block_of):  # pragma: no cover
@@ -315,7 +293,7 @@ def _cmd_congruences(args, inputs):
 
 
 def _cmd_permutable(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     congs = _lattice(args, alg)
     pair_count = len(congs) * (len(congs) - 1) // 2
     if pair_count > args.max_product:
@@ -341,7 +319,7 @@ def _cmd_permutable(args, inputs):
 
 
 def _cmd_quotient(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     # quotient checks stability itself (NotStable), so the partition is not
     # checked first through partition_congruence
     theta = Congruence(alg, _partition(args.by, alg.size))
@@ -377,7 +355,7 @@ def _search_budget_error(res, depth: int, cap_note: str):
 
 
 def _cmd_malcev(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     from .malcev import malcev_search
     cap = args.max_size
     res = malcev_search(alg, args.depth, max_term_size=cap)
@@ -417,7 +395,7 @@ def _cmd_malcev(args, inputs):
 
 
 def _cmd_biternary(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     from .malcev import detect_biternary
     cap = args.max_size
     res = detect_biternary(alg, args.depth, max_term_size=cap)
@@ -458,7 +436,7 @@ def _cmd_biternary(args, inputs):
 
 
 def _cmd_translations(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     from .malcev import translation_group
     grp = translation_group(alg, args.depth)
     action = "transitively" if grp.transitive else "non-transitively"
@@ -487,7 +465,7 @@ def _cmd_translations(args, inputs):
 
 
 def _cmd_qg_verify(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     name = _mul_name(alg)
     try:
         square = latin_square(_rows(alg, name))
@@ -525,7 +503,7 @@ def _closed_under_generators(maps, generators) -> bool:
 
 
 def _cmd_qg_mulgroup(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     q = equasigroup_from_latin(_square(alg))
     grp = multiplication_group(q, side=args.side)
     closed = _closed_under_generators(grp.closure, grp.generators)
@@ -550,7 +528,7 @@ def _cmd_qg_mulgroup(args, inputs):
 
 
 def _cmd_qg_malcev(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     q = equasigroup_from_latin(_square(alg))
     term = malcev_polynomial(q, flavor=args.flavor)
     text = print_term(term)
@@ -574,7 +552,7 @@ def _cmd_qg_malcev(args, inputs):
 
 
 def _cmd_qg_rectify(args, inputs):
-    alg = _load_alg(args.algebra, inputs)
+    alg = _load_algebra(args.algebra, inputs)
     q = equasigroup_from_latin(_square(alg))
     report = rectification_check(q)
     verdict = "verified" if report.holds else "failed"
@@ -669,7 +647,7 @@ def _cmd_present(args, inputs):
 
 def _cmd_replica(args, inputs):
     cls = _load_cls(args.cls, inputs)
-    source = _load_alg(args.algebra, inputs)
+    source = _load_algebra(args.algebra, inputs)
     rep = replica(cls.algebras, source, budget=args.max_product)
     result = {
         "summary": f"replica has {rep.algebra.size} elements, separated "
@@ -691,7 +669,7 @@ def _cmd_replica(args, inputs):
 
 def _cmd_member(args, inputs):
     cls = _load_cls(args.cls, inputs)
-    candidate = _load_alg(args.algebra, inputs)
+    candidate = _load_algebra(args.algebra, inputs)
     report = membership_in_closure(cls.algebras, candidate,
                                    budget=args.max_product)
     if report.member:

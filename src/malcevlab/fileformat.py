@@ -15,7 +15,8 @@ with examples; briefly:
          "include_unitary BOOL" and "size_bound N"
 
 Loading is strict: unknown keywords, wrong counts and range errors
-raise FormatError with the file name and line number.
+raise FormatError with the file name and line number, and a file that
+is not UTF-8 raises it with the file name.
 """
 
 from __future__ import annotations
@@ -24,27 +25,40 @@ import os
 from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, unitary_system
+from .classes import DEFAULT_SIZE_BOUND
 from .errors import AlgebraMismatch, FormatError
 from .terms import Signature
 
 
-def _tokenize(path: str) -> list[tuple[int, str]]:
-    """All tokens of a file as (line number, token), comments stripped."""
-    out = []
+def _tokenize(path: str, digests: dict | None) -> list[tuple[int, str]]:
+    """All tokens of a file as (line number, token), comments stripped;
+    the file is read once, its sha256 recorded in digests when given."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0]
-                out.extend((lineno, tok) for tok in body.split())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
-    return out
+    if digests is not None:
+        # imported here: hashlib loads OpenSSL, which the library alone
+        # does not need
+        import hashlib
+        digests[path] = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte "
+                          f"0x{data[exc.start]:02x} at offset {exc.start})"
+                          ) from None
+    # the line ends that a text-mode read translates
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(lineno, tok) for lineno, line in enumerate(lines, start=1)
+            for tok in line.split("#", 1)[0].split()]
 
 
 class _Reader:
-    def __init__(self, path: str):
+    def __init__(self, path: str, digests: dict | None):
         self.path = path
-        self.tokens = _tokenize(path)
+        self.tokens = _tokenize(path, digests)
         self.pos = 0
 
     def done(self) -> bool:
@@ -92,7 +106,11 @@ def _read_declaration(reader: _Reader) -> tuple[str, str, int]:
 
 def load_signature(path: str) -> Signature:
     """Read a .sig file: op/pred declarations, one per line."""
-    reader = _Reader(path)
+    return _load_signature(path, None)
+
+
+def _load_signature(path: str, digests: dict | None) -> Signature:
+    reader = _Reader(path, digests)
     ops: list[tuple[str, int]] = []
     preds: list[tuple[str, int]] = []
     while not reader.done():
@@ -113,7 +131,11 @@ def save_signature(sig: Signature, path: str) -> None:
 
 def load_algebra(path: str) -> FiniteAlgebra:
     """Read a .alg file: size, then declarations each with its table."""
-    reader = _Reader(path)
+    return _load_algebra(path, None)
+
+
+def _load_algebra(path: str, digests: dict | None) -> FiniteAlgebra:
+    reader = _Reader(path, digests)
     key = reader.next("'size'")
     if key != "size":
         raise reader.error(f"expected 'size', found {key!r}")
@@ -189,19 +211,23 @@ class ClassDefinition:
     paths: tuple[str, ...]
 
 
-def load_class(path: str, *, default_size_bound: int = 10_000
-               ) -> ClassDefinition:
+def load_class(path: str) -> ClassDefinition:
     """Read a .cls file and load its member algebras.
 
     Member paths resolve relative to the .cls file's directory.  All
     members must share a signature; with include_unitary the
-    one-element system over that signature is appended.
+    one-element system over that signature is appended.  Without a
+    size_bound line the bound is classes.DEFAULT_SIZE_BOUND.
     """
-    reader = _Reader(path)
+    return _load_class(path, None)
+
+
+def _load_class(path: str, digests: dict | None) -> ClassDefinition:
+    reader = _Reader(path, digests)
     base = os.path.dirname(path)
     member_paths: list[str] = []
     include_unitary = False
-    size_bound = default_size_bound
+    size_bound = DEFAULT_SIZE_BOUND
     while not reader.done():
         key = reader.next("'algebra', 'include_unitary' or 'size_bound'")
         if key == "algebra":
@@ -219,7 +245,7 @@ def load_class(path: str, *, default_size_bound: int = 10_000
             raise reader.error(f"unknown keyword {key!r}")
     if not member_paths:
         raise FormatError(f"{path}: a class needs at least one algebra")
-    algebras = [load_algebra(member) for member in member_paths]
+    algebras = [_load_algebra(member, digests) for member in member_paths]
     sig = algebras[0].sig
     for member, alg in zip(member_paths[1:], algebras[1:]):
         if alg.sig != sig:

@@ -53,6 +53,8 @@ from .terms import App, Term, Var, assignment_columns, compile_evaluator
 DEFAULT_DEPTH = 4
 DEFAULT_TABLE_BUDGET = 150_000
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
+# the table budget of translation_group
+_TRANSLATION_MAPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -532,32 +534,25 @@ class MalcevSearchResult:
 
 
 def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
-                  second_identity: str = "x",
                   table_budget: int = DEFAULT_TABLE_BUDGET,
                   candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
                   max_term_size: Optional[int] = None) -> MalcevSearchResult:
     """Search for a ternary term P with P(x,x,z) = z and P(x,z,z) = x.
 
-    second_identity selects the expected value of P(x,z,z): "x" is the
-    standard Mal'cev condition; "z" yields a degenerate condition that
-    the projection onto the third variable already satisfies.  The
-    search scans derived ternary operations breadth-first by depth and
-    returns, from the first depth level containing any qualifying
+    The search scans derived ternary operations breadth-first by depth
+    and returns, from the first depth level containing any qualifying
     operation, the representative term least in the canonical order.
     max_term_size additionally prunes candidates whose representative
     term would exceed that node count.  The witness is re-verified
     through the term evaluator on all triples.
     """
-    if second_identity not in ("x", "z"):
-        raise ValueError("second_identity must be 'x' or 'z'")
     search = _TableSearch(alg, 3, table_budget, candidate_budget,
                           max_term_size)
     d0, d1, d2 = search.digits
     m1 = np.where(d0 == d1)[0]
     m2 = np.where(d1 == d2)[0]
     cols = np.concatenate([m1, m2])
-    values = np.concatenate(
-        [d2[m1], d0[m2] if second_identity == "x" else d2[m2]])
+    values = np.concatenate([d2[m1], d0[m2]])
     new = range(len(search))
     depth = 0
     while True:
@@ -565,8 +560,7 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
         if hits:
             best = min(hits, key=search.ranks().__getitem__)
             term = search.term(best)
-            if not malcev_identities_hold(alg, term,
-                                          second_identity=second_identity):
+            if not malcev_identities_hold(alg, term):
                 raise AssertionError("witness fails the Mal'cev identities")
             return MalcevSearchResult(term, search.truncated,
                                       len(search), max_depth,
@@ -579,16 +573,10 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
         new = search.run_level(depth)
 
 
-def find_malcev_term(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
-                     second_identity: str = "x",
-                     table_budget: int = DEFAULT_TABLE_BUDGET,
-                     candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-                     max_term_size: Optional[int] = None) -> Optional[Term]:
+def find_malcev_term(alg: FiniteAlgebra,
+                     max_depth: int = DEFAULT_DEPTH) -> Optional[Term]:
     """The witness term from malcev_search, or None (absence is a value)."""
-    return malcev_search(
-        alg, max_depth, second_identity=second_identity,
-        table_budget=table_budget, candidate_budget=candidate_budget,
-        max_term_size=max_term_size).term
+    return malcev_search(alg, max_depth).term
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +603,12 @@ class PermutabilityReport:
 
 def check_permutability_theorem(alg: FiniteAlgebra,
                                 max_depth: int = DEFAULT_DEPTH, *,
-                                table_budget: int = DEFAULT_TABLE_BUDGET,
-                                candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
                                 max_term_size: Optional[int] = None
                                 ) -> PermutabilityReport:
     """Compare find_malcev_term against pairwise congruence permutability."""
     congs = all_congruences(alg)
     bad = non_permuting_pairs(congs)
-    result = malcev_search(alg, max_depth, table_budget=table_budget,
-                           candidate_budget=candidate_budget,
-                           max_term_size=max_term_size)
+    result = malcev_search(alg, max_depth, max_term_size=max_term_size)
     if result.term is not None:
         verdict = "violation" if bad else "consistent"
     else:
@@ -728,15 +712,10 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
         new = search.run_level(depth)
 
 
-def find_biternary_pair(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
-                        table_budget: int = DEFAULT_TABLE_BUDGET,
-                        candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-                        max_term_size: Optional[int] = None
+def find_biternary_pair(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH
                         ) -> Optional[BiternaryPair]:
     """The pair from detect_biternary, or None when not found in bounds."""
-    return detect_biternary(
-        alg, max_depth, table_budget=table_budget,
-        candidate_budget=candidate_budget, max_term_size=max_term_size).pair
+    return detect_biternary(alg, max_depth).pair
 
 
 def _verify_biternary(alg: FiniteAlgebra, pair: BiternaryPair):
@@ -776,7 +755,6 @@ def _substitute(t: Term, replacements: tuple[Term, ...]) -> Term:
 # translation groups
 
 def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
-                      max_maps: int = 100_000,
                       candidate_budget: int = DEFAULT_CANDIDATE_BUDGET
                       ) -> TranslationGroup:
     """Reversible translations x -> F(x) with F a unary polynomial form.
@@ -786,7 +764,7 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     depth d; it stops early once a level adds no map.  The bijective
     tables are the generators, sorted, and their composition closure is
     the group.  transitive reports whether the closure acts transitively
-    on the carrier.  max_maps is the search's table budget.  truncated
+    on the carrier.  The search's table budget is _TRANSLATION_MAPS.  truncated
     is set when the table or candidate budget ran out; the search
     charges candidates per slab, so the maps found by then are those of
     the slabs it completed.
@@ -795,7 +773,8 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     # each nullary operation spends a candidate at depth 1 on a constant
     # map that level 0 already holds, which the budget allows for
     nullary = sum(1 for _, arity in alg.sig.ops if arity == 0)
-    search = _TableSearch(alg, 1, max_maps, candidate_budget + nullary)
+    search = _TableSearch(alg, 1, _TRANSLATION_MAPS,
+                          candidate_budget + nullary)
     for c in range(n):
         # the constants as extra variables, keyed after x0
         search.add_variable(np.full(n, c, dtype=search.dtype))

@@ -70,9 +70,6 @@ class LatinSquare:
     def order(self) -> int:
         return len(self.rows)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
 
 def latin_square(rows: Sequence[Sequence[int]]) -> LatinSquare:
     """Validate a nested table as a Latin square."""
@@ -100,11 +97,6 @@ class Equasigroup:
         if self.left_unit is not None and self.left_unit == self.right_unit:
             return self.left_unit
         return None
-
-    def square(self) -> LatinSquare:
-        n = self.size
-        return LatinSquare(tuple(self.mul[a * n:(a + 1) * n]
-                                 for a in range(n)))
 
 
 def equasigroup_from_latin(square: LatinSquare) -> Equasigroup:
@@ -266,8 +258,7 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
 
 
 def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
-                           anchor: Optional[int] = None,
-                           second_identity: str = "x", *,
+                           anchor: Optional[int] = None, *,
                            every_anchor: bool = False) -> bool:
     """Whether P(x,x,z) = z and P(x,z,z) = x hold for all x, z, checked
     by the compiled term evaluator over the n**2 columns (x,x,z) and
@@ -277,22 +268,20 @@ def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
     every_anchor checks that form for every element a with one compile:
     the anchor is a third column, over blocks of at most _BLOCK_CAP
     positions (one anchor a block once n**2 exceeds it).
-    second_identity "z" expects P(x,z,z) = z instead.
     """
     n = alg.size
     x, z = assignment_columns(n, 2)
-    expected = x if second_identity == "x" else z
     if not every_anchor:
         tail = () if anchor is None else (anchor,)
         p = compile_evaluator(term, alg, 3 + len(tail))
-        return p((x, x, z) + tail) == z and p((x, z, z) + tail) == expected
+        return p((x, x, z) + tail) == z and p((x, z, z) + tail) == x
     p = compile_evaluator(term, alg, 4)
     step = max(1, _BLOCK_CAP // n**2)
     for start in range(0, n, step):
         anchors = range(start, min(start + step, n))
         a = tuple(v for v in anchors for _ in x)
-        xs, zs, want = (col * len(anchors) for col in (x, z, expected))
-        if p((xs, xs, zs, a)) != zs or p((xs, zs, zs, a)) != want:
+        xs, zs = (col * len(anchors) for col in (x, z))
+        if p((xs, xs, zs, a)) != zs or p((xs, zs, zs, a)) != xs:
             return False
     return True
 

@@ -148,6 +148,36 @@ def test_missing_file_is_exit_two(capsys):
     assert "absent.alg" in err
 
 
+def test_each_input_file_is_opened_once(monkeypatch, capsys):
+    opened = []
+    monkeypatch.setattr("builtins.open", lambda file, *args, _open=open,
+                        **kwargs: opened.append(file) or _open(
+                            file, *args, **kwargs))
+    code, out, _ = run(["member", "demos/data/chain.cls",
+                        "demos/data/chain3.alg", "--format", "machine"],
+                       capsys)
+    assert code == 0
+    files = ["demos/data/chain.cls", "demos/data/chain2.alg",
+             "demos/data/chain3.alg"]
+    assert sorted(opened) == sorted(json.loads(out)["inputs"]) == files
+    code, _, err = run(["malcev", "demos/data/absent.alg"], capsys)
+    assert code == 2
+    assert err == "error: demos/data/absent.alg: No such file or directory\n"
+
+
+def test_non_utf8_input_is_exit_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes(b"size 1  # caf\xe9\nop e 0\n0\n")
+    code, out, err = run(["eval", str(bad), "x0", "--at", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8")
+    (tmp_path / "latin1.cls").write_text("algebra latin1.alg\n")
+    code, out, err = run(["member", str(tmp_path / "latin1.cls"),
+                          "demos/data/chain3.alg"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8")
+
+
 COLD_PATH = """
 import sys
 from malcevlab.cli import main
@@ -367,9 +397,9 @@ def test_class_members_resolve_against_the_class_file(tmp_path, monkeypatch,
     pathlib.Path("family/members.cls").write_text(
         f"algebra z4.alg\nalgebra {absolute}\n")
     opened = []
-    monkeypatch.setattr(fileformat, "load_algebra",
-                        lambda path, _load=fileformat.load_algebra:
-                        opened.append(path) or _load(path))
+    monkeypatch.setattr(fileformat, "_load_algebra",
+                        lambda path, digests, _load=fileformat._load_algebra:
+                        opened.append(path) or _load(path, digests))
     assert load_class("family/members.cls").paths == tuple(opened) == (
         relative, absolute)
 

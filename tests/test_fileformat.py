@@ -98,6 +98,23 @@ def test_missing_file_is_a_format_error():
         load_algebra("/nonexistent/missing.alg")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_line_numbers_follow_every_line_end(tmp_path, end):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(end.join(["size 2", "# a note", "op f 1", "0 x"])
+                     .encode())
+    with pytest.raises(FormatError, match=r":4: expected a value of f"):
+        load_algebra(str(path))
+
+
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b"# caf\xe9\nsize 1\n")
+    with pytest.raises(FormatError, match="not UTF-8") as info:
+        load_algebra(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_class_loading(tmp_path, z2):
     alg_path = tmp_path / "member.alg"
     save_algebra(z2, str(alg_path))

@@ -219,11 +219,6 @@ def test_size_cap_bounds_a_ternary_operation(deadline):
                    for a in alphas for b in tables)
 
 
-def test_second_identity_variant_admits_projection(z4):
-    res = malcev_search(z4, second_identity="z")
-    assert res.term == Var(2)
-
-
 def test_malcev_verifies_witness_against_evaluator(z6):
     res = malcev_search(z6)
     assert res.term is not None
