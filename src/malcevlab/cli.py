@@ -13,9 +13,15 @@ the checked property does not hold, 2 for malformed input, and 3 when a
 work or size budget stopped a search before it could settle the
 question — budgets never truncate silently.
 
-The derived-operation search (and numpy with it) is imported inside the
-handlers of ``malcev``, ``biternary`` and ``translations``, after their
-input is loaded, so every other command starts without it.
+A command line loads only what its handler runs.  Every command imports
+terms, errors, algebras and fileformat; the handlers import the rest
+after their input is loaded: congruences for ``congruences``,
+``permutable`` and ``quotient``, quasigroups for the ``quasigroup``
+commands, classes for ``free``, ``present``, ``replica`` and ``member``,
+and the derived-operation search (with numpy) for ``malcev``,
+``biternary`` and ``translations``.  The parser holds only the command
+the command line names; help and a missing or unknown command build
+every command's parser.
 """
 
 from __future__ import annotations
@@ -29,17 +35,10 @@ from dataclasses import replace
 
 from .algebras import (FiniteAlgebra, _read_through, find_homomorphisms,
                        generate_subalgebra, is_strong_homomorphism)
-from .classes import (free_algebra, membership_in_closure, presented_algebra,
-                      replica, verify_universal_property)
-from .congruences import (Congruence, _block_of, all_congruences,
-                          is_stable_partition, non_permuting_pairs, quotient)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
 from .fileformat import (_load_algebra, _load_class, _load_signature,
                          save_algebra)
-from .quasigroups import (LatinSquare, equasigroup_from_latin, latin_square,
-                          malcev_polynomial, multiplication_group,
-                          rectification_check)
 from .terms import (check_quasiidentity, eval_formula, eval_term,
                     formula_vars, parse_formula, parse_quasiidentity,
                     parse_term, print_term, term_depth, term_size,
@@ -93,14 +92,16 @@ def _partition(text: str, size: int) -> tuple[int, ...]:
     else:
         chunks = text.split("|")
     blocks = [_ints(chunk, "partition elements") for chunk in chunks]
+    from .congruences import _block_of
     try:
         return _block_of(blocks, size)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
-def _square(alg: FiniteAlgebra) -> LatinSquare:
+def _square(alg: FiniteAlgebra):
     """Interpret an algebra's multiplication as a Latin square."""
+    from .quasigroups import latin_square
     return latin_square(_rows(alg, _mul_name(alg)))
 
 
@@ -266,6 +267,7 @@ def _cmd_homs(args, inputs):
 
 def _lattice(args, alg):
     """all_congruences with --max-product as its join budget."""
+    from .congruences import all_congruences
     try:
         return all_congruences(alg, budget=args.max_product)
     except SearchBudgetExceeded as exc:
@@ -275,6 +277,7 @@ def _lattice(args, alg):
 
 def _cmd_congruences(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
+    from .congruences import is_stable_partition
     congs = _lattice(args, alg)
     for c in congs:
         if not is_stable_partition(alg, c.block_of):  # pragma: no cover
@@ -294,6 +297,7 @@ def _cmd_congruences(args, inputs):
 
 def _cmd_permutable(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
+    from .congruences import non_permuting_pairs
     congs = _lattice(args, alg)
     pair_count = len(congs) * (len(congs) - 1) // 2
     if pair_count > args.max_product:
@@ -320,6 +324,7 @@ def _cmd_permutable(args, inputs):
 
 def _cmd_quotient(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
+    from .congruences import Congruence, quotient
     # quotient checks stability itself (NotStable), so the partition is not
     # checked first through partition_congruence
     theta = Congruence(alg, _partition(args.by, alg.size))
@@ -467,6 +472,7 @@ def _cmd_translations(args, inputs):
 def _cmd_qg_verify(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
     name = _mul_name(alg)
+    from .quasigroups import equasigroup_from_latin, latin_square
     try:
         square = latin_square(_rows(alg, name))
     except NotLatin as exc:
@@ -504,6 +510,7 @@ def _closed_under_generators(maps, generators) -> bool:
 
 def _cmd_qg_mulgroup(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
+    from .quasigroups import equasigroup_from_latin, multiplication_group
     q = equasigroup_from_latin(_square(alg))
     grp = multiplication_group(q, side=args.side)
     closed = _closed_under_generators(grp.closure, grp.generators)
@@ -529,6 +536,7 @@ def _cmd_qg_mulgroup(args, inputs):
 
 def _cmd_qg_malcev(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
+    from .quasigroups import equasigroup_from_latin, malcev_polynomial
     q = equasigroup_from_latin(_square(alg))
     term = malcev_polynomial(q, flavor=args.flavor)
     text = print_term(term)
@@ -553,6 +561,7 @@ def _cmd_qg_malcev(args, inputs):
 
 def _cmd_qg_rectify(args, inputs):
     alg = _load_algebra(args.algebra, inputs)
+    from .quasigroups import equasigroup_from_latin, rectification_check
     q = equasigroup_from_latin(_square(alg))
     report = rectification_check(q)
     verdict = "verified" if report.holds else "failed"
@@ -575,6 +584,7 @@ def _cmd_qg_rectify(args, inputs):
 
 def _cmd_free(args, inputs):
     cls = _load_cls(args.cls, inputs, args.max_product)
+    from .classes import free_algebra, verify_universal_property
     fr = free_algebra(cls.algebras, args.rank, size_bound=cls.size_bound)
     result = {
         "summary": f"free algebra of rank {args.rank} over "
@@ -605,6 +615,7 @@ def _cmd_free(args, inputs):
 
 def _cmd_present(args, inputs):
     cls = _load_cls(args.cls, inputs, args.max_product)
+    from .classes import presented_algebra, verify_universal_property
     sig = cls.algebras[0].sig
     relations = []
     for text in args.relation or []:
@@ -648,6 +659,7 @@ def _cmd_present(args, inputs):
 def _cmd_replica(args, inputs):
     cls = _load_cls(args.cls, inputs)
     source = _load_algebra(args.algebra, inputs)
+    from .classes import replica
     rep = replica(cls.algebras, source, budget=args.max_product)
     result = {
         "summary": f"replica has {rep.algebra.size} elements, separated "
@@ -670,6 +682,7 @@ def _cmd_replica(args, inputs):
 def _cmd_member(args, inputs):
     cls = _load_cls(args.cls, inputs)
     candidate = _load_algebra(args.algebra, inputs)
+    from .classes import membership_in_closure
     report = membership_in_closure(cls.algebras, candidate,
                                    budget=args.max_product)
     if report.member:
@@ -769,52 +782,71 @@ _ARGUMENTS = {
              "class file's size_bound)")),
 }
 
-# (command, handler, help, the _ARGUMENTS keys it reads in order); a
-# command with no handler is a group of the commands named under it
-_COMMANDS = (
-    ("parse", _cmd_parse, "parse and canonically print a term or formula",
-     ("text", "sig", "kind")),
-    ("eval", _cmd_eval, "evaluate a term under an assignment",
-     ("algebra", "term", "at")),
-    ("check", _cmd_check, "check a quasiidentity on an algebra",
-     ("algebra", "formula", "budget")),
-    ("subalg", _cmd_subalg, "subuniverse generated by a seed set",
-     ("algebra", "seed")),
-    ("homs", _cmd_homs, "all homomorphisms between two algebras",
-     ("source", "target", "strong", "budget")),
-    ("congruences", _cmd_congruences, "list every congruence of an algebra",
-     ("algebra", "budget")),
-    ("permutable", _cmd_permutable,
-     "check all congruence pairs for permutability", ("algebra", "budget")),
-    ("quotient", _cmd_quotient, "quotient by a congruence partition",
-     ("algebra", "by", "out")),
-    ("malcev", _cmd_malcev, "search for a Mal'cev term within bounds",
-     ("algebra", "depth", "max_size")),
-    ("biternary", _cmd_biternary, "search for a biternary operation pair",
-     ("algebra", "depth", "max_size")),
-    ("translations", _cmd_translations,
-     "reversible translation maps and their closure", ("algebra", "depth")),
-    ("quasigroup", None, "quasigroup-specific commands", ()),
-    ("quasigroup verify", _cmd_qg_verify,
-     "is the multiplication table a Latin square?", ("algebra",)),
-    ("quasigroup mulgroup", _cmd_qg_mulgroup,
-     "multiplication group of a quasigroup", ("algebra", "side")),
-    ("quasigroup malcev", _cmd_qg_malcev, "division-based Mal'cev polynomial",
-     ("algebra", "flavor")),
-    ("quasigroup rectify", _cmd_qg_rectify,
-     "check the division-rectification bijection", ("algebra",)),
-    ("free", _cmd_free, "free algebra over a class of generators",
-     ("cls", "rank", "out", "size_bound")),
-    ("present", _cmd_present, "algebra presented by generators and relations",
-     ("cls", "rank", "relation", "out", "size_bound")),
-    ("replica", _cmd_replica, "replica of an algebra in a class",
-     ("cls", "algebra", "out", "budget")),
-    ("member", _cmd_member, "decide membership in the class of generators",
-     ("cls", "algebra", "budget")),
-)
+# command words -> (handler, help, the _ARGUMENTS keys it reads in order);
+# a command with no handler is a group of the commands named under it
+_COMMANDS = {
+    ("parse",): (_cmd_parse, "parse and canonically print a term or formula",
+                 ("text", "sig", "kind")),
+    ("eval",): (_cmd_eval, "evaluate a term under an assignment",
+                ("algebra", "term", "at")),
+    ("check",): (_cmd_check, "check a quasiidentity on an algebra",
+                 ("algebra", "formula", "budget")),
+    ("subalg",): (_cmd_subalg, "subuniverse generated by a seed set",
+                  ("algebra", "seed")),
+    ("homs",): (_cmd_homs, "all homomorphisms between two algebras",
+                ("source", "target", "strong", "budget")),
+    ("congruences",): (_cmd_congruences,
+                       "list every congruence of an algebra",
+                       ("algebra", "budget")),
+    ("permutable",): (_cmd_permutable,
+                      "check all congruence pairs for permutability",
+                      ("algebra", "budget")),
+    ("quotient",): (_cmd_quotient, "quotient by a congruence partition",
+                    ("algebra", "by", "out")),
+    ("malcev",): (_cmd_malcev, "search for a Mal'cev term within bounds",
+                  ("algebra", "depth", "max_size")),
+    ("biternary",): (_cmd_biternary, "search for a biternary operation pair",
+                     ("algebra", "depth", "max_size")),
+    ("translations",): (_cmd_translations,
+                        "reversible translation maps and their closure",
+                        ("algebra", "depth")),
+    ("quasigroup",): (None, "quasigroup-specific commands", ()),
+    ("quasigroup", "verify"): (_cmd_qg_verify,
+                               "is the multiplication table a Latin square?",
+                               ("algebra",)),
+    ("quasigroup", "mulgroup"): (_cmd_qg_mulgroup,
+                                 "multiplication group of a quasigroup",
+                                 ("algebra", "side")),
+    ("quasigroup", "malcev"): (_cmd_qg_malcev,
+                               "division-based Mal'cev polynomial",
+                               ("algebra", "flavor")),
+    ("quasigroup", "rectify"): (_cmd_qg_rectify,
+                                "check the division-rectification bijection",
+                                ("algebra",)),
+    ("free",): (_cmd_free, "free algebra over a class of generators",
+                ("cls", "rank", "out", "size_bound")),
+    ("present",): (_cmd_present,
+                   "algebra presented by generators and relations",
+                   ("cls", "rank", "relation", "out", "size_bound")),
+    ("replica",): (_cmd_replica, "replica of an algebra in a class",
+                   ("cls", "algebra", "out", "budget")),
+    ("member",): (_cmd_member, "decide membership in the class of generators",
+                  ("cls", "algebra", "budget")),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv's leading words name a command, it
+    holds only that command, under its group; otherwise (help, a missing
+    or unknown command) it holds them all.  Either way argv parses, or
+    fails with the same message, as with all of them."""
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = words[:1]
+    whole = _COMMANDS.get(words, (None,))[0] is None
+    # a group first, then its command; a plain command is its own first word
+    chosen = _COMMANDS if whole else dict.fromkeys((words[:1], words))
+
     # shared by every command: a parent adds its actions without rebuilding
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
@@ -824,17 +856,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "--assert", dest="assert_flag", action="store_true",
         help="exit 1 when the checked property does not hold")
 
+    def subparsers(p, group: tuple, dest: str):
+        # a partial tree's usage lists every command of the group, as the
+        # whole tree's does; the whole tree keeps argparse's own listing,
+        # since a metavar would also rename its missing-command error
+        listing = None if whole else "{%s}" % ",".join(
+            name[-1] for name in _COMMANDS if name[:-1] == group)
+        return p.add_subparsers(dest=dest, required=True, metavar=listing)
+
     # options are spelled out in full: a prefix could name a different
     # option in each command
     parser = argparse.ArgumentParser(
         prog="malcev-lab", allow_abbrev=False,
         description="workbench for finite algebraic systems")
-    subs = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, handler, help, keys in _COMMANDS:
-        group, _, leaf = name.rpartition(" ")
+    subs = {(): subparsers(parser, (), "command")}
+    for name in chosen:
+        handler, help, keys = _COMMANDS[name]
+        group, leaf = name[:-1], name[-1]
         if handler is None:
             p = subs[group].add_parser(leaf, help=help, allow_abbrev=False)
-            subs[name] = p.add_subparsers(dest="qcommand", required=True)
+            subs[name] = subparsers(p, name, "qcommand")
             continue
         p = subs[group].add_parser(leaf, help=help, parents=[output],
                                    allow_abbrev=False)
@@ -877,8 +918,7 @@ def _print_text(report: dict, wall_ms: float) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     start = time.perf_counter()
     inputs: dict[str, str] = {}
     try:

@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, unitary_system
-from .classes import DEFAULT_SIZE_BOUND
 from .errors import AlgebraMismatch, FormatError
 from .terms import Signature
 
@@ -223,6 +222,9 @@ def load_class(path: str) -> ClassDefinition:
 
 
 def _load_class(path: str, digests: dict | None) -> ClassDefinition:
+    # imported here: the commands that read no class file do not load
+    # the classes module
+    from .classes import DEFAULT_SIZE_BOUND
     reader = _Reader(path, digests)
     base = os.path.dirname(path)
     member_paths: list[str] = []

@@ -20,6 +20,7 @@ free of the search and of numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
@@ -162,10 +163,14 @@ def composition_closure(maps, size: int) -> frozenset:
     """
     generators = [tuple(m) for m in maps]
     closure = {tuple(range(size)), *generators}
+    if size < 2:  # no other self-map; itemgetter(i) returns no tuple
+        return frozenset(closure)
+    # composing g with h reads g at h: one itemgetter per generator
+    readers = [itemgetter(*h) for h in generators]
     work = list(closure)
     for g in work:
-        for h in generators:
-            comp = tuple([g[x] for x in h])
+        for read in readers:
+            comp = read(g)
             if comp not in closure:
                 closure.add(comp)
                 work.append(comp)

@@ -18,9 +18,9 @@ import sys
 
 import pytest
 
-from malcevlab import (FiniteAlgebra, Signature, algebras, cli, congruences,
+from malcevlab import (FiniteAlgebra, Signature, algebras, congruences,
                        fileformat)
-from malcevlab.cli import _build_parser, main
+from malcevlab.cli import _COMMANDS, _build_parser, main
 from malcevlab.fileformat import load_class, save_algebra
 
 from conftest import binary_beside_ternary
@@ -192,18 +192,6 @@ assert "numpy" in sys.modules
 """
 
 
-def test_only_searches_load_numpy():
-    cases = dict(GOLDEN_CASES)
-    argvs = [cases[name] for name in (
-        "parse_term", "check_holds", "congruences", "permutable",
-        "qg_mulgroup", "free", "member_yes")]
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_PATH.format(argvs=argvs)], cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
 # one command line that runs to completion for each leaf command
 LEAVES = {
     "parse": ["parse", "x0", "--sig", "demos/data/group.sig"],
@@ -226,6 +214,59 @@ LEAVES = {
     "replica": ["replica", "demos/data/chain.cls", "demos/data/chain3.alg"],
     "member": ["member", "demos/data/chain.cls", "demos/data/chain3.alg"],
 }
+
+# the modules that each leaf command loads, beyond the malcevlab modules
+# that every command loads; numpy comes only with the search
+BASE_MODULES = {"cli", "errors", "terms", "algebras", "fileformat"}
+LOADS = {
+    **dict.fromkeys(("parse", "eval", "check", "subalg", "homs"), set()),
+    **dict.fromkeys(("congruences", "permutable", "quotient"),
+                    {"congruences"}),
+    **dict.fromkeys(("malcev", "biternary", "translations"),
+                    {"congruences", "quasigroups", "malcev", "numpy"}),
+    **dict.fromkeys(("free", "present", "replica", "member"), {"classes"}),
+    **{command: {"quasigroups"} for command in LEAVES
+       if command.startswith("quasigroup ")},
+}
+
+LOADED = """
+import contextlib, io, sys
+{setup}
+print(*sorted(m for m in sys.modules
+              if m.startswith("malcevlab.") or m == "numpy"),
+      file=sys.stderr)
+"""
+
+
+def loaded_modules(setup: str) -> set:
+    """The malcevlab submodules, and numpy, that a fresh interpreter holds
+    after setup."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED.format(setup=setup)], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("malcevlab.") for m in proc.stderr.split()}
+
+
+def test_only_searches_load_numpy():
+    cases = dict(GOLDEN_CASES)
+    argvs = [cases[name] for name in (
+        "parse_term", "check_holds", "congruences", "permutable",
+        "qg_mulgroup", "free", "member_yes")]
+    assert "numpy" in loaded_modules(COLD_PATH.format(argvs=argvs))
+    # then one fresh interpreter for each command
+    assert sorted(LOADS) == sorted(LEAVES)
+    assert loaded_modules("import malcevlab") == set()
+    assert loaded_modules("from malcevlab import parse_term") == {
+        "errors", "terms"}
+    for command, argv in LEAVES.items():
+        setup = ("from malcevlab.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert main({argv!r}) == 0")
+        assert loaded_modules(setup) == BASE_MODULES | LOADS[command], \
+            command
+
 
 # the commands that take each search or budget option, with a valid
 # value and values out of its range
@@ -281,6 +322,49 @@ def test_each_command_declares_exactly_the_options_it_applies(capsys):
     assert len(IGNORED) == 16 + 17 + 11
 
 
+def test_partial_parser_parses_each_command_as_the_whole_tree():
+    whole = _build_parser()
+    for words, (handler, _, _) in _COMMANDS.items():
+        if handler is None:
+            continue
+        argv = LEAVES[" ".join(words)]
+        partial = _build_parser(argv)
+        # only the named command is built, under its group
+        assert [name for name, _ in leaf_parsers(partial)] == [
+            " ".join(words)]
+        assert vars(partial.parse_args(argv)) == vars(whole.parse_args(argv))
+
+
+def stopped(parse, argv, capsys):
+    """The exit code, stdout and stderr of a parse that argv stops."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# help and usage errors: those of the whole tree, byte for byte
+STOPPED = [
+    [],
+    ["bogus"],
+    ["quasigroup"],
+    ["quasigroup", "bogus"],
+    ["--help"],
+    ["parse", "--help"],
+    ["quasigroup", "verify", "--help"],
+    ["quasigroup verify", "demos/data/qg3.alg"],
+    ["eval", "demos/data/z4.alg", "x0", "--at", "1", "--depth", "3"],
+    ["quasigroup", "verify", "demos/data/qg3.alg", "--depth", "3"],
+    ["malcev", "demos/data/z4.alg", "--depth", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", STOPPED, ids=[" ".join(a) for a in STOPPED])
+def test_partial_parser_stops_as_the_whole_tree(argv, capsys):
+    assert stopped(main, argv, capsys) == stopped(
+        _build_parser().parse_args, argv, capsys)
+
+
 @pytest.mark.parametrize("command,option", IGNORED)
 def test_command_rejects_an_option_it_does_not_apply(command, option,
                                                      capsys):
@@ -331,8 +415,9 @@ def test_max_size_zero_removes_the_cap(capsys):
 def test_quotient_checks_stability_and_homomorphism_once(monkeypatch,
                                                          capsys):
     calls = []
+    # cli imports congruences' names when a handler runs, so patching the
+    # module counts the calls from cli too
     for module, name in ((congruences, "is_stable_partition"),
-                         (cli, "is_stable_partition"),
                          (algebras, "is_homomorphism")):
         def counted(*args, _check=getattr(module, name), _name=name):
             calls.append(_name)

@@ -312,13 +312,21 @@ def test_composition_closure_contains_identity():
 
 
 def test_composition_closure_matches_naive_closure_on_self_maps():
-    # non-bijective maps too: the closure is then a monoid
+    # non-bijective maps too: the closure is then a monoid.  Above four
+    # points a permutation joins maps onto at most two values, which keeps
+    # the closure small enough for the quadratic oracle
     rng = random.Random(31)
-    for _ in range(30):
-        maps = [tuple(rng.randrange(4) for _ in range(4))
-                for _ in range(rng.randint(0, 3))]
-        assert composition_closure(maps, 4) == \
-            naive_composition_closure(maps, 4)
+    for size in range(1, 7):
+        values = size if size <= 4 else 2
+        for _ in range(20):
+            image = rng.sample(range(size), values)
+            maps = [tuple(rng.choice(image) for _ in range(size))
+                    for _ in range(rng.randint(0, 3 if size <= 4 else 2))]
+            if rng.random() < 0.5:
+                maps.append(tuple(rng.sample(range(size), size)))
+            rng.shuffle(maps)
+            assert composition_closure(maps, size) == \
+                naive_composition_closure(maps, size), (size, maps)
 
 
 def test_translation_closure_matches_naive_closure_seeded():
