@@ -13,11 +13,11 @@ join-closure of the principal congruences Cg(a, b) (Freese, Computing
 congruences efficiently, Algebra Universalis 59, 2008).  By Mal'cev's
 lemma Cg(a, b) is the equivalence generated by the pairs {t(a), t(b)},
 t a composite of basic translations x -> f(c.., x, ..c): the pairs
-reachable from {a, b} in the pair graph.  all_congruences finds every
-principal congruence in one pass over that graph's strongly connected
-components; congruence_generated_by, for one arbitrary set of pairs,
-runs a union-find worklist instead.  Enumerating the lattice is bounded
-by a budget on joins.
+reachable from {a, b} in the pair graph.  One pass over that graph's
+strongly connected components (_principal_partitions) gives the
+principal congruences of any set of pairs: all_congruences takes every
+pair, congruence_generated_by joins those of its own pairs.
+Enumerating the lattice is bounded by a budget on joins.
 """
 
 from __future__ import annotations
@@ -172,49 +172,22 @@ def _translation_rows(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     return list(rows)
 
 
-def _generated_partition(n: int, rows: Sequence[Sequence[int]],
-                         pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """block_of of the least partition relating the pairs and closed
-    under the given translation rows."""
-    parent = list(range(n))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    work = [(a, b) for a, b in pairs]
-    for a, b in work:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair ({a},{b}) outside carrier")
-    while work:
-        a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[max(ra, rb)] = min(ra, rb)
-        for row in rows:
-            fa, fb = row[a], row[b]
-            if find(fa) != find(fb):
-                work.append((fa, fb))
-    return _normalize(parent)
-
-
 def congruence_generated_by(alg: FiniteAlgebra,
                             pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence relating every given pair.
-
-    Union-find plus a worklist: whenever two classes merge, their images
-    under every basic translation x -> f(c.., x, ..c) merge too (a
-    partition closed under these is stable, Mal'cev's lemma).  Each
-    productive merge enqueues finitely many pairs, so this terminates;
-    the empty pair set yields the identity congruence.
+    """Least congruence relating every given pair: the join of their
+    principal congruences, which one pass over the part of the pair
+    graph they reach yields (_principal_partitions).  The empty pair set
+    yields the identity congruence.
     """
-    return Congruence(alg, _generated_partition(
-        alg.size, _translation_rows(alg), pairs))
+    n = alg.size
+    pairs = list(pairs)
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair ({a},{b}) outside carrier")
+    principals = _principal_partitions(n, _translation_rows(alg), [
+        min(a, b) * n + max(a, b) for a, b in pairs if a != b])
+    return Congruence(alg, _join_links(range(n), chain.from_iterable(
+        map(enumerate, principals.values()))))
 
 
 def _join_links(block_of: Sequence[int],
@@ -246,9 +219,10 @@ def join(theta: Congruence, xi: Congruence) -> Congruence:
                       _join_links(theta.block_of, enumerate(xi.block_of)))
 
 
-def _principal_partitions(n: int, rows: Sequence[Sequence[int]]
-                          ) -> dict[int, tuple[int, ...]]:
-    """block_of of Cg(a, b) for every pair a < b, keyed a * n + b.
+def _principal_partitions(n: int, rows: Sequence[Sequence[int]],
+                          roots: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """block_of of Cg(a, b) for every root key a * n + b (a < b), in
+    root order.
 
     The pair graph has a node per pair a < b and an edge from {a, b} to
     {f(a), f(b)} per translation row f, collapsed pairs left out; by
@@ -256,38 +230,38 @@ def _principal_partitions(n: int, rows: Sequence[Sequence[int]]
     reachable from {a, b}.  So every pair of one strongly connected
     component has the same partition: the join of the component's own
     pairs with its successor components' partitions.  An iterative
-    Tarjan (SIAM J. Comput. 1, 1972) emits each component after all it
-    reaches, on an explicit stack, so deep graphs need no recursion.
+    Tarjan (SIAM J. Comput. 1, 1972) from the roots emits each component
+    after all it reaches, on an explicit stack, so deep graphs need no
+    recursion.  Only the pairs the roots reach are visited, and a pair's
+    successors are held only from its first visit until its component
+    is emitted.
     """
     key = [-1 if x == y else min(x, y) * n + max(x, y)
            for x in range(n) for y in range(n)]
     scaled = [[r[x] * n for r in rows] for x in range(n)]
     plain = [[r[x] for r in rows] for x in range(n)]
-    succ = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            out = set(map(key.__getitem__, map(add, scaled[a], plain[b])))
-            out.discard(-1)
-            succ[a * n + b] = tuple(out)
     order, low, comp = [0] * n * n, [0] * n * n, [-1] * n * n
-    parts, links, stack, count = [], [], [], 0
-    for root in succ:
-        if order[root]:
+    succ, parts, links, stack, frames, count = {}, [], [], [], [], 0
+    for w in roots:
+        if order[w]:
             continue
-        frames = [(root, iter(succ[root]), 0)]
-        count = order[root] = low[root] = count + 1
-        stack.append(root)
-        while frames:
+        while True:
+            if w >= 0:  # first visit: w's successors, index and stack slot
+                a, b = divmod(w, n)
+                out = set(map(key.__getitem__, map(add, scaled[a], plain[b])))
+                out.discard(-1)
+                succ[w] = out = tuple(out)
+                frames.append((w, iter(out), len(stack)))
+                count = order[w] = low[w] = count + 1
+                stack.append(w)
             v, edges, height = frames[-1]
             for w in edges:
                 if not order[w]:
-                    frames.append((w, iter(succ[w]), len(stack)))
-                    count = order[w] = low[w] = count + 1
-                    stack.append(w)
-                    break
+                    break  # descend into w
                 if comp[w] < 0 and order[w] < low[v]:
                     low[v] = order[w]  # w is on the stack: v's component
             else:
+                w = -1
                 frames.pop()
                 if frames and low[v] < low[frames[-1][0]]:
                     low[frames[-1][0]] = low[v]
@@ -297,26 +271,28 @@ def _principal_partitions(n: int, rows: Sequence[Sequence[int]]
                     c = len(parts)
                     for m in members:
                         comp[m] = c
-                    below = {comp[w] for m in members for w in succ[m]}
+                    below = {comp[w] for m in members for w in succ.pop(m)}
                     below.discard(c)
                     p = _join_links(range(n), chain(
                         (divmod(m, n) for m in members),
                         *(links[d] for d in below)))
                     parts.append(p)
                     links.append([(e, r) for e, r in enumerate(p) if r != e])
-    return {k: parts[comp[k]] for k in succ}
+                if not frames:
+                    break
+    return {k: parts[comp[k]] for k in roots}
 
 
 def all_congruences(alg: FiniteAlgebra, *,
                     budget: int = DEFAULT_LATTICE_BUDGET) -> list[Congruence]:
     """Every congruence, as the join-closure of the principal congruences.
 
-    The principal congruences Cg(a, b) come from one pass over the pair
-    graph's strongly connected components (_principal_partitions), not
-    one generation per pair.  Every congruence is the join of the
-    principal congruences it contains, so joining each newly found
-    congruence with each distinct principal congruence reaches the
-    whole lattice; two non-principal congruences are never joined.  A
+    The principal congruences Cg(a, b) of every pair a < b come from one
+    pass over the pair graph's strongly connected components
+    (_principal_partitions), not one generation per pair.  Every
+    congruence is the join of the principal congruences it contains, so
+    joining each newly found congruence with each distinct principal
+    congruence reaches the whole lattice; two non-principal congruences are never joined.  A
     join with a principal that c already contains, seen from c relating
     its first generating pair, is skipped; any other unions only the
     principal's non-singleton links into c.  budget bounds the joins,
@@ -327,7 +303,8 @@ def all_congruences(alg: FiniteAlgebra, *,
     """
     n = alg.size
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
-    for k, p in _principal_partitions(n, _translation_rows(alg)).items():
+    for k, p in _principal_partitions(n, _translation_rows(alg), [
+            a * n + b for a in range(n) for b in range(a + 1, n)]).items():
         principal.setdefault(p, divmod(k, n))
     generators = [(a, b, [(e, r) for e, r in enumerate(p) if r != e])
                   for p, (a, b) in principal.items()]

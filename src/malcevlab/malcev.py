@@ -40,15 +40,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .algebras import FiniteAlgebra
-from .congruences import Congruence, all_congruences, non_permuting_pairs
 from .quasigroups import (TranslationGroup, composition_closure,
                           malcev_identities_hold)
 from .terms import App, Term, Var, assignment_columns, compile_evaluator
+
+if TYPE_CHECKING:  # loaded on use: only the permutability report needs it
+    from .congruences import Congruence
 
 DEFAULT_DEPTH = 4
 DEFAULT_TABLE_BUDGET = 150_000
@@ -606,6 +608,8 @@ def check_permutability_theorem(alg: FiniteAlgebra,
                                 max_term_size: Optional[int] = None
                                 ) -> PermutabilityReport:
     """Compare find_malcev_term against pairwise congruence permutability."""
+    from .congruences import all_congruences, non_permuting_pairs
+
     congs = all_congruences(alg)
     bad = non_permuting_pairs(congs)
     result = malcev_search(alg, max_depth, max_term_size=max_term_size)

@@ -223,7 +223,7 @@ LOADS = {
     **dict.fromkeys(("congruences", "permutable", "quotient"),
                     {"congruences"}),
     **dict.fromkeys(("malcev", "biternary", "translations"),
-                    {"congruences", "quasigroups", "malcev", "numpy"}),
+                    {"quasigroups", "malcev", "numpy"}),
     **dict.fromkeys(("free", "present", "replica", "member"), {"classes"}),
     **{command: {"quasigroups"} for command in LEAVES
        if command.startswith("quasigroup ")},

@@ -1,6 +1,7 @@
 """Congruences, quotients, kernels, and permutability."""
 
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -102,33 +103,66 @@ def test_join_equals_generated_congruence(alg, data):
             congruence_generated_by(alg, seeds).block_of
 
 
+def least_stable_partition(stable, pairs):
+    """The least of the stable partitions (block_of tuples) relating
+    every pair: the one that refines every other such partition."""
+    above = [x for x in stable if all(x[a] == x[b] for a, b in pairs)]
+    least = [x for x in above
+             if all(y[e] == y[x[e]] for y in above for e in range(len(x)))]
+    assert len(least) == 1
+    return least[0]
+
+
+def stable_block_ofs(alg):
+    return [c.block_of for c in all_stable_partitions(alg)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_principal_congruence_is_the_least_stable_partition(data):
     alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
     a = data.draw(st.integers(0, alg.size - 1))
     b = data.draw(st.integers(0, alg.size - 1))
-    above = [c.block_of for c in all_stable_partitions(alg)
-             if c.related(a, b)]
-    least = [x for x in above
-             if all(y[e] == y[x[e]] for y in above for e in range(alg.size))]
-    assert [congruence_generated_by(alg, [(a, b)]).block_of] == least
+    assert congruence_generated_by(alg, [(a, b)]).block_of == \
+        least_stable_partition(stable_block_ofs(alg), [(a, b)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generated_congruence_is_the_least_stable_partition(data):
+    alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    element = st.integers(0, alg.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
+    given = (p for p in pairs) if data.draw(st.booleans()) else pairs
+    assert congruence_generated_by(alg, given).block_of == \
+        least_stable_partition(stable_block_ofs(alg), pairs)
+
+
+@pytest.mark.parametrize("pair", [(-1, 2), (0, 4), (4, 0)])
+def test_congruence_generated_by_rejects_pairs_outside_the_carrier(z4, pair):
+    with pytest.raises(ValueError,
+                       match=rf"pair \({pair[0]},{pair[1]}\) outside carrier"):
+        congruence_generated_by(z4, [(0, 2), pair])
+
+
+def every_pair_key(n):
+    return [a * n + b for a in range(n) for b in range(a + 1, n)]
 
 
 def principals_by_pair(alg):
     n = alg.size
-    found = _principal_partitions(n, _translation_rows(alg))
-    assert list(found) == [a * n + b for a in range(n)
-                           for b in range(a + 1, n)]
+    found = _principal_partitions(n, _translation_rows(alg), every_pair_key(n))
+    assert list(found) == every_pair_key(n)
     return {divmod(k, n): p for k, p in found.items()}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_component_principals_match_the_worklist(data):
+def test_component_principals_are_the_least_stable_partitions(data):
     alg = data.draw(systems(data.draw(signatures(max_arity=3)), max_size=5))
+    stable = stable_block_ofs(alg)
     for (a, b), p in principals_by_pair(alg).items():
-        assert p == congruence_generated_by(alg, [(a, b)]).block_of
+        assert p == least_stable_partition(stable, [(a, b)])
 
 
 def test_component_principals_of_z12_are_subgroup_cosets():
@@ -148,6 +182,22 @@ def test_component_principals_of_a_chain_are_intervals():
     for (a, b), p in principals_by_pair(chain).items():
         assert p == tuple(a if a <= x <= b else x for x in range(6))
         assert p == congruence_generated_by(chain, [(a, b)]).block_of
+
+
+def test_principal_pass_holds_only_the_successors_it_needs():
+    # holding the successors of every pair at once peaks at 1.94e6 bytes
+    # here; holding them only from a pair's visit until its component is
+    # emitted, at 0.72e6
+    n = 64
+    rows, roots = _translation_rows(cyclic_group(n)), every_pair_key(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _principal_partitions(n, rows, roots)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_lattice_of_z96_is_fast(deadline):
