@@ -10,7 +10,6 @@ names, when a file provides them, are cosmetic labels only.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain, compress, product, starmap
 from operator import add, and_, eq, getitem, le
 from typing import Iterable, Optional, Sequence
@@ -19,6 +18,7 @@ from .errors import (
     AlgebraMismatch,
     EmptyUngeneratable,
     NotAHomomorphism,
+    Record,
     SearchBudgetExceeded,
     SizeBound,
     SizeOverflow,
@@ -63,8 +63,7 @@ def _image_table(table: Sequence[bool], phi: Sequence[int], arity: int,
     return tuple(image)
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     """A finite algebraic system over carrier {0..size-1}.
 
     op_tables maps each operation name to its flat table (length
@@ -72,35 +71,40 @@ class FiniteAlgebra:
     for totality and closure at construction.
     """
 
-    sig: Signature
-    size: int
-    op_tables: dict[str, tuple[int, ...]]
-    pred_tables: dict[str, tuple[bool, ...]] = field(default_factory=dict)
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("sig", "size", "op_tables", "pred_tables", "labels")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, sig: Signature, size: int,
+                 op_tables: dict[str, tuple[int, ...]],
+                 pred_tables: Optional[dict[str, tuple[bool, ...]]] = None,
+                 labels: Optional[tuple[str, ...]] = None):
+        pred_tables = {} if pred_tables is None else pred_tables
+        if size < 1:
             raise ValueError("carrier must be nonempty")
-        for name, arity in self.sig.ops:
-            table = self.op_tables.get(name)
+        for name, arity in sig.ops:
+            table = op_tables.get(name)
             if table is None:
                 raise ValueError(f"missing table for operation {name!r}")
-            if len(table) != self.size**arity:
+            if len(table) != size**arity:
                 raise ValueError(f"table for {name!r} has wrong length")
-            if any(not (0 <= v < self.size) for v in table):
+            if any(not (0 <= v < size) for v in table):
                 raise ValueError(f"table for {name!r} not closed over carrier")
-        if set(self.op_tables) != {n for n, _ in self.sig.ops}:
+        if set(op_tables) != {n for n, _ in sig.ops}:
             raise ValueError("operation tables do not match signature")
-        for name, arity in self.sig.preds:
-            table = self.pred_tables.get(name)
+        for name, arity in sig.preds:
+            table = pred_tables.get(name)
             if table is None:
                 raise ValueError(f"missing table for predicate {name!r}")
-            if len(table) != self.size**arity:
+            if len(table) != size**arity:
                 raise ValueError(f"table for {name!r} has wrong length")
-        if set(self.pred_tables) != {n for n, _ in self.sig.preds}:
+        if set(pred_tables) != {n for n, _ in sig.preds}:
             raise ValueError("predicate tables do not match signature")
-        if self.labels is not None and len(self.labels) != self.size:
+        if labels is not None and len(labels) != size:
             raise ValueError("labels must cover the carrier exactly")
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "op_tables", op_tables)
+        object.__setattr__(self, "pred_tables", pred_tables)
+        object.__setattr__(self, "labels", labels)
 
     def op_value(self, name: str, args: Sequence[int]) -> int:
         return self.op_tables[name][flat_index(args, self.size)]

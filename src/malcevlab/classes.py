@@ -19,7 +19,6 @@ homomorphisms into the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, product
 from operator import and_
 from typing import Optional, Sequence
@@ -27,15 +26,14 @@ from typing import Optional, Sequence
 from .algebras import (DEFAULT_HOM_BUDGET, FiniteAlgebra, Subpower,
                        _read_through, find_homomorphisms, flat_index,
                        is_homomorphism, is_unitary)
-from .errors import (AlgebraMismatch, InputError, SizeOverflow,
+from .errors import (AlgebraMismatch, InputError, Record, SizeOverflow,
                      TrivialClassRankConflict)
 from .terms import Formula, satisfaction_mask
 
 DEFAULT_SIZE_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class FreeAlgebra:
+class FreeAlgebra(Record):
     """A free (or presented) algebra with its concrete realization.
 
     algebra carries the result; element i of its carrier is the product
@@ -46,13 +44,17 @@ class FreeAlgebra:
     indices) — used to extend generator assignments to homomorphisms.
     """
 
-    algebra: FiniteAlgebra
-    rank: int
-    generator_images: tuple[int, ...]
-    factors: tuple[tuple[int, tuple[int, ...]], ...]
-    elements: tuple[tuple[int, ...], ...]
-    steps: tuple[tuple, ...]
-    relations: tuple[Formula, ...] = ()
+    __slots__ = ("algebra", "rank", "generator_images", "factors", "elements",
+                 "steps", "relations")
+
+    def __init__(self, algebra: FiniteAlgebra, rank: int,
+                 generator_images: tuple[int, ...],
+                 factors: tuple[tuple[int, tuple[int, ...]], ...],
+                 elements: tuple[tuple[int, ...], ...],
+                 steps: tuple[tuple, ...],
+                 relations: tuple[Formula, ...] = ()):
+        self._set(algebra, rank, generator_images, factors, elements, steps,
+                  relations)
 
 
 def _check_family(generators: Sequence[FiniteAlgebra]) -> None:
@@ -135,8 +137,7 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
 # ---------------------------------------------------------------------------
 # universal property
 
-@dataclass(frozen=True)
-class UniversalPropertyReport:
+class UniversalPropertyReport(Record):
     """Outcome of checking the defining property of a free algebra.
 
     For every target and every assignment of the free generators, a
@@ -145,10 +146,12 @@ class UniversalPropertyReport:
     human-readable descriptions of any counterexamples.
     """
 
-    holds: bool
-    targets_checked: int
-    assignments_checked: int
-    failures: tuple[str, ...]
+    __slots__ = ("holds", "targets_checked", "assignments_checked",
+                 "failures")
+
+    def __init__(self, holds: bool, targets_checked: int,
+                 assignments_checked: int, failures: tuple[str, ...]):
+        self._set(holds, targets_checked, assignments_checked, failures)
 
 
 def extend_assignment(fr: FreeAlgebra, target: FiniteAlgebra,
@@ -216,8 +219,7 @@ def verify_universal_property(fr: FreeAlgebra,
 # ---------------------------------------------------------------------------
 # replicas
 
-@dataclass(frozen=True)
-class Replica:
+class Replica(Record):
     """Canonical image of a system inside the class of the generators.
 
     canonical_map sends each source element to its class in the
@@ -226,9 +228,11 @@ class Replica:
     homomorphisms used (the factors of the diagonal).
     """
 
-    algebra: FiniteAlgebra
-    canonical_map: tuple[int, ...]
-    hom_count: int
+    __slots__ = ("algebra", "canonical_map", "hom_count")
+
+    def __init__(self, algebra: FiniteAlgebra, canonical_map: tuple[int, ...],
+                 hom_count: int):
+        self._set(algebra, canonical_map, hom_count)
 
 
 def _diagonal(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra,
@@ -296,8 +300,7 @@ def replica(generators: Sequence[FiniteAlgebra], source: FiniteAlgebra, *,
 # ---------------------------------------------------------------------------
 # closure membership
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Record):
     """Exact decision for membership in the class of the generators.
 
     A finite system embeds into a product of generator algebras iff
@@ -306,9 +309,10 @@ class MembershipReport:
     do not ("unseparated", a, b) or ("forced_predicate", name, args).
     """
 
-    member: bool
-    hom_count: int
-    witness: Optional[tuple]
+    __slots__ = ("member", "hom_count", "witness")
+
+    def __init__(self, member: bool, hom_count: int, witness: Optional[tuple]):
+        self._set(member, hom_count, witness)
 
 
 def membership_in_closure(generators: Sequence[FiniteAlgebra],

@@ -21,7 +21,10 @@ commands, classes for ``free``, ``present``, ``replica`` and ``member``,
 and the derived-operation search (with numpy) for ``malcev``,
 ``biternary`` and ``translations``.  The parser holds only the command
 the command line names; help and a missing or unknown command build
-every command's parser.
+every command's parser.  No module uses the standard library's data
+classes: the records are slotted classes, because importing that module
+and running the methods it generates took most of the package's own
+start-up.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 
 from .algebras import (FiniteAlgebra, _read_through, find_homomorphisms,
                        generate_subalgebra, is_strong_homomorphism)
 from .errors import (BudgetError, InputError, NotLatin,
                      SearchBudgetExceeded, TermSyntaxError)
-from .fileformat import (_load_algebra, _load_class, _load_signature,
-                         save_algebra)
+from .fileformat import (ClassDefinition, _load_algebra, _load_class,
+                         _load_signature, save_algebra)
 from .terms import (check_quasiidentity, eval_formula, eval_term,
                     formula_vars, parse_formula, parse_quasiidentity,
                     parse_term, print_term, term_depth, term_size,
@@ -55,7 +57,8 @@ MAP_SEARCH_BUDGET = 1_000_000
 def _load_cls(path: str, inputs: dict[str, str], size_bound=None):
     """The class file and its members; size_bound overrides the file's."""
     cls = _load_class(path, inputs)
-    return cls if size_bound is None else replace(cls, size_bound=size_bound)
+    return cls if size_bound is None else ClassDefinition(
+        cls.algebras, cls.include_unitary, size_bound, cls.paths)
 
 
 # ---------------------------------------------------------------------------

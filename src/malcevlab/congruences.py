@@ -22,38 +22,39 @@ Enumerating the lattice is bounded by a budget on joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from operator import add, eq
 from typing import Iterable, Sequence
 
 from .algebras import (FiniteAlgebra, _image_table, _read_through,
                        flat_index, is_homomorphism)
-from .errors import (AlgebraMismatch, NotAHomomorphism, NotStable,
+from .errors import (AlgebraMismatch, NotAHomomorphism, NotStable, Record,
                      SearchBudgetExceeded)
 
 # default bound on the joins all_congruences may perform
 DEFAULT_LATTICE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """A stable partition of an algebra's carrier.
 
     block_of[x] is the least element of x's block.  Congruences over the
     same algebra compare and hash by this tuple.
     """
 
-    algebra: FiniteAlgebra = field(compare=False)
-    block_of: tuple[int, ...]
+    __slots__ = ("algebra", "block_of")
 
-    def __post_init__(self):
-        n = self.algebra.size
-        if len(self.block_of) != n:
+    def __init__(self, algebra: FiniteAlgebra, block_of: tuple[int, ...]):
+        if len(block_of) != algebra.size:
             raise ValueError("partition must cover the carrier")
-        for x, r in enumerate(self.block_of):
-            if not (0 <= r <= x) or self.block_of[r] != r:
+        for x, r in enumerate(block_of):
+            if not (0 <= r <= x) or block_of[r] != r:
                 raise ValueError("block ids must be least block members")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "block_of", block_of)
+
+    def _key(self) -> tuple:
+        return (self.block_of,)
 
     def blocks(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}

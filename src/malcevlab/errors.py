@@ -1,10 +1,55 @@
-"""Exception types shared across the package.
+"""Exception types and the record base shared across the package.
 
 Every error raised on a user-facing path derives from MalcevLabError so
 callers (and the command line front end) can distinguish bad input from
 bugs.  Budget-style errors get their own branch because they map to a
 different process exit code.
 """
+
+
+class Record:
+    """Base of the immutable records: fields named in __slots__, set once
+    in __init__ (by _set, or by object.__setattr__ in Var, App,
+    FiniteAlgebra and Congruence, which _set's loop would slow); equal
+    and hashed by _key() within one class, shown as Name(field=value,
+    ...), pickled and copied by calling the class on the fields.  Not
+    the standard library's data classes: importing their module and
+    running the methods they generate took most of the package's own
+    import time.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class MalcevLabError(Exception):

@@ -22,10 +22,9 @@ is not UTF-8 raises it with the file name.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, unitary_system
-from .errors import AlgebraMismatch, FormatError
+from .errors import AlgebraMismatch, FormatError, Record
 from .terms import Signature
 
 
@@ -194,8 +193,7 @@ def _table_lines(table: tuple[int, ...], size: int, arity: int) -> list[str]:
             for i in range(0, len(table), width)]
 
 
-@dataclass(frozen=True)
-class ClassDefinition:
+class ClassDefinition(Record):
     """A generator family loaded from a .cls file.
 
     algebras are the loaded members (plus the one-element system when
@@ -204,10 +202,12 @@ class ClassDefinition:
     files as load_class opened them, joined to the .cls file's directory.
     """
 
-    algebras: tuple[FiniteAlgebra, ...]
-    include_unitary: bool
-    size_bound: int
-    paths: tuple[str, ...]
+    __slots__ = ("algebras", "include_unitary", "size_bound", "paths")
+
+    def __init__(self, algebras: tuple[FiniteAlgebra, ...],
+                 include_unitary: bool, size_bound: int,
+                 paths: tuple[str, ...]):
+        self._set(algebras, include_unitary, size_bound, paths)
 
 
 def load_class(path: str) -> ClassDefinition:

@@ -37,7 +37,6 @@ search nothing start without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, Optional
@@ -45,6 +44,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .algebras import FiniteAlgebra
+from .errors import Record
 from .quasigroups import (TranslationGroup, composition_closure,
                           malcev_identities_hold)
 from .terms import App, Term, Var, assignment_columns, compile_evaluator
@@ -518,8 +518,7 @@ class _TableSearch:
         self._improve(target[rest[lead]], keys[lead], kids[rest[lead]])
 
 
-@dataclass(frozen=True)
-class MalcevSearchResult:
+class MalcevSearchResult(Record):
     """Outcome of a bounded Mal'cev term search.
 
     term is None when no derived operation within the depth bound (and
@@ -528,11 +527,13 @@ class MalcevSearchResult:
     names that budget ("table" or "candidate").
     """
 
-    term: Optional[Term]
-    truncated: bool
-    tables_explored: int
-    max_depth: int
-    exhausted: Optional[str] = None
+    __slots__ = ("term", "truncated", "tables_explored", "max_depth",
+                 "exhausted")
+
+    def __init__(self, term: Optional[Term], truncated: bool,
+                 tables_explored: int, max_depth: int,
+                 exhausted: Optional[str] = None):
+        self._set(term, truncated, tables_explored, max_depth, exhausted)
 
 
 def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
@@ -584,8 +585,7 @@ def find_malcev_term(alg: FiniteAlgebra,
 # ---------------------------------------------------------------------------
 # permutability cross-check
 
-@dataclass(frozen=True)
-class PermutabilityReport:
+class PermutabilityReport(Record):
     """Joint view of the congruence lattice and the term search.
 
     verdict is "consistent" when a found term coincides with full
@@ -596,11 +596,14 @@ class PermutabilityReport:
     would indicate a defect in one of the two computations).
     """
 
-    term: Optional[Term]
-    truncated: bool
-    congruence_count: int
-    non_permuting: tuple[tuple[Congruence, Congruence], ...]
-    verdict: str
+    __slots__ = ("term", "truncated", "congruence_count", "non_permuting",
+                 "verdict")
+
+    def __init__(self, term: Optional[Term], truncated: bool,
+                 congruence_count: int,
+                 non_permuting: tuple[tuple[Congruence, Congruence], ...],
+                 verdict: str):
+        self._set(term, truncated, congruence_count, non_permuting, verdict)
 
 
 def check_permutability_theorem(alg: FiniteAlgebra,
@@ -624,28 +627,30 @@ def check_permutability_theorem(alg: FiniteAlgebra,
 # ---------------------------------------------------------------------------
 # biternary pairs
 
-@dataclass(frozen=True)
-class BiternaryPair:
+class BiternaryPair(Record):
     """Derived ternary operations with a(x,x,y) = y and the two
     mutual-inverse laws a(b(x,y,z),y,z) = x, b(a(x,y,z),y,z) = x."""
 
-    alpha: Term
-    beta: Term
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: Term, beta: Term):
+        self._set(alpha, beta)
 
 
-@dataclass(frozen=True)
-class BiternarySearchResult:
+class BiternarySearchResult(Record):
     """Outcome of a bounded biternary-pair search.
 
     pair is None when no (alpha, beta) pair exists within the depth
     bound (or the scan truncated; see truncated, and exhausted for the
     budget that ran out)."""
 
-    pair: Optional[BiternaryPair]
-    truncated: bool
-    tables_explored: int
-    max_depth: int
-    exhausted: Optional[str] = None
+    __slots__ = ("pair", "truncated", "tables_explored", "max_depth",
+                 "exhausted")
+
+    def __init__(self, pair: Optional[BiternaryPair], truncated: bool,
+                 tables_explored: int, max_depth: int,
+                 exhausted: Optional[str] = None):
+        self._set(pair, truncated, tables_explored, max_depth, exhausted)
 
 
 def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,

@@ -19,12 +19,11 @@ free of the search and of numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
-from .errors import FlavorMismatch, NoRightUnit, NotLatin
+from .errors import FlavorMismatch, NoRightUnit, NotLatin, Record
 from .terms import (_BLOCK_CAP, App, Signature, Term, Var,
                     assignment_columns, compile_evaluator)
 
@@ -33,17 +32,16 @@ QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
 _FLAVORS = ("groupoid", "quasigroup", "right_eloop", "left_eloop")
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(Record):
     """Validated Latin square; rows[a][b] is the product a*b."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        n = len(self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        n = len(rows)
         if n == 0:
             raise NotLatin("empty table", 0, 0)
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows):
             if len(row) != n:
                 raise NotLatin(f"row {r} has length {len(row)}, expected {n}",
                                r, min(len(row), n))
@@ -60,12 +58,13 @@ class LatinSquare:
         for c in range(n):
             seen = {}
             for r in range(n):
-                v = self.rows[r][c]
+                v = rows[r][c]
                 if v in seen:
                     raise NotLatin(
                         f"column {c} repeats {v} at rows {seen[v]} and {r}",
                         r, c)
                 seen[v] = r
+        self._set(rows)
 
     @property
     def order(self) -> int:
@@ -77,8 +76,7 @@ def latin_square(rows: Sequence[Sequence[int]]) -> LatinSquare:
     return LatinSquare(tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class Equasigroup:
+class Equasigroup(Record):
     """A Latin square enriched with both divisions.
 
     mul, ldiv and rdiv are flat row-major tables: ldiv[a*n + b] solves
@@ -86,12 +84,12 @@ class Equasigroup:
     the unit elements when present (None otherwise).
     """
 
-    size: int
-    mul: tuple[int, ...]
-    ldiv: tuple[int, ...]
-    rdiv: tuple[int, ...]
-    left_unit: Optional[int]
-    right_unit: Optional[int]
+    __slots__ = ("size", "mul", "ldiv", "rdiv", "left_unit", "right_unit")
+
+    def __init__(self, size: int, mul: tuple[int, ...], ldiv: tuple[int, ...],
+                 rdiv: tuple[int, ...], left_unit: Optional[int],
+                 right_unit: Optional[int]):
+        self._set(size, mul, ldiv, rdiv, left_unit, right_unit)
 
     @property
     def two_sided_unit(self) -> Optional[int]:
@@ -177,8 +175,7 @@ def composition_closure(maps, size: int) -> frozenset:
     return frozenset(closure)
 
 
-@dataclass(frozen=True)
-class TranslationGroup:
+class TranslationGroup(Record):
     """Bijective self-maps of a carrier and the group they generate.
 
     generators are the translations of a quasigroup (multiplication_group)
@@ -193,10 +190,12 @@ class TranslationGroup:
     maps it found by then, which the search collects slab by slab.
     """
 
-    generators: tuple[tuple[int, ...], ...]
-    closure: frozenset[tuple[int, ...]]
-    transitive: bool
-    truncated: bool
+    __slots__ = ("generators", "closure", "transitive", "truncated")
+
+    def __init__(self, generators: tuple[tuple[int, ...], ...],
+                 closure: frozenset[tuple[int, ...]], transitive: bool,
+                 truncated: bool):
+        self._set(generators, closure, transitive, truncated)
 
 
 def multiplication_group(q: Equasigroup, side: str = "left") -> TranslationGroup:
@@ -294,8 +293,7 @@ def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
 # ---------------------------------------------------------------------------
 # rectification
 
-@dataclass(frozen=True)
-class RectificationReport:
+class RectificationReport(Record):
     """Mutually inverse coordinate changes attached to a right unit.
 
     The forward map sends (x, y) to (x, x*y) and the backward map sends
@@ -303,11 +301,14 @@ class RectificationReport:
     the axis (x, e); the four booleans record the checks individually.
     """
 
-    unit: int
-    forward_then_back: bool
-    back_then_forward: bool
-    keeps_first: bool
-    diagonal_to_unit: bool
+    __slots__ = ("unit", "forward_then_back", "back_then_forward",
+                 "keeps_first", "diagonal_to_unit")
+
+    def __init__(self, unit: int, forward_then_back: bool,
+                 back_then_forward: bool, keeps_first: bool,
+                 diagonal_to_unit: bool):
+        self._set(unit, forward_then_back, back_then_forward, keeps_first,
+                  diagonal_to_unit)
 
     @property
     def holds(self) -> bool:

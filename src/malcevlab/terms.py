@@ -19,7 +19,6 @@ hold under every assignment satisfying all premises at once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, product, repeat
 from operator import add, and_, eq, itemgetter, not_
 from typing import Callable, Optional, Sequence, Union
@@ -27,6 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import (
     ArityMismatch,
     AssignmentTooShort,
+    Record,
     SignatureMismatch,
     TermSyntaxError,
     UnknownSymbol,
@@ -47,20 +47,19 @@ _BLOCK_CAP = 1 << 14
 _FIRST_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Operation and predicate symbols with their arities.
 
     Symbols are (name, arity) pairs; names are unique across operations
     and predicates together, and may not look like variables (x0, x1, ...).
     """
 
-    ops: tuple[tuple[str, int], ...]
-    preds: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("ops", "preds")
 
-    def __post_init__(self):
+    def __init__(self, ops: tuple[tuple[str, int], ...],
+                 preds: tuple[tuple[str, int], ...] = ()):
         seen = set()
-        for name, arity in list(self.ops) + list(self.preds):
+        for name, arity in list(ops) + list(preds):
             if not _NAME_RE.match(name) or _VAR_RE.match(name):
                 raise ValueError(f"bad symbol name {name!r}")
             if arity < 0:
@@ -68,6 +67,7 @@ class Signature:
             if name in seen:
                 raise ValueError(f"duplicate symbol {name!r}")
             seen.add(name)
+        self._set(ops, preds)
 
     def op_arity(self, name: str) -> Optional[int]:
         for n, a in self.ops:
@@ -88,26 +88,28 @@ class Signature:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """A variable x<index>."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __init__(self, index: int):
+        if index < 0:
             raise ValueError("variable index must be >= 0")
+        object.__setattr__(self, "index", index)
 
     def __str__(self):
         return f"x{self.index}"
 
 
-@dataclass(frozen=True)
-class App:
+class App(Record):
     """An operation symbol applied to argument terms."""
 
-    op: str
-    args: tuple["Term", ...] = ()
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[Term, ...] = ()):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
 
     def __str__(self):
         if not self.args:
@@ -154,19 +156,21 @@ def term_key(t: Term, sig: Signature):
     )
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        self._set(lhs, rhs)
 
     def __str__(self):
         return f"{self.lhs} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class PredicateAtom:
-    pred: str
-    args: tuple[Term, ...]
+class PredicateAtom(Record):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...]):
+        self._set(pred, args)
 
     def __str__(self):
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
@@ -184,8 +188,7 @@ def formula_vars(f: Formula) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Quasiidentity:
+class Quasiidentity(Record):
     """premises => conclusion, with conjunctive premises.
 
     An identity is the special case of no premises.  variable_count is
@@ -193,23 +196,22 @@ class Quasiidentity:
     (every index below variable_count occurs somewhere).
     """
 
-    premises: tuple[Formula, ...]
-    conclusion: Formula
-    variable_count: int = field(default=-1)
+    __slots__ = ("premises", "conclusion", "variable_count")
 
-    def __post_init__(self):
-        used: set[int] = formula_vars(self.conclusion)
-        for p in self.premises:
+    def __init__(self, premises: tuple[Formula, ...], conclusion: Formula,
+                 variable_count: int = -1):
+        used: set[int] = formula_vars(conclusion)
+        for p in premises:
             used |= formula_vars(p)
-        count = self.variable_count
+        count = variable_count
         if count == -1:
             count = (max(used) + 1) if used else 0
-            object.__setattr__(self, "variable_count", count)
         if used and max(used) >= count:
             raise ValueError("variable index out of range for variable_count")
         if used != set(range(count)) and not (not used and count == 0):
             missing = sorted(set(range(count)) - used)
             raise ValueError(f"variable indices not dense, missing {missing}")
+        self._set(premises, conclusion, count)
 
     @property
     def is_identity(self) -> bool:
@@ -440,16 +442,18 @@ def eval_formula(f: Formula, assignment: Sequence[int], alg) -> bool:
     return alg.pred_value(f.pred, args)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of checking a quasiidentity on a finite algebra.
 
     witness is the first assignment (lexicographic order) satisfying all
     premises but violating the conclusion, or None when the formula holds.
     """
 
-    holds: bool
-    witness: Optional[tuple[int, ...]] = None
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool,
+                 witness: Optional[tuple[int, ...]] = None):
+        self._set(holds, witness)
 
     def __bool__(self):
         return self.holds

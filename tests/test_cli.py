@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+import malcevlab
 from malcevlab import (FiniteAlgebra, Signature, algebras, congruences,
                        fileformat)
 from malcevlab.cli import _COMMANDS, _build_parser, main
@@ -232,15 +233,15 @@ LOADS = {
 LOADED = """
 import contextlib, io, sys
 {setup}
-print(*sorted(m for m in sys.modules
-              if m.startswith("malcevlab.") or m == "numpy"),
+print(*sorted(m for m in sys.modules if m.startswith("malcevlab.")
+              or m in ("numpy", "dataclasses")),
       file=sys.stderr)
 """
 
 
 def loaded_modules(setup: str) -> set:
-    """The malcevlab submodules, and numpy, that a fresh interpreter holds
-    after setup."""
+    """The malcevlab submodules, numpy and dataclasses that a fresh
+    interpreter holds after setup."""
     proc = subprocess.run(
         [sys.executable, "-c", LOADED.format(setup=setup)], cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -266,6 +267,14 @@ def test_only_searches_load_numpy():
                  f"    assert main({argv!r}) == 0")
         assert loaded_modules(setup) == BASE_MODULES | LOADS[command], \
             command
+
+
+def test_no_module_loads_dataclasses():
+    # the records are slotted classes: importing dataclasses, and running
+    # the methods it generates, once took most of a command's start-up
+    for module in [*malcevlab._EXPORTS, "cli"]:
+        loaded = loaded_modules(f"import malcevlab.{module}")
+        assert module in loaded and "dataclasses" not in loaded, module
 
 
 # the commands that take each search or budget option, with a valid
