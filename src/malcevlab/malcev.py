@@ -2,26 +2,20 @@
 
 The searches walk the derived operations of an algebra breadth-first by
 term depth: level 0 holds the variable projections, and level d+1 holds
-every basic operation applied to vectors from earlier levels.  Distinct
-derived operations are deduplicated by their full value table, and each
-table is represented by the canonically least term among the candidates
-of the level that first produced it.  The tables are the rows of one 2-D
-store, found again through a hash of each row that a full comparison
-confirms, and each table records only its derivation (an operation and
-the indices of its children).  Candidates are compared by integer keys
-built from their children's ranks in canonical order, the least witness
-is picked by the same ranks, and terms are built from the derivations
-only for the tables a caller asks about.  Every arity is walked in the
-same budget steps, a prefix of children against a slab of last children
-that fit the size cap, by one look-up.  Qualification (the Mal'cev
-identities, or the biternary identities) depends only on the value
-table and is tested on each level's new tables at once, which makes the
-deduplicated search exact as a decision procedure within the depth
-bound; deterministic work budgets cap the exploration, and a
-budget-truncated search reports absence within bounds and names the
-budget that ran out.  Every returned witness is re-verified exhaustively
-through the compiled term evaluator, independently of the table
-arithmetic used during the search.
+every basic operation applied to tables of earlier levels.  Each derived
+operation is kept once, as a row of one 2-D store found again through a
+hash of the row (as words of up to 8 bytes) that a full comparison
+confirms.  Each table is represented by the canonically least term
+among the candidates of the level that first produced it, a choice
+settled only when the table's key or term is read; terms are built from
+the tables' derivations only for the tables a caller asks about.
+Qualification (the Mal'cev or the biternary identities) depends only on
+the value table and is tested on each level's new tables at once, so
+the search is exact as a decision procedure within the depth bound;
+deterministic work budgets cap it, and a truncated search reports
+absence within bounds and names the budget that ran out.  Every
+returned witness is re-verified through the compiled term evaluator,
+independently of the table arithmetic.
 
 translation_group runs the same search over one variable, with the
 constant maps seeded beside x0 at level 0, so that its tables are the
@@ -38,7 +32,7 @@ search nothing start without numpy.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
+from itertools import chain, product
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -67,10 +61,9 @@ _TRANSLATION_MAPS = 100_000
 _OP_HEAD = 1 << 32
 # the most last children of one (prefix, slab) step, charged at once
 _SLAB = 4096
-# rows hash as words times fixed odd 64-bit weights, summed mod 2^64,
-# one block of words at a time (the running hash is multiplied by
-# _HASH_STEP before each block), over at most _HASH_BYTES of 64-bit
-# words at once
+# rows hash as words of up to 8 bytes times fixed odd 64-bit weights,
+# summed mod 2^64 a block of words at a time (the running hash times
+# _HASH_STEP first), over at most _HASH_BYTES of 64-bit words at once
 _HASH_BLOCK = 4096
 _HASH_BYTES = 1 << 21
 _HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
@@ -98,31 +91,27 @@ class _TableSearch:
     """Breadth-first closure of k-ary derived operations of an algebra.
 
     Tables are value tables over all n^k assignments (x0 most
-    significant), in the narrowest unsigned type that holds n values.
-    They are the rows of one growable 2-D store, in discovery order,
-    beside integer arrays of each table's term size, discovery level and
-    derivation: its head (a variable or an operation) and the indices of
-    its child tables.  A dict from a 64-bit row hash to the first table
-    with that hash finds repeats; every hit is confirmed by comparing
-    the full rows, and a genuine collision takes the exact path
-    (_offer), which compares the row with every table of its hash.
+    significant), in the narrowest unsigned type that holds n values:
+    the rows of one growable 2-D store, in discovery order, beside
+    integer arrays of each table's term size, discovery level and
+    derivation (a head, variable or operation, and child tables).  A
+    dict from a 64-bit row hash to the first table with that hash finds
+    repeats; every hit is confirmed by comparing the full rows, and a
+    genuine collision takes the exact path (_offer).
 
-    A level is walked in steps, each charged to the candidate budget as
-    one _spend: for an operation of any positive arity, a prefix of all
-    children but the last against up to _SLAB last children that fit the
-    size cap, never one tuple at a time.  Consecutive steps that cannot
-    run a budget out are computed together, every table by one look-up
-    at (flat prefix << shift) | last, and hashed and deduplicated at
-    once, with the outcome of offering their rows one by one.  Each table
-    keeps the canonically least term among the candidates of its
-    discovery level.  Candidates compare as integer tuples (size, head,
-    rank of each child), where the ranks order every table before the
-    current level by canonical key; they are recomputed once per level,
-    and children always come from earlier levels.  ranks() extends the
-    ranking to every table, which is how the searches pick their least
-    witness; term(i) builds a table's term from the derivations on
-    demand, and terms.term_key is its canonical key.  exhausted names the
-    budget ("table" or "candidate") that truncated the search.
+    A level is walked in steps (_steps), each charged to the candidate
+    budget as one _spend, and steps that cannot run a budget out are
+    looked up, hashed and deduplicated together (_expand).
+
+    Each table keeps the canonically least term among the candidates of
+    its discovery level, compared as integer keys (size, head, rank of
+    each child); the ranks order every table before the current level,
+    where all children come from.  A candidate that repeats a table of
+    its own level waits as a record, compacted to one per table once
+    they outnumber the level's tables, until a key is read: before the
+    next level is ranked, in ranks(), keys() and least(), and in term(i)
+    when table i has records.  exhausted names the budget ("table" or
+    "candidate") that truncated the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -153,8 +142,10 @@ class _TableSearch:
         # which the kids' padding (-1) picks
         self._rank = np.full(1, -1, np.int64)
         self._level_start: dict[int, int] = {}
+        # records (table, size, head, kids) of the latest level
+        self._pending: list[np.ndarray] = []
         row_bytes = self.length * self.dtype.itemsize
-        self._word = np.dtype(f"u{min(4, row_bytes & -row_bytes)}")
+        self._word = np.dtype(f"u{min(8, row_bytes & -row_bytes)}")
         # look-ups index (flat prefix << shift) | last child
         self._shift = (self.n - 1).bit_length()
         # per operation name its look-up table, and per (name, 2) the
@@ -193,16 +184,34 @@ class _TableSearch:
 
     def term(self, i: int) -> Term:
         """The representative term of table i."""
+        if any(i in records[:, 0] for records in self._pending):
+            self._settle()
+        return self._term(i)
+
+    def _term(self, i: int) -> Term:
         head = int(self._heads[i])
         if head < _OP_HEAD:
             return Var(head)
         name, arity = self.alg.sig.ops[head - _OP_HEAD]
-        return App(name, tuple(map(self.term, self._kids[i, :arity].tolist())))
+        return App(name, tuple(map(self._term, self._kids[i, :arity].tolist())))
 
     def ranks(self) -> np.ndarray:
         """Each table's position in the canonical order of the terms."""
+        self._settle()
         self._rank_tables(self.count)
         return self._rank[:self.count]
+
+    def keys(self, tables: list[int]) -> dict[int, tuple]:
+        """The settled canonical keys (size, head, rank of each child) of
+        tables, by table, as integer tuples that compare as the terms do."""
+        self._settle(tables)
+        return {t: (s, h, *r) for t, s, h, r in zip(
+            tables, self._sizes[tables].tolist(), self._heads[tables].tolist(),
+            self._rank[self._kids[tables]].tolist())}
+
+    def least(self, tables: list[int]) -> int:
+        """The table of tables whose term is canonically least."""
+        return min(tables, key=self.keys(tables).__getitem__)
 
     def add_variable(self, vec: np.ndarray) -> None:
         """Offer vec at level 0 as the table of the next variable."""
@@ -254,7 +263,7 @@ class _TableSearch:
             for c in range(0, width, _HASH_BLOCK):
                 block = words[lo:lo + step, c:c + _HASH_BLOCK]
                 part *= _HASH_STEP
-                part += block.astype(np.uint64) @ \
+                part += block.astype(np.uint64, copy=False) @ \
                     _HASH_WEIGHTS[:block.shape[1]]
         return hashes
 
@@ -278,26 +287,40 @@ class _TableSearch:
         self._kids[i] = -1
         self._kids[i, :kids.shape[-1]] = kids
 
-    def _keys(self, sizes, heads, kids: np.ndarray) -> np.ndarray:
-        """Integer keys (size, head, rank of each child, -1 padding) of
-        candidates, ordered as the canonical keys of their terms."""
-        keys = np.full((len(kids), 2 + self._kids.shape[1]), -1, np.int64)
-        keys[:, 0] = sizes
-        keys[:, 1] = heads
-        keys[:, 2:2 + kids.shape[1]] = self._rank[kids]
-        return keys
+    def _records(self, t, sizes, heads, kids: np.ndarray) -> np.ndarray:
+        """Rows (table, size, head, kids, -1 padding) of t by heads(kids)."""
+        records = np.full((len(t), 3 + self._kids.shape[1]), -1, np.int64)
+        records[:, 0] = t
+        records[:, 1] = sizes
+        records[:, 2] = heads
+        records[:, 3:3 + kids.shape[1]] = kids
+        return records
 
-    def _improve(self, t: np.ndarray, keys: np.ndarray,
-                 kids: np.ndarray) -> None:
-        """Re-derive each table t[j] of the current level from kids[j]
-        where keys[j] is less than the key it has."""
-        own = self._keys(self._sizes[t], self._heads[t], self._kids[t])
-        diff = keys != own
-        col = diff.argmax(axis=1)
-        row = np.arange(len(t))
-        better = diff[row, col] & (keys[row, col] < own[row, col])
-        self._derive(t[better], keys[better, 0], keys[better, 1],
-                     kids[better])
+    def _least(self, records: np.ndarray) -> np.ndarray:
+        """Per table of records, its record of least key."""
+        order = np.lexsort((*self._rank[records[:, 3:]].T[::-1],
+                            *records[:, 2::-1].T))
+        t = records[order, 0]
+        lead = np.ones(len(t), bool)
+        lead[1:] = t[1:] != t[:-1]
+        return records[order[lead]]
+
+    def _keep_least(self, records: np.ndarray) -> None:
+        """Derive each table of records by the least of them and its own."""
+        t = records[:, 0]
+        own = self._records(t, self._sizes[t], self._heads[t], self._kids[t])
+        best = self._least(np.concatenate((own, records)))
+        self._derive(best[:, 0], best[:, 1], best[:, 2], best[:, 3:])
+
+    def _settle(self, tables=slice(None)) -> None:
+        """Apply the pending records of tables (by default, of all)."""
+        if self._pending:
+            mark = np.zeros(self.count, bool)
+            mark[tables] = True
+            pairs = [(r, mark[r[:, 0]]) for r in self._pending]
+            self._pending = [r[~m] if m.any() else r for r, m in pairs
+                             if not m.all()]
+            self._keep_least(np.concatenate([r[m] for r, m in pairs]))
 
     def _offer(self, vec: np.ndarray, h, level: int, head: int, kids,
                size: int) -> None:
@@ -313,8 +336,7 @@ class _TableSearch:
             if len(equal):
                 i = same[equal[0]]
                 if self._levels[i] == level:
-                    self._improve(np.array([i]),
-                                  self._keys([size], [head], kids), kids)
+                    self._keep_least(self._records([i], [size], head, kids))
                 return
         self._reserve(1)
         i = self.count
@@ -357,7 +379,8 @@ class _TableSearch:
     def run_level(self, depth: int) -> range:
         """Expand one level; returns indices of newly found tables."""
         frontier_start = 0 if depth == 1 else self._level_start[depth - 1]
-        start = self.count
+        start = self._level_start[depth] = self.count
+        self._settle()
         self._rank_tables(start)
         for op_index, (name, arity) in enumerate(self.alg.sig.ops):
             if self.truncated:
@@ -371,7 +394,6 @@ class _TableSearch:
             else:
                 self._expand(name, head, depth,
                              self._steps(arity, frontier_start, start))
-        self._level_start[depth] = start
         return range(start, self.count)
 
     def _steps(self, arity, f0, r):
@@ -380,17 +402,22 @@ class _TableSearch:
         frontier position (old^i x frontier x all^(arity-1-i)), prefixes
         in lexicographic order and last children ascending.  Each
         position takes only the children that leave room under the size
-        cap for the positions after it, so every prefix walked has a step."""
+        cap for the positions after it, so every prefix walked has a step;
+        with no cap, that is its whole span."""
         # sizes below r are final for the whole level
         sizes = self._sizes[:r]
-        size_of = sizes.tolist()
-        # the room for the children's sizes together; with no cap, ample
-        room = arity * max(size_of) if self.max_term_size is None \
-            else self.max_term_size - 1
+        size_of = None if self.max_term_size is None else sizes.tolist()
         for lead in range(arity):
             spans = [(0, f0)] * lead + [(f0, r)] + \
                     [(0, r)] * (arity - 1 - lead)
             if any(lo == hi for lo, hi in spans):
+                continue
+            if size_of is None:
+                lasts = np.arange(*spans[-1])
+                slabs = np.split(lasts, range(_SLAB, len(lasts), _SLAB))
+                for prefix in product(*(range(*span) for span in spans[:-1])):
+                    for batch in slabs:
+                        yield len(batch), (prefix, batch)
                 continue
             # need[p]: the least size the positions after p take together
             least = [int(sizes[lo:hi].min()) for lo, hi in spans]
@@ -407,7 +434,7 @@ class _TableSearch:
                     for i in children(p, room).tolist():
                         yield prefix + (i,), room - size_of[i]
 
-            prefixes = [((), room)]
+            prefixes = [((), self.max_term_size - 1)]
             for p in range(arity - 1):
                 prefixes = extend(prefixes, p)
             for prefix, left in prefixes:
@@ -506,16 +533,15 @@ class _TableSearch:
         self.count = end
         self._levels[start:end] = depth
         self._derive(slice(start, end), sizes[made], head, kids[made])
-        # the other rows on tables of this level: per table, the row of
-        # least key against the key it has
+        # the other rows on tables of this level wait as records; past one
+        # per table of the level, only each table's least is kept
         rest = rest[self._levels[target[rest]] == depth]
         if not len(rest):
             return
-        keys = self._keys(sizes[rest], head, kids[rest])
-        order = np.lexsort((*keys.T[::-1], target[rest]))
-        t = target[rest[order]]
-        lead = order[np.flatnonzero(np.r_[True, t[1:] != t[:-1]])]
-        self._improve(target[rest[lead]], keys[lead], kids[rest[lead]])
+        self._pending.append(
+            self._records(target[rest], sizes[rest], head, kids[rest]))
+        if sum(map(len, self._pending)) > end - self._level_start[depth]:
+            self._pending = [self._least(np.concatenate(self._pending))]
 
 
 class MalcevSearchResult(Record):
@@ -561,8 +587,7 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     while True:
         hits = search.satisfying(new, cols, values)
         if hits:
-            best = min(hits, key=search.ranks().__getitem__)
-            term = search.term(best)
+            term = search.term(search.least(hits))
             if not malcev_identities_hold(alg, term):
                 raise AssertionError("witness fails the Mal'cev identities")
             return MalcevSearchResult(term, search.truncated,
@@ -704,8 +729,8 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
             if cross(tables[a], tables[b]):
                 hits.append((a, b))
         if hits:
-            rank = search.ranks()
-            a, b = min(hits, key=lambda p: (rank[p[0]], rank[p[1]]))
+            key = search.keys(sorted({t for hit in hits for t in hit}))
+            a, b = min(hits, key=lambda p: (key[p[0]], key[p[1]]))
             pair = BiternaryPair(search.term(a), search.term(b))
             _verify_biternary(alg, pair)
             return BiternarySearchResult(pair, search.truncated,

@@ -1,6 +1,7 @@
 """Derived-operation searches: Mal'cev terms, biternary pairs, translations."""
 
 import random
+from contextlib import nullcontext
 from itertools import product
 from unittest.mock import patch
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from malcevlab import (App, FiniteAlgebra, Signature, Var,
                        check_permutability_theorem, composition_closure,
-                       detect_biternary, eval_term, find_biternary_pair,
+                       detect_biternary, direct_product, eval_term,
+                       find_biternary_pair,
                        find_malcev_term, malcev_from_biternary,
                        malcev_search, parse_term, print_term, term_key,
                        term_size, translation_group)
@@ -92,15 +94,18 @@ def test_table_search_invariants(alg, depth, cap):
     assignments = list(product(range(alg.size), repeat=3))
     for level in range(1, depth + 1):
         search.run_level(level)
-        for i in range(len(search)):
+        # keys() settles the tables it reads before any term is read
+        tables = list(range(len(search)))
+        keys = search.keys(tables)
+        for i in tables:
             term = search.term(i)
             assert search.sizes[i] == term_size(term)
             assert cap is None or search.sizes[i] <= cap
             values = [eval_term(term, a, alg) for a in assignments]
             assert values == search.tables[i].tolist()
-        assert np.argsort(search.ranks()).tolist() == sorted(
-            range(len(search)),
-            key=lambda i: term_key(search.term(i), alg.sig))
+        assert sorted(tables, key=keys.__getitem__) == \
+            np.argsort(search.ranks()).tolist() == \
+            sorted(tables, key=lambda i: term_key(search.term(i), alg.sig))
         if search.truncated:
             break
 
@@ -191,6 +196,128 @@ def test_sixteen_hash_values_keep_the_s3_witness(s3):
                       lambda self, rows: row_hash(self, rows) & np.uint64(15)):
         assert print_term(find_malcev_term(s3)) == \
             "mul(x0, mul(inv(x1), x2))"
+
+
+def naive_searches(alg, max_depth, cap, candidates, tables):
+    """malcev_search and detect_biternary over NaiveTableSearch: the hit
+    (or hit pair) of least stored key, with tables_explored, truncated
+    and exhausted."""
+    n = alg.size
+    found = {}
+    for kind in ("malcev", "biternary"):
+        search = NaiveTableSearch(alg, 3, tables, candidates, cap)
+        x, y, z = search.digits
+        if kind == "malcev":
+            cols = np.flatnonzero((x == y) | (y == z))
+            values = np.where(x == y, z, x)[cols]
+        else:
+            cols = np.flatnonzero(x == y)
+            values = z[cols]
+        tail = y.astype(np.int64) * n + z
+        square = n * n
+        alphas, old, new, depth = [], 0, range(len(search)), 0
+        while True:
+            hits = search.satisfying(new, cols, values)
+            if kind == "biternary":
+                vec, total = search.vectors, len(search)
+                pairs = [(a, b) for a in hits for b in range(total)] + \
+                    [(a, b) for a in alphas for b in range(old, total)]
+                alphas, old, hits = alphas + hits, total, []
+                for a, b in pairs:
+                    if not search._spend(1):
+                        break
+                    va, vb = vec[a].astype(np.int64), vec[b].astype(np.int64)
+                    if np.array_equal(va[vb * square + tail], x) and \
+                            np.array_equal(vb[va * square + tail], x):
+                        hits.append((a, b))
+            if hits or depth == max_depth or search.truncated:
+                break
+            depth += 1
+            new = search.run_level(depth)
+        key = (search.key if kind == "malcev" else
+               lambda p: (search.key(p[0]), search.key(p[1])))
+        best = min(hits, key=key) if hits else None
+        answer = None if best is None else search.term(best) \
+            if kind == "malcev" else tuple(map(search.term, best))
+        found[kind] = (answer, len(search), search.truncated,
+                       search.exhausted)
+    return found
+
+
+def assert_same_witnesses(alg, depth, cap, candidates, tables, collide):
+    naive = naive_searches(alg, depth, cap, candidates, tables)
+    budgets = dict(table_budget=tables, candidate_budget=candidates,
+                   max_term_size=cap)
+    with patch.object(_TableSearch, "_hash", colliding_hash) \
+            if collide else nullcontext():
+        res = malcev_search(alg, depth, **budgets)
+        pair = detect_biternary(alg, depth, **budgets)
+    assert (res.term, res.tables_explored, res.truncated,
+            res.exhausted) == naive["malcev"]
+    assert (pair.pair and (pair.pair.alpha, pair.pair.beta),
+            pair.tables_explored, pair.truncated,
+            pair.exhausted) == naive["biternary"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(signatures(max_arity=3).flatmap(systems),
+                 st.sampled_from([cyclic_group(3), cyclic_group(4),
+                                  klein_group(), symmetric_group_3()])),
+       st.integers(1, 3), st.sampled_from([None, 5, 7]),
+       st.sampled_from([40, 400, 4000]),
+       st.sampled_from([12, 100, DEFAULT_TABLE_BUDGET]), st.booleans())
+def test_witnesses_match_the_least_naive_hit(alg, depth, cap, candidates,
+                                             tables, collide):
+    # the least-key witness, tables_explored, truncated and exhausted
+    # agree, also when a budget runs out in the middle of a level
+    assert_same_witnesses(alg, depth, cap, candidates, tables, collide)
+
+
+@pytest.mark.parametrize("candidates", [25_000, 30_000, 10**6])
+def test_s3_witnesses_match_the_least_naive_hit(s3, candidates):
+    # level 3 of S3 holds several witness tables, whose least keys
+    # decide the term; 25,000 and 30,000 stop in the middle of it
+    assert_same_witnesses(s3, 3, None, candidates, DEFAULT_TABLE_BUDGET,
+                          False)
+
+
+def test_pending_records_stay_within_the_level(s3, z4):
+    # repeats of a level's tables wait as records until a key is read,
+    # never more of them than the level has tables; Z4 and the
+    # translations of S3 outgrow that bound and compact
+    pending = []
+    add_rows = _TableSearch._add_rows
+
+    def checked(self, head, depth, kids, out):
+        add_rows(self, head, depth, kids, out)
+        pending.append(sum(map(len, self._pending)))
+        assert pending[-1] <= self.count - self._level_start[depth]
+
+    with patch.object(_TableSearch, "_add_rows", checked):
+        s3z2 = direct_product([s3, cyclic_group(2)])
+        assert malcev_search(s3z2).term is not None
+        res = malcev_search(tangle5(), 4, candidate_budget=20_000)
+        assert res.tables_explored == 18270
+        assert print_term(find_malcev_term(z4)) == \
+            "mul(inv(x1), mul(x0, x2))"
+        assert translation_group(s3).transitive
+    assert max(pending) > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 12])
+def test_row_hash_is_a_function_of_the_row(n):
+    # rows of 27, 64, 216 and 1728 bytes: one-byte words, then 8-byte
+    search = _TableSearch(cyclic_group(n), 3)
+    rows = np.random.default_rng(n).integers(0, n, (1500, n**3),
+                                             dtype=search.dtype)
+    hashes = search._hash(rows)
+    for j in (0, 749, 1499):
+        assert search._hash(rows[j:j + 1])[0] == hashes[j]
+    # every change of one byte of a row changes its hash
+    changed = np.repeat(rows[:1], n**3, axis=0)
+    at = np.arange(n**3)
+    changed[at, at] = (changed[at, at] + 1) % n
+    assert not np.any(search._hash(changed) == hashes[0])
 
 
 def test_size_cap_bounds_a_ternary_operation(deadline):
