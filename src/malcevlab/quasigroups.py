@@ -7,14 +7,15 @@ a*x = b, and rdiv(b, a) is the unique x with x*a = b.  Working in the
 enriched signature (mul, ldiv, rdiv) makes the class equationally
 definable, and explicit Mal'cev-style terms can be written down rather
 than searched for: malcev_polynomial returns them per flavor, verified
-exhaustively by malcev_identities_hold, the check that the searches in
-malcev share.
+exhaustively by malcev_identities_hold (the quasigroup form once per
+anchor), the check that the searches in malcev share.
 
 The translation maps x -> a*x and x -> x*a generate the multiplication
-group.  composition_closure and its result type TranslationGroup live
-here, with that group as their main user; the derived-operation search
-in malcev imports them for translation_group, which keeps this module
-free of the search and of numpy.
+group.  composition_closure, which composes with only the generators
+that enlarge the group, and its result type TranslationGroup live here,
+with that group as their main user; the derived-operation search in
+malcev imports them for translation_group, which keeps this module free
+of the search and of numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
 from .errors import FlavorMismatch, NoRightUnit, NotLatin, Record
-from .terms import (_BLOCK_CAP, App, Signature, Term, Var,
-                    assignment_columns, compile_evaluator)
+from .terms import (App, Signature, Term, Var, assignment_columns,
+                    compile_evaluator)
 
 QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
 
@@ -152,26 +153,29 @@ def to_algebra(q: Equasigroup, flavor: str = "quasigroup") -> FiniteAlgebra:
 def composition_closure(maps, size: int) -> frozenset:
     """Close a family of self-maps of 0..size-1 under composition.
 
-    Breadth-first over words in the generators: each new map is composed
-    with the generators only, never with every map found so far, since
-    every element of the generated monoid is a word in the generators.
-    The identity is always included.  For bijective generators over a
-    finite carrier the result is a permutation group: some power of
-    each generator is its inverse.
+    Breadth-first over words in the generators, from the identity: each
+    new map is composed with the generators only, since every element of
+    the generated monoid is a word in them.  A generator the closure
+    already holds is skipped; one that enlarges it is kept, and the
+    closure is re-closed under every kept generator.  Bijections generate
+    a permutation group G (some power of each is its inverse), which
+    each kept generator at least doubles, so the cost is about |G| times
+    the kept generators, however many the others.
     """
-    generators = [tuple(m) for m in maps]
-    closure = {tuple(range(size)), *generators}
-    if size < 2:  # no other self-map; itemgetter(i) returns no tuple
-        return frozenset(closure)
-    # composing g with h reads g at h: one itemgetter per generator
-    readers = [itemgetter(*h) for h in generators]
-    work = list(closure)
-    for g in work:
-        for read in readers:
-            comp = read(g)
-            if comp not in closure:
-                closure.add(comp)
-                work.append(comp)
+    closure = {tuple(range(size))}
+    # composing g with h reads g at h: one itemgetter per kept generator
+    readers = []
+    for h in map(tuple, maps):
+        if h in closure:
+            continue
+        readers.append(itemgetter(*h))
+        work = list(closure)
+        for g in work:
+            for read in readers:
+                comp = read(g)
+                if comp not in closure:
+                    closure.add(comp)
+                    work.append(comp)
     return frozenset(closure)
 
 
@@ -234,11 +238,11 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
     element substituted for the anchor variable x3: with y = x the
     inner product collapses to the anchor and the outer division
     inverts z \\ anchor, while y = z cancels the division directly.
-    Both identities are verified here for every anchor.  flavor
-    "right_eloop" returns x * (y \\ z) (the right unit makes z \\ z
-    constant), "left_eloop" the mirror (x / y) * z.  The returned term
-    is verified exhaustively against the tables before being handed
-    back.
+    Both identities are verified here for every anchor, one compiled
+    check each.  flavor "right_eloop" returns x * (y \\ z) (the right
+    unit makes z \\ z constant), "left_eloop" the mirror (x / y) * z.
+    The returned term is verified exhaustively against the tables before
+    being handed back.
     """
     alg = to_algebra(q, "quasigroup")
     if flavor == "quasigroup":
@@ -255,39 +259,23 @@ def malcev_polynomial(q: Equasigroup, flavor: str = "quasigroup") -> Term:
         term = App("mul", (App("rdiv", (Var(0), Var(1))), Var(2)))
     else:
         raise FlavorMismatch(f"no explicit form for flavor {flavor!r}")
-    if not malcev_identities_hold(alg, term,
-                                  every_anchor=flavor == "quasigroup"):
+    anchors = range(q.size) if flavor == "quasigroup" else (None,)
+    if not all(malcev_identities_hold(alg, term, a) for a in anchors):
         raise AssertionError("Mal'cev identities fail on a Latin square")
     return term
 
 
 def malcev_identities_hold(alg: FiniteAlgebra, term: Term,
-                           anchor: Optional[int] = None, *,
-                           every_anchor: bool = False) -> bool:
+                           anchor: Optional[int] = None) -> bool:
     """Whether P(x,x,z) = z and P(x,z,z) = x hold for all x, z, checked
     by the compiled term evaluator over the n**2 columns (x,x,z) and
-    (x,z,z).
-
-    With an anchor a the term is read as P(x,y,z,a), x3 standing for a.
-    every_anchor checks that form for every element a with one compile:
-    the anchor is a third column, over blocks of at most _BLOCK_CAP
-    positions (one anchor a block once n**2 exceeds it).
+    (x,z,z).  With an anchor a the term is read as P(x,y,z,a), x3
+    standing for a.
     """
-    n = alg.size
-    x, z = assignment_columns(n, 2)
-    if not every_anchor:
-        tail = () if anchor is None else (anchor,)
-        p = compile_evaluator(term, alg, 3 + len(tail))
-        return p((x, x, z) + tail) == z and p((x, z, z) + tail) == x
-    p = compile_evaluator(term, alg, 4)
-    step = max(1, _BLOCK_CAP // n**2)
-    for start in range(0, n, step):
-        anchors = range(start, min(start + step, n))
-        a = tuple(v for v in anchors for _ in x)
-        xs, zs = (col * len(anchors) for col in (x, z))
-        if p((xs, xs, zs, a)) != zs or p((xs, zs, zs, a)) != xs:
-            return False
-    return True
+    x, z = assignment_columns(alg.size, 2)
+    tail = () if anchor is None else (anchor,)
+    p = compile_evaluator(term, alg, 3 + len(tail))
+    return p((x, x, z) + tail) == z and p((x, z, z) + tail) == x
 
 
 # ---------------------------------------------------------------------------

@@ -482,11 +482,12 @@ def compile_evaluator(node: Union[Term, Formula], alg,
     positions, or a single value when every column is a scalar, and
     agrees at each position with eval_term / eval_formula.
 
-    Each operation or predicate node is one gather from its table with
-    one itemgetter.  The flat indices are sums over the arguments, each
-    argument read from a copy of its table multiplied by its place
-    value n**(arity - 1 - j); scalar arguments add up to one offset and
-    are never expanded.  Inside, itemgetter returns a one-position
+    Each operation or predicate node is one gather from its table, read
+    as given, with one itemgetter.  The flat index is the sum of the
+    arguments, each times its place value w = n**(arity - 1 - j): a
+    column with w != 1 is multiplied in one itemgetter pass over the
+    multiples range(0, n*w, w), and scalar arguments add up to one offset
+    and are never expanded.  Inside, itemgetter returns a one-position
     column as a scalar, which stands for the same value.
 
     Symbols, arities and variable indices are checked here, once, with
@@ -497,25 +498,14 @@ def compile_evaluator(node: Union[Term, Formula], alg,
     where eval_formula reads a wrong table cell.
     """
     n = alg.size
-    scaled: dict[tuple[str, int], tuple] = {}
 
-    def term(t, weight):
-        """Closure giving weight times the value of t."""
+    def term(t):
+        """Closure giving the value of t."""
         if isinstance(t, Var):
             if t.index >= width:
                 raise AssignmentTooShort(
                     f"term uses x{t.index} but only {width} values given")
-            index = t.index
-            if weight == 1:
-                return itemgetter(index)
-            multiples = tuple(range(0, n * weight, weight))
-
-            def var(columns):
-                value = columns[index]
-                if isinstance(value, int):
-                    return value * weight
-                return itemgetter(*value)(multiples)
-            return var
+            return itemgetter(t.index)
         arity = alg.sig.op_arity(t.op)
         if arity is None:
             raise SignatureMismatch(f"algebra has no operation {t.op!r}")
@@ -523,24 +513,24 @@ def compile_evaluator(node: Union[Term, Formula], alg,
             raise SignatureMismatch(
                 f"operation {t.op!r} has arity {arity} in this algebra,"
                 f" term applies it to {len(t.args)}")
-        return gather(t.op, alg.op_tables, weight, t.args)
+        return gather(alg.op_tables[t.op], t.args)
 
-    def gather(name, tables, weight, args):
-        if (name, weight) not in scaled:
-            scaled[name, weight] = tables[name] if weight == 1 else tuple(
-                v * weight for v in tables[name])
-        table = scaled[name, weight]
+    def gather(table, args):
         places = [n**(len(args) - 1 - j) for j in range(len(args))]
-        parts = [(term(a, w), w * (n - 1)) for a, w in zip(args, places)]
+        parts = [(term(a), w, tuple(range(0, n * w, w)) if w != 1 else None)
+                 for a, w in zip(args, places)]
 
         def apply(columns):
             offset, index, length, span = 0, None, 0, 1
-            for part, top in parts:
+            for part, w, multiples in parts:
                 value = part(columns)
+                if multiples is not None:
+                    value = (value * w if isinstance(value, int)
+                             else itemgetter(*value)(multiples))
                 if isinstance(value, int):
                     offset += value
                     continue
-                span += top
+                span += w * (n - 1)
                 if index is None:
                     index, length = value, len(value)
                 else:
@@ -558,7 +548,7 @@ def compile_evaluator(node: Union[Term, Formula], alg,
         return apply
 
     if isinstance(node, Equation):
-        lhs, rhs = term(node.lhs, 1), term(node.rhs, 1)
+        lhs, rhs = term(node.lhs), term(node.rhs)
 
         def run(columns):
             left, right = lhs(columns), rhs(columns)
@@ -575,9 +565,9 @@ def compile_evaluator(node: Union[Term, Formula], alg,
             raise SignatureMismatch(
                 f"predicate {node.pred!r} has arity {arity} in this algebra,"
                 f" formula applies it to {len(node.args)}")
-        run = gather(node.pred, alg.pred_tables, 1, node.args)
+        run = gather(alg.pred_tables[node.pred], node.args)
     else:
-        run = term(node, 1)
+        run = term(node)
 
     def evaluate(columns):
         value = run(columns)

@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 
 from malcevlab import (App, FiniteAlgebra, Signature, Var,
                        check_permutability_theorem, composition_closure,
-                       detect_biternary, direct_product, eval_term,
-                       find_biternary_pair,
-                       find_malcev_term, malcev_from_biternary,
-                       malcev_search, parse_term, print_term, term_key,
-                       term_size, translation_group)
+                       detect_biternary, direct_product,
+                       equasigroup_from_latin, eval_term,
+                       find_biternary_pair, find_malcev_term, latin_square,
+                       malcev_from_biternary, malcev_search, parse_term,
+                       print_term, term_key, term_size, to_algebra,
+                       translation_group)
 from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
                               _TableSearch)
 
 from conftest import (GROUP_SIG, MEET_SIG, binary_beside_ternary,
                       chain_semilattice, cyclic_group, groupoid_from_rows,
-                      klein_group, signatures, small_algebras,
-                      symmetric_group_3, systems, tangle5)
+                      klein_group, random_square, signatures,
+                      small_algebras, symmetric_group_3, systems, tangle5)
 from oracles_local import (NaiveTableSearch, naive_composition_closure,
                            naive_translation_group)
 
@@ -186,6 +187,23 @@ def test_every_hash_colliding_keeps_witnesses_and_truncation(z4):
         assert search.exhausted == "candidate"
         assert search.levels[-1] == 3
         assert_matches_naive_engine(z4, "constants", None, 10**6, 10**6, 4)
+
+
+def test_candidate_budget_runs_out_inside_a_wide_uncapped_level():
+    # two variables over these 4 elements give 2883 tables after level
+    # 2, which spends 2940 candidates, so each prefix of level 3 walks
+    # 2883 last children, in slabs of up to 4096.  The budget runs out
+    # in the second prefix; where it stops depends on the slab width
+    alg = FiniteAlgebra(Signature((("m", 2), ("t", 3))), 4, {
+        "m": (2, 2, 3, 0, 2, 2, 0, 3, 0, 1, 2, 2, 1, 2, 2, 0),
+        "t": (2, 2, 2, 1, 0, 1, 2, 3, 1, 0, 0, 3, 0, 1, 2, 2,
+              3, 3, 1, 0, 0, 3, 2, 1, 1, 1, 3, 0, 1, 3, 2, 1,
+              0, 3, 2, 1, 3, 1, 3, 3, 2, 3, 2, 2, 3, 3, 1, 0,
+              3, 1, 3, 2, 1, 0, 3, 2, 2, 0, 2, 0, 2, 2, 2, 3)})
+    search = assert_matches_naive_engine(alg, 2, None, 2940 + 2883 + 2500,
+                                         DEFAULT_TABLE_BUDGET)
+    assert search.levels[-1] == 3 and search.exhausted == "candidate"
+    assert search.candidates_used == 2940 + 2 * 2883
 
 
 def test_sixteen_hash_values_keep_the_s3_witness(s3):
@@ -424,6 +442,18 @@ def test_translation_group_of_chain_is_trivial(chain3):
     grp = translation_group(chain3)
     assert grp.closure == frozenset({(0, 1, 2)})
     assert not grp.transitive
+
+
+def test_translation_group_of_a_random_order_eight_quasigroup(deadline):
+    # 1771 generators of a group of order 8! = 40320: the closure keeps
+    # only the generators that enlarge it
+    deadline(10)
+    rows = random_square(random.Random(7), 8)
+    alg = to_algebra(equasigroup_from_latin(latin_square(rows)),
+                     "quasigroup")
+    grp = translation_group(alg)
+    assert len(grp.generators) == 1771
+    assert len(grp.closure) == 40320 and grp.transitive
 
 
 def test_composition_closure_generates_s3():

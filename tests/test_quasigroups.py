@@ -175,30 +175,40 @@ def test_malcev_polynomial_on_seeded_larger_squares():
 def test_every_anchor_check_matches_one_check_per_anchor(monkeypatch):
     # with ldiv(x2, mul(x3, x3)) the identities hold at anchor a iff
     # a * a = a; the wrong variants below fail at scattered (x, z, a).
-    # Caps of 20 and 40 positions give blocks of one to four anchors,
-    # the last one shorter for n = 3
+    # malcev_polynomial, made to check one of these terms instead of its
+    # own, must reject a square exactly when some anchor fails
     idem = parse_term("rdiv(mul(x0, ldiv(x1, x3)), ldiv(x2, mul(x3, x3)))",
                       QUASIGROUP_SIGNATURE)
     wrong = [parse_term(text, QUASIGROUP_SIGNATURE) for text in (
         "mul(mul(x0, ldiv(x1, x3)), ldiv(x3, x2))",
         "ldiv(mul(x0, rdiv(x3, x1)), rdiv(x3, x2))")]
+
+    def rejects(q, checked):
+        monkeypatch.setattr(
+            quasigroups, "malcev_identities_hold",
+            lambda alg, term, anchor=None: malcev_identities_hold(
+                alg, checked, anchor))
+        try:
+            malcev_polynomial(q)
+        except AssertionError:
+            return True
+        finally:
+            monkeypatch.undo()
+        return False
+
     seen = set()
-    for cap in (20, 40):
-        monkeypatch.setattr(quasigroups, "_BLOCK_CAP", cap)
-        for n in (3, 4):
-            for rows in all_latin_squares(n):
-                alg = to_algebra(q_from(rows), "quasigroup")
-                idempotent = [rows[a][a] == a for a in range(n)]
-                assert [malcev_identities_hold(alg, idem, a)
-                        for a in range(n)] == idempotent
-                assert malcev_identities_hold(
-                    alg, idem, every_anchor=True) == all(idempotent)
-                seen.add(tuple(idempotent))
-                for term in wrong:
-                    assert malcev_identities_hold(
-                        alg, term, every_anchor=True) == all(
-                        malcev_identities_hold(alg, term, a)
-                        for a in range(n))
+    for n in (3, 4):
+        for rows in all_latin_squares(n):
+            q = q_from(rows)
+            alg = to_algebra(q, "quasigroup")
+            idempotent = [rows[a][a] == a for a in range(n)]
+            assert [malcev_identities_hold(alg, idem, a)
+                    for a in range(n)] == idempotent
+            assert rejects(q, idem) == (not all(idempotent))
+            seen.add(tuple(idempotent))
+            for term in wrong:
+                assert rejects(q, term) == (not all(
+                    malcev_identities_hold(alg, term, a) for a in range(n)))
     assert (False,) * 3 + (True,) in seen and (True,) * 4 in seen
 
 
