@@ -132,45 +132,23 @@ def _rows(alg: FiniteAlgebra, name: str) -> list[tuple[int, ...]]:
 
 def _cmd_parse(args, inputs):
     sig = _load_signature(args.sig, inputs)
-    if args.kind == "term":
-        node = parse_term(args.text, sig)
-        canonical = print_term(node)
-        again = parse_term(canonical, sig)
-        result = {
-            "summary": canonical,
-            "kind": "term",
-            "canonical": canonical,
-            "size": term_size(node),
-            "depth": term_depth(node),
-            "variables": sorted(term_vars(node)),
-        }
-    elif args.kind == "formula":
-        node = parse_formula(args.text, sig)
-        canonical = str(node)
-        again = parse_formula(canonical, sig)
-        result = {
-            "summary": canonical,
-            "kind": "formula",
-            "canonical": canonical,
-            "variables": sorted(formula_vars(node)),
-        }
-    else:
-        node = parse_quasiidentity(args.text, sig)
-        canonical = str(node)
-        again = parse_quasiidentity(canonical, sig)
-        result = {
-            "summary": canonical,
-            "kind": "quasiidentity",
-            "canonical": canonical,
-            "premises": len(node.premises),
-            "variables": node.variable_count,
-        }
-    checks = []
-    if again == node:
-        checks.append("canonical text re-parses to an equal syntax tree")
-    else:  # pragma: no cover - printer/parser mismatch would be a bug
+    parse = {"term": parse_term, "formula": parse_formula,
+             "quasiidentity": parse_quasiidentity}[args.kind]
+    node = parse(args.text, sig)
+    canonical = str(node)
+    if parse(canonical, sig) != node:  # pragma: no cover - a printer bug
         raise AssertionError("canonical text did not round-trip")
-    return result, checks, True
+    result = {"summary": canonical, "kind": args.kind,
+              "canonical": canonical}
+    if args.kind == "term":
+        result.update(size=term_size(node), depth=term_depth(node),
+                      variables=sorted(term_vars(node)))
+    elif args.kind == "formula":
+        result["variables"] = sorted(formula_vars(node))
+    else:
+        result.update(premises=len(node.premises),
+                      variables=node.variable_count)
+    return result, ["canonical text re-parses to an equal syntax tree"], True
 
 
 def _cmd_eval(args, inputs):

@@ -110,8 +110,9 @@ class _TableSearch:
     its own level waits as a record, compacted to one per table once
     they outnumber the level's tables, until a key is read: before the
     next level is ranked, in ranks(), keys() and least(), and in term(i)
-    when table i has records.  exhausted names the budget ("table" or
-    "candidate") that truncated the search.
+    when table i has records.  Compacted records that still outnumber
+    half of a level wider than _SLAB are applied at once.  exhausted
+    names the budget ("table" or "candidate") that truncated the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -534,14 +535,19 @@ class _TableSearch:
         self._levels[start:end] = depth
         self._derive(slice(start, end), sizes[made], head, kids[made])
         # the other rows on tables of this level wait as records; past one
-        # per table of the level, only each table's least is kept
+        # per table of the level, only each table's least is kept.  Once
+        # those still outnumber half of a level wider than a slab, they
+        # are applied, so that each later group does not sort them again
         rest = rest[self._levels[target[rest]] == depth]
         if not len(rest):
             return
         self._pending.append(
             self._records(target[rest], sizes[rest], head, kids[rest]))
-        if sum(map(len, self._pending)) > end - self._level_start[depth]:
+        level = end - self._level_start[depth]
+        if sum(map(len, self._pending)) > level:
             self._pending = [self._least(np.concatenate(self._pending))]
+            if 2 * len(self._pending[0]) > level > _SLAB:
+                self._settle()
 
 
 class MalcevSearchResult(Record):

@@ -2,18 +2,21 @@
 
 The concrete syntax is deliberately small:
 
-    term     :=  var  |  opname "(" term ("," term)* ")"  |  opname
+    term     :=  var  |  opname "(" term ("," term)* ")"  |  opname ["()"]
     var      :=  "x" digits
     formula  :=  term "=" term  |  predname "(" term ("," term)* ")"
     quasi    :=  formula ("&" formula)* "=>" formula  |  formula
 
-Nullary operation symbols are written bare ("e", not "e()").  Whitespace
-is insignificant.  Terms may nest at most MAX_TERM_DEPTH applications
-deep; deeper input is a syntax error.  An identifier matching x<digits> is always a variable,
-so operation and predicate names must not collide with that shape.
+Nullary operation symbols print bare ("e") and may be read as "e()".
+Whitespace is insignificant.  Terms may nest at most MAX_TERM_DEPTH
+applications deep; deeper input is a syntax error.  An identifier
+matching x<digits> is always a variable, so operation and predicate
+names must not collide with that shape.
 
 Premises of a quasiidentity are read conjunctively: the conclusion must
-hold under every assignment satisfying all premises at once.
+hold under every assignment satisfying all premises at once.  Its
+variables are x0 up to the highest index used, with none skipped;
+parsing text that skips one raises InputError.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import (
     ArityMismatch,
     AssignmentTooShort,
+    InputError,
     Record,
     SignatureMismatch,
     TermSyntaxError,
@@ -233,169 +237,138 @@ def identity(lhs: Term, rhs: Term) -> Quasiidentity:
 # parsing
 
 
-class _Tokenizer:
-    """Splits input into (kind, text, 1-based column) tokens."""
+# a token, after the blanks before it: "=>" or a punctuation mark, an
+# identifier, or any other visible character, which is an error
+_TOKEN_RE = re.compile(r"\s*(?:(=>|[(),=&])|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
-    PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", "=": "eq", "&": "amp"}
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if text.startswith("=>", i):
-                self.tokens.append(("arrow", "=>", i + 1))
-                i += 2
-                continue
-            if c in self.PUNCT:
-                self.tokens.append((self.PUNCT[c], c, i + 1))
-                i += 1
-                continue
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-            if m:
-                word = m.group(0)
-                kind = "var" if _VAR_RE.match(word) else "name"
-                self.tokens.append((kind, word, i + 1))
-                i += len(word)
-                continue
-            raise TermSyntaxError(
-                f"unexpected character {c!r} at column {i + 1}", i + 1,
-                expected="identifier or punctuation")
-        self.tokens.append(("end", "", n + 1))
+class _Parser:
+    """Recursive descent over the (kind, text, 1-based column) tokens of
+    text; kind is the punctuation itself, "var", "name" or "end"."""
+
+    def __init__(self, text: str, sig: Signature):
+        self.sig = sig
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            punct, word, other = m.groups()
+            col = m.start(m.lastindex) + 1
+            if other:
+                raise TermSyntaxError(
+                    f"unexpected character {other!r} at column {col}", col,
+                    expected="identifier or punctuation")
+            kind = punct or ("var" if _VAR_RE.match(word) else "name")
+            self.tokens.append((kind, punct or word, col))
+        self.tokens.append(("end", "", len(text) + 1))
         self.pos = 0
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
+    def take(self, kind: str) -> bool:
+        """Consume the next token if it is of kind."""
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def expect(self, kind: str, what: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            got = tok[1] if tok[0] != "end" else "end of input"
+    def expect(self, kind: str, what: str) -> None:
+        if not self.take(kind):
+            kind, word, col = self.peek()
+            got = word if kind != "end" else "end of input"
             raise TermSyntaxError(
-                f"expected {what} at column {tok[2]}, got {got!r}",
-                tok[2], expected=what)
-        return self.next()
+                f"expected {what} at column {col}, got {got!r}", col,
+                expected=what)
 
-
-class _Parser:
-    def __init__(self, text: str, sig: Signature):
-        self.toks = _Tokenizer(text)
-        self.sig = sig
-
-    def parse_term(self, depth: int = 0) -> Term:
+    def term(self, depth: int = 0) -> Term:
         """depth counts the applications enclosing this term."""
-        kind, word, col = self.toks.peek()
-        if kind == "var":
-            self.toks.next()
+        kind, word, col = self.peek()
+        if kind != "name":
+            self.expect("var", "term")
             return Var(int(word[1:]))
-        if kind == "name":
-            if depth == MAX_TERM_DEPTH:
-                raise TermSyntaxError(
-                    f"term nested deeper than {MAX_TERM_DEPTH} levels"
-                    f" at column {col}", col,
-                    expected=f"at most {MAX_TERM_DEPTH} nested applications")
-            self.toks.next()
-            arity = self.sig.op_arity(word)
-            if arity is None:
-                raise UnknownSymbol(
-                    f"unknown operation {word!r} at column {col}", word, col)
-            if self.toks.peek()[0] != "lparen":
-                if arity != 0:
-                    raise ArityMismatch(
-                        f"operation {word!r} takes {arity} argument"
-                        f"{'s' if arity != 1 else ''}, got 0"
-                        f" at column {col}", word, arity, 0, col)
-                return App(word, ())
-            self.toks.next()
-            args = []
-            if self.toks.peek()[0] != "rparen":
-                args.append(self.parse_term(depth + 1))
-                while self.toks.peek()[0] == "comma":
-                    self.toks.next()
-                    args.append(self.parse_term(depth + 1))
-            self.toks.expect("rparen", "')' or ','")
-            if len(args) != arity:
-                raise ArityMismatch(
-                    f"operation {word!r} takes {arity} argument"
-                    f"{'s' if arity != 1 else ''}, got"
-                    f" {len(args)} at column {col}", word, arity, len(args), col)
-            return App(word, tuple(args))
-        got = word if kind != "end" else "end of input"
-        raise TermSyntaxError(
-            f"expected term at column {col}, got {got!r}", col, expected="term")
+        if depth == MAX_TERM_DEPTH:
+            raise TermSyntaxError(
+                f"term nested deeper than {MAX_TERM_DEPTH} levels"
+                f" at column {col}", col,
+                expected=f"at most {MAX_TERM_DEPTH} nested applications")
+        self.pos += 1
+        arity = self.sig.op_arity(word)
+        if arity is None:
+            raise UnknownSymbol(
+                f"unknown operation {word!r} at column {col}", word, col)
+        return App(word, self.arguments("operation", word, col, arity,
+                                        depth + 1))
 
-    def parse_formula(self) -> Formula:
-        kind, word, col = self.toks.peek()
+    def arguments(self, kind: str, word: str, col: int, arity: int,
+                  depth: int) -> tuple:
+        """The argument list of the operation or predicate (by kind) word
+        at column col, its terms enclosed by depth applications.  An
+        operation may go bare; a predicate needs at least one argument."""
+        args = []
+        if kind == "predicate" or self.peek()[0] == "(":
+            self.expect("(", "'('")
+            if kind == "predicate" or self.peek()[0] != ")":
+                args.append(self.term(depth))
+                while self.take(","):
+                    args.append(self.term(depth))
+            self.expect(")", "')' or ','")
+        if len(args) != arity:
+            raise ArityMismatch(
+                f"{kind} {word!r} takes {arity} argument"
+                f"{'s' if arity != 1 else ''}, got {len(args)}"
+                f" at column {col}", word, arity, len(args), col)
+        return tuple(args)
+
+    def formula(self) -> Formula:
+        kind, word, col = self.peek()
         # a predicate atom starts with a predicate name
-        if kind == "name" and self.sig.pred_arity(word) is not None:
-            self.toks.next()
-            arity = self.sig.pred_arity(word)
-            self.toks.expect("lparen", "'('")
-            args = [self.parse_term()]
-            while self.toks.peek()[0] == "comma":
-                self.toks.next()
-                args.append(self.parse_term())
-            self.toks.expect("rparen", "')' or ','")
-            if len(args) != arity:
-                raise ArityMismatch(
-                    f"predicate {word!r} takes {arity} argument"
-                    f"{'s' if arity != 1 else ''}, got"
-                    f" {len(args)} at column {col}", word, arity, len(args), col)
-            return PredicateAtom(word, tuple(args))
-        lhs = self.parse_term()
-        self.toks.expect("eq", "'='")
-        rhs = self.parse_term()
-        return Equation(lhs, rhs)
+        arity = self.sig.pred_arity(word) if kind == "name" else None
+        if arity is not None:
+            self.pos += 1
+            return PredicateAtom(
+                word, self.arguments("predicate", word, col, arity, 0))
+        lhs = self.term()
+        self.expect("=", "'='")
+        return Equation(lhs, self.term())
 
-    def parse_quasiidentity(self) -> Quasiidentity:
-        first = self.parse_formula()
-        formulas = [first]
-        while self.toks.peek()[0] == "amp":
-            self.toks.next()
-            formulas.append(self.parse_formula())
-        if self.toks.peek()[0] == "arrow":
-            self.toks.next()
-            conclusion = self.parse_formula()
-            return Quasiidentity(tuple(formulas), conclusion)
-        if len(formulas) > 1:
-            tok = self.toks.peek()
+    def quasiidentity(self) -> Quasiidentity:
+        formulas = [self.formula()]
+        while self.take("&"):
+            formulas.append(self.formula())
+        if self.take("=>"):
+            premises, conclusion = tuple(formulas), self.formula()
+        elif len(formulas) > 1:
+            col = self.peek()[2]
             raise TermSyntaxError(
-                f"expected '=>' at column {tok[2]}", tok[2], expected="'=>'")
-        return Quasiidentity((), first)
+                f"expected '=>' at column {col}", col, expected="'=>'")
+        else:
+            premises, conclusion = (), formulas[0]
+        try:
+            return Quasiidentity(premises, conclusion)
+        except ValueError as exc:  # variables that skip an index
+            raise InputError(str(exc)) from None
 
-    def finish(self, node):
-        tok = self.toks.peek()
-        if tok[0] != "end":
-            raise TermSyntaxError(
-                f"unexpected {tok[1]!r} at column {tok[2]}", tok[2],
-                expected="end of input")
-        return node
+
+def _parse(text: str, sig: Signature, rule):
+    """The node rule reads from the whole of text."""
+    p = _Parser(text, sig)
+    node = rule(p)
+    kind, word, col = p.peek()
+    if kind != "end":
+        raise TermSyntaxError(f"unexpected {word!r} at column {col}", col,
+                              expected="end of input")
+    return node
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig)
-    return p.finish(p.parse_term())
+    return _parse(text, sig, _Parser.term)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
-    return p.finish(p.parse_formula())
+    return _parse(text, sig, _Parser.formula)
 
 
 def parse_quasiidentity(text: str, sig: Signature) -> Quasiidentity:
-    p = _Parser(text, sig)
-    return p.finish(p.parse_quasiidentity())
+    return _parse(text, sig, _Parser.quasiidentity)
 
 
 def print_term(t: Term) -> str:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from malcevlab import (App, Equation, FiniteAlgebra, PredicateAtom,
                        Signature, Var)
+from malcevlab.terms import MAX_TERM_DEPTH
 
 GROUP_SIG = Signature(ops=(("mul", 2), ("inv", 1), ("e", 0)))
 MEET_SIG = Signature(ops=(("meet", 2),))
@@ -206,6 +207,59 @@ def formulas(sig: Signature, var_count: int):
                                         PredicateAtom(name, args))
                 for name, a in sig.preds]
     return st.one_of(options)
+
+
+
+# texts for the parser: the operations of GROUP_SIG, the predicates
+# leq/2, p/1 and q/0, and f/1, which no signature here declares; each
+# symbol most often with as many arguments as its arity
+ARITIES = {"mul": 2, "inv": 1, "e": 0, "f": 1, "leq": 2, "p": 1, "q": 0}
+BLANKS = ["", " ", "\t", "\n", "\u00a0", "\u2003", "\x1c"]
+blanks = st.sampled_from(BLANKS)
+VARIABLES = ["x0", "x0", "x1", "x1", "x2", "x007", "x10"]
+# terms at MAX_TERM_DEPTH and one level deeper, by a variable or a constant
+DEEP = [f"{'inv(' * d}{leaf}{')' * d}"
+        for d in (MAX_TERM_DEPTH - 1, MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1)
+        for leaf in ("x0", "e")]
+
+
+@st.composite
+def symbol_texts(draw, names, depth: int):
+    """A symbol of names applied to term texts, blanks drawn around them."""
+    name = draw(st.sampled_from(names))
+    count = max(0, ARITIES[name] + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    args = [draw(term_texts(depth - 1)) + draw(blanks) for _ in range(count)]
+    if not args and draw(st.booleans()):
+        return name
+    return f"{name}{draw(blanks)}({draw(blanks)}{','.join(args)})"
+
+
+@st.composite
+def term_texts(draw, depth: int = 3):
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(DEEP))
+        return draw(st.sampled_from(VARIABLES + ["e"]))
+    return draw(symbol_texts(["mul", "mul", "inv", "inv", "e", "f", "leq"],
+                             depth))
+
+
+formula_texts = (
+    st.tuples(term_texts(), blanks, term_texts()).map(
+        lambda t: f"{t[0]}{t[1]}={t[2]}")
+    | symbol_texts(["leq", "leq", "p", "p", "q", "mul"], 3))
+quasiidentity_texts = st.tuples(
+    st.lists(formula_texts, min_size=1, max_size=3),
+    st.sampled_from(["", " => ", "=>", " & "]), formula_texts).map(
+        lambda t: " & ".join(t[0]) + t[1] + t[2])
+# any sequence of the language's tokens and a few that are not in it
+token_soup = st.lists(st.tuples(blanks, st.sampled_from(
+    VARIABLES + list(ARITIES) + ["(", ")", ",", "=", "&", "=>", ">", "0",
+                                 "7", "\u00e9"])), max_size=24).map(
+    lambda pairs: "".join(b + text for b, text in pairs))
+parse_texts = st.tuples(
+    token_soup | term_texts() | formula_texts | quasiidentity_texts,
+    st.lists(blanks, max_size=2)).map(lambda t: t[0] + "".join(t[1]))
 
 
 UNIT_FREE_ROWS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))

@@ -7,6 +7,7 @@ package can be checked against it on small inputs.
 
 from __future__ import annotations
 
+import re
 from itertools import permutations, product
 from typing import Optional, Sequence
 
@@ -16,13 +17,15 @@ from malcevlab import (CheckResult, Congruence, FiniteAlgebra, FreeAlgebra,
                        MembershipReport, Quasiidentity, Replica,
                        TranslationGroup, compose_relation, eval_formula,
                        flat_index, is_unitary, product_decode, product_encode)
-from malcevlab.errors import (AlgebraMismatch, EmptyUngeneratable,
-                              InputError, NotStable, SearchBudgetExceeded,
-                              SizeBound, SizeOverflow,
-                              TrivialClassRankConflict)
+from malcevlab.errors import (AlgebraMismatch, ArityMismatch,
+                              EmptyUngeneratable, InputError, NotStable,
+                              SearchBudgetExceeded, SizeBound, SizeOverflow,
+                              TermSyntaxError, TrivialClassRankConflict,
+                              UnknownSymbol)
 from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET,
                               DEFAULT_TABLE_BUDGET)
-from malcevlab.terms import App, Formula, Term, Var
+from malcevlab.terms import (MAX_TERM_DEPTH, _VAR_RE, App, Equation, Formula,
+                             PredicateAtom, Term, Var)
 
 
 def _partitions(n: int):
@@ -838,3 +841,175 @@ def naive_membership_in_closure(generators: Sequence[FiniteAlgebra],
                 return MembershipReport(False, len(found),
                                         ("forced_predicate", name, combo))
     return MembershipReport(True, len(found), None)
+
+
+# ---------------------------------------------------------------------------
+# the term language, parsed by a character loop and one method per rule:
+# the reference for the token-pattern parser in malcevlab.terms.  Text
+# whose variables skip an index gets Quasiidentity's ValueError here,
+# where malcevlab.terms raises InputError with the same message.
+
+
+class _Tokenizer:
+    """Splits input into (kind, text, 1-based column) tokens."""
+
+    PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", "=": "eq", "&": "amp"}
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        i = 0
+        n = len(text)
+        while i < n:
+            c = text[i]
+            if c.isspace():
+                i += 1
+                continue
+            if text.startswith("=>", i):
+                self.tokens.append(("arrow", "=>", i + 1))
+                i += 2
+                continue
+            if c in self.PUNCT:
+                self.tokens.append((self.PUNCT[c], c, i + 1))
+                i += 1
+                continue
+            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
+            if m:
+                word = m.group(0)
+                kind = "var" if _VAR_RE.match(word) else "name"
+                self.tokens.append((kind, word, i + 1))
+                i += len(word)
+                continue
+            raise TermSyntaxError(
+                f"unexpected character {c!r} at column {i + 1}", i + 1,
+                expected="identifier or punctuation")
+        self.tokens.append(("end", "", n + 1))
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            got = tok[1] if tok[0] != "end" else "end of input"
+            raise TermSyntaxError(
+                f"expected {what} at column {tok[2]}, got {got!r}",
+                tok[2], expected=what)
+        return self.next()
+
+
+class _Parser:
+    def __init__(self, text: str, sig):
+        self.toks = _Tokenizer(text)
+        self.sig = sig
+
+    def parse_term(self, depth: int = 0) -> Term:
+        """depth counts the applications enclosing this term."""
+        kind, word, col = self.toks.peek()
+        if kind == "var":
+            self.toks.next()
+            return Var(int(word[1:]))
+        if kind == "name":
+            if depth == MAX_TERM_DEPTH:
+                raise TermSyntaxError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} levels"
+                    f" at column {col}", col,
+                    expected=f"at most {MAX_TERM_DEPTH} nested applications")
+            self.toks.next()
+            arity = self.sig.op_arity(word)
+            if arity is None:
+                raise UnknownSymbol(
+                    f"unknown operation {word!r} at column {col}", word, col)
+            if self.toks.peek()[0] != "lparen":
+                if arity != 0:
+                    raise ArityMismatch(
+                        f"operation {word!r} takes {arity} argument"
+                        f"{'s' if arity != 1 else ''}, got 0"
+                        f" at column {col}", word, arity, 0, col)
+                return App(word, ())
+            self.toks.next()
+            args = []
+            if self.toks.peek()[0] != "rparen":
+                args.append(self.parse_term(depth + 1))
+                while self.toks.peek()[0] == "comma":
+                    self.toks.next()
+                    args.append(self.parse_term(depth + 1))
+            self.toks.expect("rparen", "')' or ','")
+            if len(args) != arity:
+                raise ArityMismatch(
+                    f"operation {word!r} takes {arity} argument"
+                    f"{'s' if arity != 1 else ''}, got"
+                    f" {len(args)} at column {col}", word, arity, len(args), col)
+            return App(word, tuple(args))
+        got = word if kind != "end" else "end of input"
+        raise TermSyntaxError(
+            f"expected term at column {col}, got {got!r}", col, expected="term")
+
+    def parse_formula(self) -> Formula:
+        kind, word, col = self.toks.peek()
+        # a predicate atom starts with a predicate name
+        if kind == "name" and self.sig.pred_arity(word) is not None:
+            self.toks.next()
+            arity = self.sig.pred_arity(word)
+            self.toks.expect("lparen", "'('")
+            args = [self.parse_term()]
+            while self.toks.peek()[0] == "comma":
+                self.toks.next()
+                args.append(self.parse_term())
+            self.toks.expect("rparen", "')' or ','")
+            if len(args) != arity:
+                raise ArityMismatch(
+                    f"predicate {word!r} takes {arity} argument"
+                    f"{'s' if arity != 1 else ''}, got"
+                    f" {len(args)} at column {col}", word, arity, len(args), col)
+            return PredicateAtom(word, tuple(args))
+        lhs = self.parse_term()
+        self.toks.expect("eq", "'='")
+        rhs = self.parse_term()
+        return Equation(lhs, rhs)
+
+    def parse_quasiidentity(self) -> Quasiidentity:
+        first = self.parse_formula()
+        formulas = [first]
+        while self.toks.peek()[0] == "amp":
+            self.toks.next()
+            formulas.append(self.parse_formula())
+        if self.toks.peek()[0] == "arrow":
+            self.toks.next()
+            conclusion = self.parse_formula()
+            return Quasiidentity(tuple(formulas), conclusion)
+        if len(formulas) > 1:
+            tok = self.toks.peek()
+            raise TermSyntaxError(
+                f"expected '=>' at column {tok[2]}", tok[2], expected="'=>'")
+        return Quasiidentity((), first)
+
+    def finish(self, node):
+        tok = self.toks.peek()
+        if tok[0] != "end":
+            raise TermSyntaxError(
+                f"unexpected {tok[1]!r} at column {tok[2]}", tok[2],
+                expected="end of input")
+        return node
+
+
+def reference_parse_term(text: str, sig) -> Term:
+    p = _Parser(text, sig)
+    return p.finish(p.parse_term())
+
+
+def reference_parse_formula(text: str, sig) -> Formula:
+    p = _Parser(text, sig)
+    return p.finish(p.parse_formula())
+
+
+def reference_parse_quasiidentity(text: str, sig) -> Quasiidentity:
+    p = _Parser(text, sig)
+    return p.finish(p.parse_quasiidentity())

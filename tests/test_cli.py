@@ -654,6 +654,19 @@ def test_too_deep_term_is_exit_two(capsys):
     assert "column 801" in err
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["check", "demos/data/z4.alg", "x5 = x5"], [0, 1, 2, 3, 4]),
+    (["parse", "--sig", "demos/data/group.sig", "x3=x3",
+      "--kind", "quasiidentity"], [0, 1, 2]),
+])
+def test_quasiidentity_skipping_a_variable_is_exit_two(argv, missing,
+                                                        capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: variable indices not dense, missing {missing}\n"
+
+
 def test_capped_search_resolves_cleanly(capsys):
     code, out, _ = run(["malcev", "demos/data/tangle5.alg"], capsys)
     assert code == 0

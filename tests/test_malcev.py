@@ -456,6 +456,31 @@ def test_translation_group_of_a_random_order_eight_quasigroup(deadline):
     assert len(grp.closure) == 40320 and grp.transitive
 
 
+# a Latin square of order 6 whose translation search stops at the table
+# budget with most rows of its last level repeating tables of that level
+SATURATING_SQUARE = ((2, 3, 1, 4, 5, 0), (1, 4, 5, 0, 3, 2),
+                     (4, 1, 0, 5, 2, 3), (0, 5, 2, 3, 1, 4),
+                     (5, 0, 3, 2, 4, 1), (3, 2, 4, 1, 0, 5))
+
+
+def test_repeated_tables_are_not_sorted_again_for_every_group():
+    # the kept records were once re-sorted by every group of a level that
+    # had stopped finding new tables: 818 sorts, 12-16 s on two vCPUs
+    alg = to_algebra(equasigroup_from_latin(latin_square(SATURATING_SQUARE)),
+                     "quasigroup")
+    least = _TableSearch._least
+    calls = []
+
+    def counted(self, records):
+        calls.append(len(records))
+        return least(self, records)
+
+    with patch.object(_TableSearch, "_least", counted):
+        grp = translation_group(alg)
+    assert len(grp.generators) == 720 and grp.truncated
+    assert len(calls) <= 100
+
+
 def test_composition_closure_generates_s3():
     swap01 = (1, 0, 2)
     cycle = (1, 2, 0)

@@ -16,15 +16,19 @@ from malcevlab import (App, CheckResult, Equation, FiniteAlgebra,
                        parse_quasiidentity, parse_term, print_term,
                        term_depth, term_key, term_size, term_vars)
 from malcevlab.errors import (ArityMismatch, AssignmentTooShort,
-                              SignatureMismatch, TermSyntaxError,
-                              UnknownSymbol)
+                              InputError, MalcevLabError, SignatureMismatch,
+                              TermSyntaxError, UnknownSymbol)
 from malcevlab import terms as terms_module
 from malcevlab.terms import (MAX_TERM_DEPTH, assignment_columns,
                              satisfaction_mask)
 
-from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG, cyclic_group,
-                      formulas, random_algebra, signatures, systems, terms)
-from oracles_local import naive_check_quasiidentity
+from conftest import (DEEP, GROUP_SIG, GROUPOID_SIG, MEET_SIG, cyclic_group,
+                      formulas, parse_texts, random_algebra, signatures,
+                      systems, terms)
+from oracles_local import (naive_check_quasiidentity,
+                           reference_parse_formula,
+                           reference_parse_quasiidentity,
+                           reference_parse_term)
 
 PRED_SIG = Signature(ops=(("mul", 2), ("e", 0)), preds=(("leq", 2),))
 
@@ -128,6 +132,42 @@ def test_quasiidentity_parse():
 def test_quasiidentity_requires_dense_variables():
     with pytest.raises(ValueError):
         Quasiidentity((), parse_formula("mul(x0, x2) = x0", GROUP_SIG))
+
+
+# a predicate of arity 0 can never be written: it needs an argument
+PARSE_SIG = Signature(ops=(("mul", 2), ("inv", 1), ("e", 0)),
+                      preds=(("leq", 2), ("p", 1), ("q", 0)))
+ENTRY_POINTS = [(parse_term, reference_parse_term),
+                (parse_formula, reference_parse_formula),
+                (parse_quasiidentity, reference_parse_quasiidentity)]
+
+
+def parse_outcome(parse, text):
+    """The syntax tree, or the error's type, message and attributes; the
+    reference's ValueError for variables that skip an index is now an
+    InputError with the same message."""
+    try:
+        return parse(text, PARSE_SIG)
+    except (MalcevLabError, ValueError) as exc:
+        kind = InputError if type(exc) is ValueError else type(exc)
+        return kind, str(exc), vars(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parse_texts)
+def test_parser_matches_the_reference_parser(text):
+    for parse, reference in ENTRY_POINTS:
+        assert parse_outcome(parse, text) == \
+            parse_outcome(reference, text), (parse.__name__, text)
+
+
+def test_parser_matches_the_reference_parser_on_edge_cases():
+    for text in DEEP + ["mul(x0, x1) = ", "x0 \u00e9", "e()", "q()", "q",
+                        "leq(x0) ", "x3 = x3 )", "x0=x0 & x0=x0",
+                        "x0 = x0 => x1 = x1 =>", "x0\x1c", ""]:
+        for parse, reference in ENTRY_POINTS:
+            assert parse_outcome(parse, text) == \
+                parse_outcome(reference, text), (parse.__name__, text)
 
 
 def naive_eval(t, assignment, alg):
