@@ -111,8 +111,8 @@ class _TableSearch:
     they outnumber the level's tables, until a key is read: before the
     next level is ranked, in ranks(), keys() and least(), and in term(i)
     when table i has records.  Compacted records that still outnumber
-    half of a level wider than _SLAB are applied at once.  exhausted
-    names the budget ("table" or "candidate") that truncated the search.
+    half of their level are applied at once.  exhausted names the
+    budget ("table" or "candidate") that truncated the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -536,8 +536,8 @@ class _TableSearch:
         self._derive(slice(start, end), sizes[made], head, kids[made])
         # the other rows on tables of this level wait as records; past one
         # per table of the level, only each table's least is kept.  Once
-        # those still outnumber half of a level wider than a slab, they
-        # are applied, so that each later group does not sort them again
+        # those still outnumber half of the level, they are applied, so
+        # that each later group does not sort them again
         rest = rest[self._levels[target[rest]] == depth]
         if not len(rest):
             return
@@ -546,7 +546,7 @@ class _TableSearch:
         level = end - self._level_start[depth]
         if sum(map(len, self._pending)) > level:
             self._pending = [self._least(np.concatenate(self._pending))]
-            if 2 * len(self._pending[0]) > level > _SLAB:
+            if 2 * len(self._pending[0]) > level:
                 self._settle()
 
 

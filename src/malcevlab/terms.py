@@ -284,7 +284,12 @@ class _Parser:
         kind, word, col = self.peek()
         if kind != "name":
             self.expect("var", "term")
-            return Var(int(word[1:]))
+            try:
+                return Var(int(word[1:]))
+            except ValueError:  # past int()'s limit on digits
+                raise TermSyntaxError(
+                    f"variable index too long at column {col}", col,
+                    expected="a shorter variable index") from None
         if depth == MAX_TERM_DEPTH:
             raise TermSyntaxError(
                 f"term nested deeper than {MAX_TERM_DEPTH} levels"

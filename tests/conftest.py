@@ -209,7 +209,6 @@ def formulas(sig: Signature, var_count: int):
     return st.one_of(options)
 
 
-
 # texts for the parser: the operations of GROUP_SIG, the predicates
 # leq/2, p/1 and q/0, and f/1, which no signature here declares; each
 # symbol most often with as many arguments as its arity

@@ -667,6 +667,20 @@ def test_quasiidentity_skipping_a_variable_is_exit_two(argv, missing,
     assert err == f"error: variable indices not dense, missing {missing}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--sig", "demos/data/group.sig"],
+    ["check", "demos/data/z4.alg"],
+    ["eval", "demos/data/z4.alg", "--at", "1"],
+])
+def test_variable_index_past_the_digit_limit_is_exit_two(argv, capsys):
+    # int() refuses more than 4,300 digits
+    code, out, err = run(argv + ["x" + "1" * 5000 + " = x0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: syntax error at column 1:"
+                   " expected a shorter variable index\n")
+
+
 def test_capped_search_resolves_cleanly(capsys):
     code, out, _ = run(["malcev", "demos/data/tangle5.alg"], capsys)
     assert code == 0

@@ -168,6 +168,18 @@ def test_parser_matches_the_reference_parser_on_edge_cases():
         for parse, reference in ENTRY_POINTS:
             assert parse_outcome(parse, text) == \
                 parse_outcome(reference, text), (parse.__name__, text)
+    # a variable index past int()'s limit on digits: the reference raises
+    # int()'s ValueError, the parser a syntax error at the variable
+    for text, col in [("x" + "1" * 5000, 1),
+                      ("mul(x0, x" + "1" * 5000 + ") = x0", 9)]:
+        for parse, reference in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="limit"):
+                reference(text, PARSE_SIG)
+            with pytest.raises(TermSyntaxError) as exc:
+                parse(text, PARSE_SIG)
+            assert exc.value.position == col
+            assert str(exc.value) == \
+                f"variable index too long at column {col}"
 
 
 def naive_eval(t, assignment, alg):
