@@ -12,9 +12,11 @@ the tables' derivations only for the tables a caller asks about.
 Qualification (the Mal'cev or the biternary identities) depends only on
 the value table and is tested on each level's new tables at once, so
 the search is exact as a decision procedure within the depth bound;
-deterministic work budgets cap it, and a truncated search reports
-absence within bounds and names the budget that ran out.  Every
-returned witness is re-verified through the compiled term evaluator,
+a biternary beta is not searched for but built, as the section-wise
+inverse of its alpha, and looked up in the store.  Deterministic work
+budgets cap the table search, and a truncated search reports absence
+within bounds and names the budget that ran out.  Every returned
+witness is re-verified through the compiled term evaluator,
 independently of the table arithmetic.
 
 translation_group runs the same search over one variable, with the
@@ -32,7 +34,7 @@ search nothing start without numpy.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -97,7 +99,8 @@ class _TableSearch:
     derivation (a head, variable or operation, and child tables).  A
     dict from a 64-bit row hash to the first table with that hash finds
     repeats; every hit is confirmed by comparing the full rows, and a
-    genuine collision takes the exact path (_offer).
+    genuine collision takes the exact path (_offer), which looks each
+    table up one at a time (find).
 
     A level is walked in steps (_steps), each charged to the candidate
     budget as one _spend, and steps that cannot run a budget out are
@@ -330,25 +333,30 @@ class _TableSearch:
         at this level, keep the lesser key."""
         h = int(h)
         kids = np.array(kids, np.int64).reshape(1, -1)
-        first = self._index.get(h)
-        if first is not None:
-            same = [first, *self._chains.get(h, ())]
-            equal = np.flatnonzero((self._store[same] == vec).all(axis=1))
-            if len(equal):
-                i = same[equal[0]]
-                if self._levels[i] == level:
-                    self._keep_least(self._records([i], [size], head, kids))
-                return
+        i = self.find(vec, h)
+        if i is not None:
+            if self._levels[i] == level:
+                self._keep_least(self._records([i], [size], head, kids))
+            return
         self._reserve(1)
         i = self.count
         self._store[i] = vec
         self._levels[i] = level
         self._derive(i, size, head, kids[0])
         self.count += 1
-        if first is None:
-            self._index[h] = i
-        else:
+        if h in self._index:
             self._chains.setdefault(h, []).append(i)
+        else:
+            self._index[h] = i
+
+    def find(self, vec: np.ndarray, h) -> Optional[int]:
+        """The table equal to vec, whose row hash is h, or None."""
+        h = int(h)
+        same = [self._index.get(h), *self._chains.get(h, ())]
+        if same[0] is None:
+            return None
+        equal = np.flatnonzero((self._store[same] == vec).all(axis=1))
+        return same[equal[0]] if len(equal) else None
 
     def _lookup(self, name: str, idx: np.ndarray, out: np.ndarray) -> None:
         """Write op(prefix, last) at every index (flat prefix << shift) |
@@ -672,8 +680,8 @@ class BiternarySearchResult(Record):
     """Outcome of a bounded biternary-pair search.
 
     pair is None when no (alpha, beta) pair exists within the depth
-    bound (or the scan truncated; see truncated, and exhausted for the
-    budget that ran out)."""
+    bound (or the table search truncated; see truncated, and exhausted
+    for the budget that ran out)."""
 
     __slots__ = ("pair", "truncated", "tables_explored", "max_depth",
                  "exhausted")
@@ -690,60 +698,44 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
                      max_term_size: Optional[int] = None
                      ) -> BiternarySearchResult:
     """First (alpha, beta) pair of derived ternary operations, ordered by
-    the canonical term order on alpha then beta, or None within bounds.
+    the canonical term order on alpha, or None within bounds.
 
+    The two inverse laws make each section alpha(., y, z) a permutation
+    and beta(., y, z) its inverse, so beta is fixed by alpha: each
+    qualifying alpha with bijective sections keeps its inverse table,
+    which is looked up in the store on every level until it appears.
     The pair found at the earliest depth level is returned; among pairs
-    first complete at that level, the least by (alpha key, beta key)
-    wins.  Pair checks share the candidate budget of the underlying
-    table search, so on very rich algebras the scan can truncate before
-    settling the question."""
+    first complete at that level, the least alpha wins.  Only the table
+    search spends the two budgets."""
     search = _TableSearch(alg, 3, table_budget, candidate_budget,
                           max_term_size)
-    n = alg.size
     d0, d1, d2 = search.digits
     diag = np.where(d0 == d1)[0]
     diag_t = d2[diag]
-    # positions x*n^2 + y*n + z, in the narrowest type that holds n^3 - 1
-    index_type = np.min_scalar_type(n**3 - 1).type
-    square = index_type(n * n)
-    tail = d1.astype(index_type) * index_type(n) + d2
-
-    def cross(va: np.ndarray, vb: np.ndarray) -> bool:
-        inner = vb.astype(index_type) * square + tail
-        if not np.array_equal(va[inner], d0):
-            return False
-        inner = va.astype(index_type) * square + tail
-        return bool(np.array_equal(vb[inner], d0))
-
-    alphas: list[int] = []
-    prev_total = 0
+    # a table as (n, n^2) holds the section alpha(., y, z) as column
+    # y*n + z, indexed by x
+    xs = np.arange(alg.size, dtype=search.dtype)[:, None]
+    # (alpha, its inverse table, that table's row hash) per bijective alpha
+    inverses: list = []
     new = range(len(search))
     depth = 0
     while True:
-        new_alphas = search.satisfying(new, diag, diag_t)
-        total = len(search)
-        tables = search.tables
-        # only pairs completed at this level: a new alpha against any
-        # table, or an older alpha against a new table
-        fresh_pairs = chain(
-            ((a, b) for a in new_alphas for b in range(total)),
-            ((a, b) for a in alphas for b in range(prev_total, total)))
-        hits = []
-        for a, b in fresh_pairs:
-            if not search._spend(1):
-                break
-            if cross(tables[a], tables[b]):
-                hits.append((a, b))
+        for a in search.satisfying(new, diag, diag_t):
+            sections = search.tables[a].reshape(alg.size, -1)
+            if (np.sort(sections, axis=0) == xs).all():
+                beta = np.empty_like(sections)
+                np.put_along_axis(beta, sections, xs, axis=0)
+                beta = beta.ravel()
+                inverses.append((a, beta, search._hash(beta[None])[0]))
+        hits = {a: b for a, beta, h in inverses
+                if (b := search.find(beta, h)) is not None}
         if hits:
-            key = search.keys(sorted({t for hit in hits for t in hit}))
-            a, b = min(hits, key=lambda p: (key[p[0]], key[p[1]]))
-            pair = BiternaryPair(search.term(a), search.term(b))
+            a = search.least(list(hits))
+            pair = BiternaryPair(search.term(a), search.term(hits[a]))
             _verify_biternary(alg, pair)
             return BiternarySearchResult(pair, search.truncated,
                                          len(search), max_depth,
                                          search.exhausted)
-        alphas.extend(new_alphas)
-        prev_total = total
         depth += 1
         if depth > max_depth or search.truncated:
             return BiternarySearchResult(None, search.truncated,

@@ -556,7 +556,8 @@ def test_lattice_budget_is_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,depth",
-                         [("malcev", "0"), ("translations", "1")])
+                         [("malcev", "0"), ("biternary", "0"),
+                          ("translations", "1")])
 def test_searches_over_more_than_256_elements(command, depth, tmp_path,
                                               capsys):
     alg = tmp_path / "chain257.alg"

@@ -55,6 +55,28 @@ def test_random_systems_keep_the_contract(tmp_path, deadline):
             exit_code(argv)
         for command in ("malcev", "biternary", "translations"):
             exit_code([command, a, "--depth", rng.randint(0, 2)])
+        # seeds and partitions that may name elements off the carrier
+        seed = ",".join(str(rng.randint(-1, alg.size))
+                        for _ in range(rng.randint(0, 3)))
+        exit_code(["subalg", a, f"--seed={seed}"])
+        exit_code(["quotient", a, f"--by={partition_text(rng, alg.size)}"])
+
+
+def partition_text(rng: random.Random, size: int) -> str:
+    """A partition of 0..size-1 in either notation, at times with an
+    element missing, repeated or off the carrier, or a brace left open."""
+    elements = list(range(size))
+    rng.shuffle(elements)
+    if elements and rng.random() < 0.3:
+        elements[-1] = rng.choice([-1, size, elements[0]])
+    cuts = sorted(rng.sample(range(1, size), rng.randint(0, size - 1))) \
+        if size > 1 else []
+    blocks = [elements[i:j] for i, j in zip([0, *cuts], [*cuts, size])]
+    if rng.random() < 0.5:
+        return " | ".join(" ".join(map(str, b)) for b in blocks)
+    text = "{" + ",".join("{" + ",".join(map(str, b)) + "}"
+                          for b in blocks) + "}"
+    return text[:-1] if rng.random() < 0.1 else text
 
 
 def test_random_quasigroups_keep_the_contract(tmp_path, deadline):
@@ -72,6 +94,8 @@ def test_random_quasigroups_keep_the_contract(tmp_path, deadline):
                                       "left_eloop"])]):
                 exit_code(["quasigroup", argv[0], path, *argv[1:]])
             exit_code(["translations", path, "--depth", 2])
+            for command in ("biternary", "malcev"):
+                exit_code([command, path, "--depth", rng.randint(0, 2)])
 
 
 @settings(max_examples=300, deadline=None,

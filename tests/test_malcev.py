@@ -219,7 +219,8 @@ def test_sixteen_hash_values_keep_the_s3_witness(s3):
 def naive_searches(alg, max_depth, cap, candidates, tables):
     """malcev_search and detect_biternary over NaiveTableSearch: the hit
     (or hit pair) of least stored key, with tables_explored, truncated
-    and exhausted."""
+    and exhausted.  The biternary scan crosses every alpha with every
+    table, pairs completed at each level, and charges no budget."""
     n = alg.size
     found = {}
     for kind in ("malcev", "biternary"):
@@ -242,8 +243,6 @@ def naive_searches(alg, max_depth, cap, candidates, tables):
                     [(a, b) for a in alphas for b in range(old, total)]
                 alphas, old, hits = alphas + hits, total, []
                 for a, b in pairs:
-                    if not search._spend(1):
-                        break
                     va, vb = vec[a].astype(np.int64), vec[b].astype(np.int64)
                     if np.array_equal(va[vb * square + tail], x) and \
                             np.array_equal(vb[va * square + tail], x):
@@ -277,10 +276,18 @@ def assert_same_witnesses(alg, depth, cap, candidates, tables, collide):
             pair.exhausted) == naive["biternary"]
 
 
+def random_quasigroup(seed, n):
+    return to_algebra(equasigroup_from_latin(latin_square(
+        random_square(random.Random(seed), n))), "quasigroup")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(signatures(max_arity=3).flatmap(systems),
                  st.sampled_from([cyclic_group(3), cyclic_group(4),
-                                  klein_group(), symmetric_group_3()])),
+                                  klein_group(), symmetric_group_3()]),
+                 # levels where many alphas have bijective sections
+                 st.builds(random_quasigroup, st.integers(0, 2**16),
+                           st.integers(2, 3))),
        st.integers(1, 3), st.sampled_from([None, 5, 7]),
        st.sampled_from([40, 400, 4000]),
        st.sampled_from([12, 100, DEFAULT_TABLE_BUDGET]), st.booleans())
@@ -297,6 +304,17 @@ def test_s3_witnesses_match_the_least_naive_hit(s3, candidates):
     # decide the term; 25,000 and 30,000 stop in the middle of it
     assert_same_witnesses(s3, 3, None, candidates, DEFAULT_TABLE_BUDGET,
                           False)
+
+
+@pytest.mark.parametrize("alg,candidates", [
+    (cyclic_group(4), 200), (symmetric_group_3(), 300),
+    (symmetric_group_3(), 600)], ids=["z4-200", "s3-300", "s3-600"])
+def test_pair_step_spends_no_candidates(alg, candidates):
+    # these budgets suffice for the table search alone: the pair step
+    # looks up one inverse per alpha and charges nothing
+    res = detect_biternary(alg, candidate_budget=candidates)
+    assert res == detect_biternary(alg)
+    assert res.pair is not None and not res.truncated
 
 
 def test_pending_records_stay_within_the_level(s3, z4):
