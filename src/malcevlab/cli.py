@@ -328,16 +328,32 @@ def _cmd_quotient(args, inputs):
     return result, checks, True
 
 
-def _search_budget_error(res, depth: int, cap_note: str):
-    from .malcev import DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET
-    limit, unit = {"table": (DEFAULT_TABLE_BUDGET, "distinct tables"),
-                   "candidate": (DEFAULT_CANDIDATE_BUDGET, "candidates"),
-                   }[res.exhausted]
-    return SearchBudgetExceeded(
-        f"{res.exhausted} budget of {limit} {unit} exhausted after "
-        f"{res.tables_explored} derived operations, before settling depth "
-        f"{depth}{cap_note}; a lower --depth or a positive --max-size "
-        f"narrows the search")
+def _search_absence(res, args, noun: str, checks: str):
+    """The report of a search res that found no noun within --depth:
+    its checks line is checks, formatted with the bound and the tables
+    explored.  A truncated search raises SearchBudgetExceeded instead."""
+    cap = args.max_size
+    bound = f"{args.depth}" + (f" and size <= {cap}" if cap is not None
+                               else "")
+    if res.truncated:
+        from .malcev import DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET
+        limit, unit = {"table": (DEFAULT_TABLE_BUDGET, "distinct tables"),
+                       "candidate": (DEFAULT_CANDIDATE_BUDGET, "candidates"),
+                       }[res.exhausted]
+        raise SearchBudgetExceeded(
+            f"{res.exhausted} budget of {limit} {unit} exhausted after "
+            f"{res.tables_explored} derived operations, before settling "
+            f"depth {bound}; a lower --depth or a positive --max-size "
+            f"narrows the search")
+    result = {
+        "summary": f"no {noun} within depth {args.depth}",
+        "found": False,
+        "depth": args.depth,
+        "max_size": cap,
+        "tables_explored": res.tables_explored,
+    }
+    return result, [checks.format(bound=bound,
+                                  tables=res.tables_explored)], False
 
 
 def _cmd_malcev(args, inputs):
@@ -345,7 +361,6 @@ def _cmd_malcev(args, inputs):
     from .malcev import malcev_search
     cap = args.max_size
     res = malcev_search(alg, args.depth, max_term_size=cap)
-    cap_note = f" and size <= {cap}" if cap is not None else ""
     if res.term is not None:
         text = print_term(res.term)
         n = alg.size
@@ -363,21 +378,10 @@ def _cmd_malcev(args, inputs):
             f"explored {res.tables_explored} distinct derived operations",
         ]
         return result, checks, True
-    if res.truncated:
-        raise _search_budget_error(res, args.depth, cap_note)
-    result = {
-        "summary": f"no Mal'cev term within depth {args.depth}",
-        "found": False,
-        "depth": args.depth,
-        "max_size": cap,
-        "tables_explored": res.tables_explored,
-    }
-    checks = [
-        f"exhausted all derived ternary operations of depth <= "
-        f"{args.depth}{cap_note}: {res.tables_explored} distinct tables, "
-        f"none satisfies both identities",
-    ]
-    return result, checks, False
+    return _search_absence(
+        res, args, "Mal'cev term",
+        "exhausted all derived ternary operations of depth <= {bound}: "
+        "{tables} distinct tables, none satisfies both identities")
 
 
 def _cmd_biternary(args, inputs):
@@ -385,7 +389,6 @@ def _cmd_biternary(args, inputs):
     from .malcev import detect_biternary
     cap = args.max_size
     res = detect_biternary(alg, args.depth, max_term_size=cap)
-    cap_note = f" and size <= {cap}" if cap is not None else ""
     if res.pair is not None:
         a_text = print_term(res.pair.alpha)
         b_text = print_term(res.pair.beta)
@@ -405,20 +408,10 @@ def _cmd_biternary(args, inputs):
             f"re-verified on all {n ** 3} triples",
         ]
         return result, checks, True
-    if res.truncated:
-        raise _search_budget_error(res, args.depth, cap_note)
-    result = {
-        "summary": f"no biternary pair within depth {args.depth}",
-        "found": False,
-        "depth": args.depth,
-        "max_size": cap,
-        "tables_explored": res.tables_explored,
-    }
-    checks = [
-        f"exhausted all derived-operation pairs of depth <= "
-        f"{args.depth}{cap_note} over {res.tables_explored} tables",
-    ]
-    return result, checks, False
+    return _search_absence(
+        res, args, "biternary pair",
+        "exhausted all derived-operation pairs of depth <= {bound} over "
+        "{tables} tables")
 
 
 def _cmd_translations(args, inputs):

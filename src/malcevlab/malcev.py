@@ -25,6 +25,9 @@ unary polynomial maps; it closes the bijective ones with
 composition_closure, which lives in quasigroups next to
 multiplication_group and is re-exported here.  A truncated run keeps
 the maps of the slabs the search completed before its budget ran out.
+All three searches walk the levels the same way, and stop at the first
+level that adds no table: every deeper level would be empty too, so a
+depth bound past that level costs nothing.
 
 This is the only module that imports numpy.  The package and the
 command line load it on first use of a search name, so commands that
@@ -102,6 +105,8 @@ class _TableSearch:
     genuine collision takes the exact path (_offer), which looks each
     table up one at a time (find).
 
+    walk(max_depth) drives the levels for every search: it ends at the
+    depth bound, at the first level that adds no table, or at a budget.
     A level is walked in steps (_steps), each charged to the candidate
     budget as one _spend, and steps that cannot run a budget out are
     looked up, hashed and deduplicated together (_expand).
@@ -110,11 +115,10 @@ class _TableSearch:
     its discovery level, compared as integer keys (size, head, rank of
     each child); the ranks order every table before the current level,
     where all children come from.  A candidate that repeats a table of
-    its own level waits as a record, compacted to one per table once
-    they outnumber the level's tables, until a key is read: before the
-    next level is ranked, in ranks(), keys() and least(), and in term(i)
-    when table i has records.  Compacted records that still outnumber
-    half of their level are applied at once.  exhausted names the
+    its own level waits as a record.  The records are applied once they
+    outnumber the level's tables, before the next level is ranked, in
+    ranks(), and in term(i) when table i has records; keys() and least()
+    apply only the records of the tables they read.  exhausted names the
     budget ("table" or "candidate") that truncated the search.
     """
 
@@ -405,6 +409,20 @@ class _TableSearch:
                              self._steps(arity, frontier_start, start))
         return range(start, self.count)
 
+    def walk(self, max_depth: int):
+        """Level 0's tables, then each new level's, as index ranges.  It
+        ends after max_depth levels, after a level that adds no table
+        (the next frontier is empty, so every deeper level is too), or
+        once a budget runs out."""
+        yield range(self.count)
+        for depth in range(1, max_depth + 1):
+            if self.truncated:
+                return
+            new = self.run_level(depth)
+            if not new:
+                return
+            yield new
+
     def _steps(self, arity, f0, r):
         """(count, (prefix, lasts)) per step: a prefix of arity - 1
         children against up to _SLAB last children, one block per leading
@@ -542,20 +560,15 @@ class _TableSearch:
         self.count = end
         self._levels[start:end] = depth
         self._derive(slice(start, end), sizes[made], head, kids[made])
-        # the other rows on tables of this level wait as records; past one
-        # per table of the level, only each table's least is kept.  Once
-        # those still outnumber half of the level, they are applied, so
-        # that each later group does not sort them again
+        # the other rows on tables of this level wait as records, applied
+        # once they outnumber the level's tables
         rest = rest[self._levels[target[rest]] == depth]
         if not len(rest):
             return
         self._pending.append(
             self._records(target[rest], sizes[rest], head, kids[rest]))
-        level = end - self._level_start[depth]
-        if sum(map(len, self._pending)) > level:
-            self._pending = [self._least(np.concatenate(self._pending))]
-            if 2 * len(self._pending[0]) > level:
-                self._settle()
+        if sum(map(len, self._pending)) > end - self._level_start[depth]:
+            self._settle()
 
 
 class MalcevSearchResult(Record):
@@ -596,23 +609,16 @@ def malcev_search(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     m2 = np.where(d1 == d2)[0]
     cols = np.concatenate([m1, m2])
     values = np.concatenate([d2[m1], d0[m2]])
-    new = range(len(search))
-    depth = 0
-    while True:
+    term = None
+    for new in search.walk(max_depth):
         hits = search.satisfying(new, cols, values)
         if hits:
             term = search.term(search.least(hits))
             if not malcev_identities_hold(alg, term):
                 raise AssertionError("witness fails the Mal'cev identities")
-            return MalcevSearchResult(term, search.truncated,
-                                      len(search), max_depth,
-                                      search.exhausted)
-        depth += 1
-        if depth > max_depth or search.truncated:
-            return MalcevSearchResult(None, search.truncated,
-                                      len(search), max_depth,
-                                      search.exhausted)
-        new = search.run_level(depth)
+            break
+    return MalcevSearchResult(term, search.truncated, len(search), max_depth,
+                              search.exhausted)
 
 
 def find_malcev_term(alg: FiniteAlgebra,
@@ -717,9 +723,8 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     xs = np.arange(alg.size, dtype=search.dtype)[:, None]
     # (alpha, its inverse table, that table's row hash) per bijective alpha
     inverses: list = []
-    new = range(len(search))
-    depth = 0
-    while True:
+    pair = None
+    for new in search.walk(max_depth):
         for a in search.satisfying(new, diag, diag_t):
             sections = search.tables[a].reshape(alg.size, -1)
             if (np.sort(sections, axis=0) == xs).all():
@@ -733,15 +738,9 @@ def detect_biternary(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
             a = search.least(list(hits))
             pair = BiternaryPair(search.term(a), search.term(hits[a]))
             _verify_biternary(alg, pair)
-            return BiternarySearchResult(pair, search.truncated,
-                                         len(search), max_depth,
-                                         search.exhausted)
-        depth += 1
-        if depth > max_depth or search.truncated:
-            return BiternarySearchResult(None, search.truncated,
-                                         len(search), max_depth,
-                                         search.exhausted)
-        new = search.run_level(depth)
+            break
+    return BiternarySearchResult(pair, search.truncated, len(search),
+                                 max_depth, search.exhausted)
 
 
 def find_biternary_pair(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH
@@ -793,13 +792,12 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
 
     A one-variable _TableSearch with the n constant maps seeded beside
     x0 at level 0, so that level d holds the unary polynomial maps of
-    depth d; it stops early once a level adds no map.  The bijective
-    tables are the generators, sorted, and their composition closure is
-    the group.  transitive reports whether the closure acts transitively
-    on the carrier.  The search's table budget is _TRANSLATION_MAPS.  truncated
-    is set when the table or candidate budget ran out; the search
-    charges candidates per slab, so the maps found by then are those of
-    the slabs it completed.
+    depth d.  The bijective tables are the generators, sorted, and their
+    composition closure is the group.  transitive reports whether the
+    closure acts transitively on the carrier.  The search's table budget
+    is _TRANSLATION_MAPS.  truncated is set when the table or candidate
+    budget ran out; the search charges candidates per slab, so the maps
+    found by then are those of the slabs it completed.
     """
     n = alg.size
     # each nullary operation spends a candidate at depth 1 on a constant
@@ -810,9 +808,8 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     for c in range(n):
         # the constants as extra variables, keyed after x0
         search.add_variable(np.full(n, c, dtype=search.dtype))
-    for depth in range(1, max_depth + 1):
-        if not search.run_level(depth) or search.truncated:
-            break
+    for _ in search.walk(max_depth):
+        pass
     tables = search.tables
     bijective = np.all(np.sort(tables, axis=1) == search.digits[0], axis=1)
     generators = tuple(sorted(map(tuple, tables[bijective].tolist())))

@@ -13,6 +13,9 @@ from malcevlab import (App, Equation, FiniteAlgebra, PredicateAtom,
                        Signature, Var)
 from malcevlab.terms import MAX_TERM_DEPTH
 
+# pytester runs the deadline fixture in a pytest session of its own
+pytest_plugins = ("pytester",)
+
 GROUP_SIG = Signature(ops=(("mul", 2), ("inv", 1), ("e", 0)))
 MEET_SIG = Signature(ops=(("meet", 2),))
 GROUPOID_SIG = Signature(ops=(("mul", 2),))
@@ -312,9 +315,12 @@ def tangle():
 @pytest.fixture
 def deadline():
     """deadline(seconds) fails the test once it runs that long, so that
-    a search without a bound fails instead of hanging the suite."""
+    a search without a bound fails instead of hanging the suite.  The
+    failure carries no traceback: the alarm can land on an instruction
+    without a line number, whose traceback pytest cannot render, which
+    would end the whole session instead of this one test."""
     def expire(signum, frame):
-        raise TimeoutError("the test ran past its deadline")
+        pytest.fail("the test ran past its deadline", pytrace=False)
 
     previous = signal.signal(signal.SIGALRM, expire)
     yield signal.alarm

@@ -702,6 +702,18 @@ def test_capped_search_beside_a_ternary_operation_ends(tmp_path, capsys,
     assert not result["found"] and result["max_size"] == 8
 
 
+@pytest.mark.parametrize("command", ["malcev", "biternary"])
+def test_depth_past_saturation_costs_nothing(command, capsys, deadline):
+    # the chain's 7 ternary operations all appear by depth 2, and the
+    # search ends at the first level that adds none
+    deadline(5)
+    code, out, _ = run([command, "demos/data/chain3.alg", "--depth",
+                        "100000000", "--format", "machine"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert not result["found"] and result["tables_explored"] == 7
+
+
 def test_eval_short_assignment_is_exit_two(capsys):
     code, _, err = run(
         ["eval", "demos/data/z4.alg", "mul(x0, x1)", "--at", "1"], capsys)
