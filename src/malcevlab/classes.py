@@ -105,11 +105,18 @@ def presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
             f"all generator algebras are one-element with all predicates "
             f"true; rank {rank} generators cannot be separated")
     relations = tuple(relations)
-    width = sum(g.size**rank for g in generators)
-    if width > size_bound:
+    # every size of 2 or more passes the bound by the power of the
+    # bound's bit length, so no power much larger than the bound is built
+    capped = min(rank, size_bound.bit_length() + 1)
+    if sum(g.size**capped for g in generators) > size_bound:
         raise SizeOverflow(
-            f"{width} assignment tuples over the generators exceed the "
-            f"size bound {size_bound}")
+            f"{' + '.join(f'{g.size}^{rank}' for g in generators)} "
+            f"assignment tuples over the generators exceed the size bound "
+            f"{size_bound}; a larger --max-product raises it")
+    if rank > size_bound:
+        raise SizeOverflow(
+            f"rank {rank} exceeds the size bound {size_bound}; a larger "
+            f"--max-product raises it")
     factors: list[tuple[int, tuple[int, ...]]] = []
     for gi, g in enumerate(generators):
         mask = satisfaction_mask(relations, g, rank)

@@ -172,9 +172,9 @@ def _cmd_check(args, inputs):
     total = alg.size**q.variable_count
     if total > args.max_product:
         raise SearchBudgetExceeded(
-            f"{total} assignments over {q.variable_count} variables exceed "
-            f"the assignment budget of {args.max_product}; a larger "
-            f"--max-product raises it")
+            f"{alg.size}^{q.variable_count} assignments over "
+            f"{q.variable_count} variables exceed the assignment budget of "
+            f"{args.max_product}; a larger --max-product raises it")
     outcome = check_quasiidentity(q, alg)
     if outcome.holds:
         summary = f"holds over all {total} assignments"

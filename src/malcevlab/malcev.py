@@ -97,13 +97,13 @@ class _TableSearch:
 
     Tables are value tables over all n^k assignments (x0 most
     significant), in the narrowest unsigned type that holds n values:
-    the rows of one growable 2-D store, in discovery order, beside
-    integer arrays of each table's term size, discovery level and
-    derivation (a head, variable or operation, and child tables).  A
-    dict from a 64-bit row hash to the first table with that hash finds
-    repeats; every hit is confirmed by comparing the full rows, and a
-    genuine collision takes the exact path (_offer), which looks each
-    table up one at a time (find).
+    the rows of one growable 2-D store, in discovery order, beside each
+    table's discovery level and its derivation row: term size, head
+    (variable or operation), then the child tables, padded with -1 to
+    the largest arity.  A dict from a 64-bit row hash to the first table
+    with that hash finds repeats; every hit is confirmed by comparing
+    the full rows, and a genuine collision takes the exact path
+    (_offer), which looks each table up one at a time (find).
 
     walk(max_depth) drives the levels for every search: it ends at the
     depth bound, at the first level that adds no table, or at a budget.
@@ -112,14 +112,15 @@ class _TableSearch:
     looked up, hashed and deduplicated together (_expand).
 
     Each table keeps the canonically least term among the candidates of
-    its discovery level, compared as integer keys (size, head, rank of
-    each child); the ranks order every table before the current level,
-    where all children come from.  A candidate that repeats a table of
-    its own level waits as a record.  The records are applied once they
-    outnumber the level's tables, before the next level is ranked, in
-    ranks(), and in term(i) when table i has records; keys() and least()
-    apply only the records of the tables they read.  exhausted names the
-    budget ("table" or "candidate") that truncated the search.
+    its discovery level, compared by key: size, head, then the rank of
+    each child (_order); the ranks order every table before the current
+    level, where all children come from.  A candidate that repeats a
+    table of its own level waits as a record: its derivation row behind
+    the table it repeats.  The records are applied once they outnumber
+    the level's tables, before the next level is ranked, and in
+    ranks(); term(), keys() and least() apply only the records of the
+    tables they read.  exhausted names the budget ("table" or
+    "candidate") that truncated the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -139,18 +140,16 @@ class _TableSearch:
         self.dtype = np.min_scalar_type(self.n - 1)
         width = max((arity for _, arity in alg.sig.ops), default=0)
         self._store = np.empty((16, self.length), self.dtype)
-        self._sizes = np.empty(16, np.int64)
         self._levels = np.empty(16, np.int64)
-        self._heads = np.empty(16, np.int64)
-        # child indices, padded with -1 to the largest arity
-        self._kids = np.empty((16, width), np.int64)
+        # derivation rows: size, head, children padded with -1
+        self._deriv = np.empty((16, 2 + width), np.int64)
         self._index: dict[int, int] = {}
         self._chains: dict[int, list[int]] = {}
         # the ranks of the tables before the current level, then -1,
-        # which the kids' padding (-1) picks
+        # which the children's padding (-1) picks
         self._rank = np.full(1, -1, np.int64)
         self._level_start: dict[int, int] = {}
-        # records (table, size, head, kids) of the latest level
+        # records (table, *derivation row) of the latest level
         self._pending: list[np.ndarray] = []
         row_bytes = self.length * self.dtype.itemsize
         self._word = np.dtype(f"u{min(8, row_bytes & -row_bytes)}")
@@ -184,7 +183,7 @@ class _TableSearch:
 
     @property
     def sizes(self) -> np.ndarray:
-        return self._sizes[:self.count]
+        return self._deriv[:self.count, 0]
 
     @property
     def levels(self) -> np.ndarray:
@@ -192,16 +191,15 @@ class _TableSearch:
 
     def term(self, i: int) -> Term:
         """The representative term of table i."""
-        if any(i in records[:, 0] for records in self._pending):
-            self._settle()
+        self._settle([i])
         return self._term(i)
 
     def _term(self, i: int) -> Term:
-        head = int(self._heads[i])
+        _, head, *kids = self._deriv[i].tolist()
         if head < _OP_HEAD:
             return Var(head)
         name, arity = self.alg.sig.ops[head - _OP_HEAD]
-        return App(name, tuple(map(self._term, self._kids[i, :arity].tolist())))
+        return App(name, tuple(map(self._term, kids[:arity])))
 
     def ranks(self) -> np.ndarray:
         """Each table's position in the canonical order of the terms."""
@@ -213,17 +211,18 @@ class _TableSearch:
         """The settled canonical keys (size, head, rank of each child) of
         tables, by table, as integer tuples that compare as the terms do."""
         self._settle(tables)
-        return {t: (s, h, *r) for t, s, h, r in zip(
-            tables, self._sizes[tables].tolist(), self._heads[tables].tolist(),
-            self._rank[self._kids[tables]].tolist())}
+        rows = self._deriv[tables]
+        return {t: (*size_head, *r) for t, size_head, r in zip(
+            tables, rows[:, :2].tolist(), self._rank[rows[:, 2:]].tolist())}
 
     def least(self, tables: list[int]) -> int:
         """The table of tables whose term is canonically least."""
-        return min(tables, key=self.keys(tables).__getitem__)
+        self._settle(tables)
+        return tables[self._order(self._deriv[tables])[0]]
 
     def add_variable(self, vec: np.ndarray) -> None:
         """Offer vec at level 0 as the table of the next variable."""
-        self._offer(vec, self._hash(vec[None])[0], 0, self._vars, (), 1)
+        self._offer(vec, self._hash(vec[None])[0], 0, (1, self._vars))
         self._vars += 1
 
     def _spend(self, count: int) -> bool:
@@ -249,15 +248,17 @@ class _TableSearch:
             hits.extend((np.flatnonzero(ok) + lo).tolist())
         return hits
 
+    def _order(self, rows: np.ndarray, *major) -> np.ndarray:
+        """The order that sorts derivation rows by the major keys, then
+        by canonical key: size, head, then the children's ranks."""
+        return np.lexsort((*self._rank[rows[:, 2:]].T[::-1], rows[:, 1],
+                           rows[:, 0], *major[::-1]))
+
     def _rank_tables(self, stop: int) -> None:
-        """Rank tables [0, stop) by canonical key: size, head, then the
-        children's ranks, which the previous ranking fixed."""
-        kid_ranks = self._rank[self._kids[:stop]]
-        order = np.lexsort((*kid_ranks.T[::-1], self._heads[:stop],
-                            self._sizes[:stop]))
-        rank = np.empty(stop + 1, np.int64)
-        rank[order] = np.arange(stop)
-        rank[stop] = -1
+        """Rank tables [0, stop) by canonical key, whose children's ranks
+        the previous ranking fixed."""
+        rank = np.full(stop + 1, -1, np.int64)
+        rank[self._order(self._deriv[:stop])] = np.arange(stop)
         self._rank = rank
 
     def _hash(self, rows: np.ndarray) -> np.ndarray:
@@ -279,35 +280,18 @@ class _TableSearch:
         """Room for extra more tables.  Full arrays grow fourfold: the
         pages past count stay untouched, so only the copies cost."""
         need = self.count + extra
-        if need <= len(self._sizes):
+        if need <= len(self._levels):
             return
-        capacity = max(need, 4 * len(self._sizes))
-        for name in ("_store", "_sizes", "_levels", "_heads", "_kids"):
+        capacity = max(need, 4 * len(self._levels))
+        for name in ("_store", "_levels", "_deriv"):
             old = getattr(self, name)
             new = np.empty((capacity,) + old.shape[1:], old.dtype)
             new[:self.count] = old[:self.count]
             setattr(self, name, new)
 
-    def _derive(self, i, size, head, kids: np.ndarray) -> None:
-        """Record table(s) i as head applied to kids, of size nodes."""
-        self._sizes[i] = size
-        self._heads[i] = head
-        self._kids[i] = -1
-        self._kids[i, :kids.shape[-1]] = kids
-
-    def _records(self, t, sizes, heads, kids: np.ndarray) -> np.ndarray:
-        """Rows (table, size, head, kids, -1 padding) of t by heads(kids)."""
-        records = np.full((len(t), 3 + self._kids.shape[1]), -1, np.int64)
-        records[:, 0] = t
-        records[:, 1] = sizes
-        records[:, 2] = heads
-        records[:, 3:3 + kids.shape[1]] = kids
-        return records
-
     def _least(self, records: np.ndarray) -> np.ndarray:
         """Per table of records, its record of least key."""
-        order = np.lexsort((*self._rank[records[:, 3:]].T[::-1],
-                            *records[:, 2::-1].T))
+        order = self._order(records[:, 1:], records[:, 0])
         t = records[order, 0]
         lead = np.ones(len(t), bool)
         lead[1:] = t[1:] != t[:-1]
@@ -315,38 +299,39 @@ class _TableSearch:
 
     def _keep_least(self, records: np.ndarray) -> None:
         """Derive each table of records by the least of them and its own."""
-        t = records[:, 0]
-        own = self._records(t, self._sizes[t], self._heads[t], self._kids[t])
+        t = records[:, :1]
+        own = np.concatenate((t, self._deriv[t[:, 0]]), axis=1)
         best = self._least(np.concatenate((own, records)))
-        self._derive(best[:, 0], best[:, 1], best[:, 2], best[:, 3:])
+        self._deriv[best[:, 0]] = best[:, 1:]
 
     def _settle(self, tables=slice(None)) -> None:
         """Apply the pending records of tables (by default, of all)."""
         if self._pending:
+            records = np.concatenate(self._pending)
             mark = np.zeros(self.count, bool)
             mark[tables] = True
-            pairs = [(r, mark[r[:, 0]]) for r in self._pending]
-            self._pending = [r[~m] if m.any() else r for r, m in pairs
-                             if not m.all()]
-            self._keep_least(np.concatenate([r[m] for r, m in pairs]))
+            mark = mark[records[:, 0]]
+            self._pending = [] if mark.all() else [records[~mark]]
+            if mark.any():
+                self._keep_least(records[mark])
 
-    def _offer(self, vec: np.ndarray, h, level: int, head: int, kids,
-               size: int) -> None:
-        """The exact path: add table vec, with hash h, reached by
-        head(kids) of size nodes, unless the store holds it; if it does,
-        at this level, keep the lesser key."""
+    def _offer(self, vec: np.ndarray, h, level: int, row) -> None:
+        """The exact path: add table vec, with hash h, derived by row
+        (size, head, children), unless the store holds it; if it does, at
+        this level, keep the lesser key."""
         h = int(h)
-        kids = np.array(kids, np.int64).reshape(1, -1)
+        padded = np.full(self._deriv.shape[1], -1, np.int64)
+        padded[:len(row)] = row
         i = self.find(vec, h)
         if i is not None:
             if self._levels[i] == level:
-                self._keep_least(self._records([i], [size], head, kids))
+                self._keep_least(np.append(i, padded)[None])
             return
         self._reserve(1)
         i = self.count
         self._store[i] = vec
         self._levels[i] = level
-        self._derive(i, size, head, kids[0])
+        self._deriv[i] = padded
         self.count += 1
         if h in self._index:
             self._chains.setdefault(h, []).append(i)
@@ -403,7 +388,7 @@ class _TableSearch:
                 if depth == 1 and self._spend(1):
                     vec = np.full(self.length, self.alg.op_tables[name][0],
                                   dtype=self.dtype)
-                    self._offer(vec, self._hash(vec[None])[0], 1, head, (), 1)
+                    self._offer(vec, self._hash(vec[None])[0], 1, (1, head))
             else:
                 self._expand(name, head, depth,
                              self._steps(arity, frontier_start, start))
@@ -432,7 +417,7 @@ class _TableSearch:
         cap for the positions after it, so every prefix walked has a step;
         with no cap, that is its whole span."""
         # sizes below r are final for the whole level
-        sizes = self._sizes[:r]
+        sizes = self._deriv[:r, 0]
         size_of = None if self.max_term_size is None else sizes.tolist()
         for lead in range(arity):
             spans = [(0, f0)] * lead + [(f0, r)] + \
@@ -530,7 +515,6 @@ class _TableSearch:
     def _add_rows(self, head, depth, kids, out) -> None:
         """Offer the tables out, row j reached by head(kids[j]), with the
         outcome of _offer row by row, deduplicating all rows at once."""
-        sizes = 1 + self._sizes[kids].sum(axis=1)
         hashes = self._hash(out)
         uniq, first, inverse = np.unique(hashes, return_index=True,
                                          return_inverse=True)
@@ -552,21 +536,28 @@ class _TableSearch:
             part = rest[lo:lo + step]
             if not np.array_equal(self._store[target[part]], out[part]):
                 # a hash collision
+                sizes = 1 + self._deriv[kids, 0].sum(axis=1)
                 for j, row in enumerate(kids.tolist()):
-                    self._offer(out[j], hashes[j], depth, head, row,
-                                int(sizes[j]))
+                    self._offer(out[j], hashes[j], depth,
+                                (int(sizes[j]), head, *row))
                 return
         self._index.update(zip(uniq[new].tolist(), range(start, end)))
         self.count = end
         self._levels[start:end] = depth
-        self._derive(slice(start, end), sizes[made], head, kids[made])
-        # the other rows on tables of this level wait as records, applied
-        # once they outnumber the level's tables
+        # records of the new tables, whose rows they become, then of the
+        # other rows on tables of this level, which wait (as a copy that
+        # frees the rest) until they outnumber the level's tables
         rest = rest[self._levels[target[rest]] == depth]
-        if not len(rest):
-            return
-        self._pending.append(
-            self._records(target[rest], sizes[rest], head, kids[rest]))
+        j = np.concatenate((made, rest))
+        records = np.full((len(j), 1 + self._deriv.shape[1]), -1, np.int64)
+        records[:, 0] = target[j]
+        kids = kids[j]
+        records[:, 1] = 1 + self._deriv[kids, 0].sum(axis=1)
+        records[:, 2] = head
+        records[:, 3:3 + kids.shape[1]] = kids
+        self._deriv[start:end] = records[:len(made), 1:]
+        if len(rest):
+            self._pending.append(records[len(made):].copy())
         if sum(map(len, self._pending)) > end - self._level_start[depth]:
             self._settle()
 

@@ -602,11 +602,15 @@ def naive_presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
             f"all generator algebras are one-element with all predicates "
             f"true; rank {rank} generators cannot be separated")
     relations = tuple(relations)
-    width = sum(g.size**rank for g in generators)
-    if width > size_bound:
+    if sum(g.size**rank for g in generators) > size_bound:
         raise SizeOverflow(
-            f"{width} assignment tuples over the generators exceed the "
-            f"size bound {size_bound}")
+            f"{' + '.join(f'{g.size}^{rank}' for g in generators)} "
+            f"assignment tuples over the generators exceed the size bound "
+            f"{size_bound}; a larger --max-product raises it")
+    if rank > size_bound:
+        raise SizeOverflow(
+            f"rank {rank} exceeds the size bound {size_bound}; a larger "
+            f"--max-product raises it")
     factors: list[tuple[int, tuple[int, ...]]] = []
     for gi, g in enumerate(generators):
         for assignment in product(range(g.size), repeat=rank):

@@ -108,6 +108,15 @@ def test_free_algebra_width_bound(z2):
         free_algebra([z2], 2, size_bound=3)
 
 
+def test_free_algebra_rank_bound():
+    # one element with a false predicate: one assignment tuple at any
+    # rank, but no rank above the size bound
+    one = FiniteAlgebra(Signature((), (("p", 1),)), 1, {}, {"p": (False,)})
+    assert free_algebra([one], 10, size_bound=10).algebra.size == 1
+    with pytest.raises(SizeOverflow, match="^rank 11 exceeds the size"):
+        free_algebra([one], 11, size_bound=10)
+
+
 def test_free_algebra_needs_matching_signatures(z2, chain2):
     with pytest.raises(AlgebraMismatch):
         free_algebra([z2, chain2], 1)

@@ -599,11 +599,34 @@ def test_check_assignment_budget_is_exit_three(capsys):
     assert code == 3
     assert out == ""
     assert "Traceback" not in err
-    assert f"{3 ** 20} assignments over 20 variables exceed" in err
+    assert "3^20 assignments over 20 variables exceed" in err
     assert "--max-product" in err
     argv = ["check", "demos/data/z4.alg", "mul(x0, x1) = mul(x1, x0)"]
     assert run(argv + ["--max-product", "15"], capsys)[0] == 3
     assert run(argv + ["--max-product", "16"], capsys)[0] == 0
+
+
+def test_check_counts_past_4300_digits_as_a_power(capsys):
+    # 4^7200 has 4,335 digits, more than Python converts to decimal
+    premises = " & ".join(f"x{i} = x{i}" for i in range(7199))
+    code, out, err = run(["check", "demos/data/z4.alg",
+                          f"{premises} => x7199 = x7199"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 4^7200 assignments over 7200 variables")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["free", "present"])
+def test_rank_past_the_size_bound_is_exit_three(command, capsys, deadline):
+    # 2^20000 assignment tuples, printed as a power: neither built in
+    # full nor converted to decimal
+    deadline(10)
+    code, out, err = run([command, "demos/data/boolean.cls",
+                          "--rank", "20000"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: 2^20000 + 1^20000 assignment tuples over the "
+                   "generators exceed the size bound 4096; a larger "
+                   "--max-product raises it\n")
 
 
 def test_check_without_variables_reports_an_empty_witness(tmp_path,

@@ -19,6 +19,7 @@ from malcevlab.fileformat import save_algebra
 from conftest import parse_texts, random_algebra, random_square
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+MEMBERS = sorted(DATA.glob("*.alg"))
 
 
 def exit_code(argv) -> int:
@@ -96,6 +97,38 @@ def test_random_quasigroups_keep_the_contract(tmp_path, deadline):
             exit_code(["translations", path, "--depth", 2])
             for command in ("biternary", "malcev"):
                 exit_code([command, path, "--depth", rng.randint(0, 2)])
+
+
+def class_text(rng: random.Random, first: pathlib.Path) -> str:
+    """A class file of first and up to two more members, each mostly
+    first again, else any of demos/data or a path that does not exist,
+    with include_unitary either way and a size bound of 1 to 5,000."""
+    members = [first, *(first if rng.random() < 0.6 else
+                        rng.choice([*MEMBERS, DATA / "missing.alg"])
+                        for _ in range(rng.randint(0, 2)))]
+    lines = [f"algebra {m}" for m in members] + [
+        f"include_unitary {rng.choice(['true', 'false'])}",
+        f"size_bound {rng.randint(1, 5000)}"]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_random_class_files_keep_the_contract(tmp_path, deadline):
+    deadline(20)
+    rng = random.Random(31)
+    path = tmp_path / "k.cls"
+    for _ in range(60):
+        # replica and member ask about an algebra of the first member's
+        # signature, which the class shares unless it is bad input
+        algebra = rng.choice(MEMBERS)
+        path.write_text(class_text(rng, algebra))
+        rank = ["--rank", rng.choice([0, 1, 2, 3, 20000])]
+        exit_code(["free", path, *rank])
+        # a relation that may name a variable past the rank
+        exit_code(["present", path, *rank,
+                   *rng.choice([[], ["--relation", "x0 = x1"]])])
+        exit_code(["replica", path, algebra])
+        exit_code(["member", path, algebra])
 
 
 @settings(max_examples=300, deadline=None,

@@ -340,6 +340,24 @@ def test_pending_records_stay_within_the_level(s3, z4):
     assert max(pending) > 0
 
 
+def test_reading_a_term_settles_only_its_table(s3):
+    # after levels 1 and 2 of S3, 42 repeats of 39 tables wait as
+    # records; reading the term of a table with one record applies that
+    # record alone, and picks the term that settling every table does
+    searches = [_TableSearch(s3, 3) for _ in range(2)]
+    for search in searches:
+        search.run_level(1)
+        search.run_level(2)
+    search, settled = searches
+    tables = np.concatenate(search._pending)[:, 0].tolist()
+    assert len(tables) == 42 and len(set(tables)) == 39
+    t = next(t for t in tables if tables.count(t) == 1)
+    settled.ranks()
+    assert search.term(t) == settled.term(t)
+    left = np.concatenate(search._pending)[:, 0].tolist()
+    assert len(left) == 41 and t not in left
+
+
 @pytest.mark.parametrize("n", [3, 4, 6, 12])
 def test_row_hash_is_a_function_of_the_row(n):
     # rows of 27, 64, 216 and 1728 bytes: one-byte words, then 8-byte
