@@ -297,7 +297,9 @@ class Subpower:
             return known
         if len(self.elements) >= self.size_bound:
             raise SizeBound(
-                f"presented algebra exceeds the size bound {self.size_bound}")
+                f"presented algebra reached {self.size_bound + 1} elements, "
+                f"past the size bound {self.size_bound}; a larger "
+                f"--max-product raises it")
         self.index[elem] = len(self.elements)
         self.elements.append(elem)
         self.steps.append(step)

@@ -117,10 +117,12 @@ class _TableSearch:
     level, where all children come from.  A candidate that repeats a
     table of its own level waits as a record: its derivation row behind
     the table it repeats.  The records are applied once they outnumber
-    the level's tables, before the next level is ranked, and in
-    ranks(); term(), keys() and least() apply only the records of the
-    tables they read.  exhausted names the budget ("table" or
-    "candidate") that truncated the search.
+    the level's tables and before the next level is ranked; term() and
+    least() apply only the records of the tables they read.  Candidates
+    are looked up in the operation tables as FiniteAlgebra stores them,
+    at the flat index of their children's values (x0 most significant).
+    exhausted names the budget ("table" or "candidate") that truncated
+    the search.
     """
 
     def __init__(self, alg: FiniteAlgebra, var_count: int,
@@ -153,10 +155,7 @@ class _TableSearch:
         self._pending: list[np.ndarray] = []
         row_bytes = self.length * self.dtype.itemsize
         self._word = np.dtype(f"u{min(8, row_bytes & -row_bytes)}")
-        # look-ups index (flat prefix << shift) | last child
-        self._shift = (self.n - 1).bit_length()
-        # per operation name its look-up table, and per (name, 2) the
-        # table that looks up two byte indices at once
+        # per operation name, the table that looks up two byte indices
         self._luts: dict = {}
         self.op_arrays = {
             name: np.array(alg.op_tables[name], dtype=self.dtype)
@@ -200,20 +199,6 @@ class _TableSearch:
             return Var(head)
         name, arity = self.alg.sig.ops[head - _OP_HEAD]
         return App(name, tuple(map(self._term, kids[:arity])))
-
-    def ranks(self) -> np.ndarray:
-        """Each table's position in the canonical order of the terms."""
-        self._settle()
-        self._rank_tables(self.count)
-        return self._rank[:self.count]
-
-    def keys(self, tables: list[int]) -> dict[int, tuple]:
-        """The settled canonical keys (size, head, rank of each child) of
-        tables, by table, as integer tuples that compare as the terms do."""
-        self._settle(tables)
-        rows = self._deriv[tables]
-        return {t: (*size_head, *r) for t, size_head, r in zip(
-            tables, rows[:, :2].tolist(), self._rank[rows[:, 2:]].tolist())}
 
     def least(self, tables: list[int]) -> int:
         """The table of tables whose term is canonically least."""
@@ -348,23 +333,17 @@ class _TableSearch:
         return same[equal[0]] if len(equal) else None
 
     def _lookup(self, name: str, idx: np.ndarray, out: np.ndarray) -> None:
-        """Write op(prefix, last) at every index (flat prefix << shift) |
-        last of idx to out."""
-        table = self._luts.get(name)
-        if table is None:
-            # the op table as rows of last children, padded to 2^shift
-            values = self.op_arrays[name].reshape(-1, self.n)
-            table = np.zeros((len(values), 1 << self._shift), self.dtype)
-            table[:, :self.n] = values
-            table = self._luts[name] = table.ravel()
+        """Write to out the value of operation name at each index of idx,
+        a flat index into its stored table."""
+        table = self.op_arrays[name]
         if idx.size >= _PAIR_MIN and idx.dtype == np.uint8 and \
                 self.dtype == np.uint8 and self.length % 2 == 0:
             # two byte indices per 16-bit word, through a table of all 2^16
-            pairs = self._luts.get((name, 2))
+            pairs = self._luts.get(name)
             if pairs is None:
                 full = np.zeros(256, np.uint8)
                 full[:len(table)] = table
-                pairs = self._luts[(name, 2)] = full[
+                pairs = self._luts[name] = full[
                     np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
                 ].view(np.uint16)
             table, idx, out = pairs, idx.view(np.uint16), out.view(np.uint16)
@@ -489,26 +468,25 @@ class _TableSearch:
 
     def _rows(self, name, steps):
         """The children and tables of steps (prefix, lasts), in order, each
-        table looked up at (flat prefix << shift) | last, a stretch of rows
-        at a time; the flat prefix (x0 most significant) is computed once
+        table looked up at the flat index prefix * n + last, a stretch of
+        rows at a time; prefix * n (x0 most significant) is computed once
         per step, in the narrowest type that holds every index."""
         counts = [len(lasts) for _, lasts in steps]
         prefixes = np.array([prefix for prefix, _ in steps], np.int64)
         kids = np.column_stack((np.repeat(prefixes, counts, axis=0),
                                 np.concatenate([ls for _, ls in steps])))
         width = prefixes.shape[1]
-        flat = np.zeros((len(steps), self.length), np.min_scalar_type(
-            ((self.n**width - 1) << self._shift) | (self.n - 1)))
+        flat = np.zeros((len(steps), self.length),
+                        np.min_scalar_type(self.n**(width + 1) - 1))
         for column in prefixes.T:
-            flat *= self.n
             flat += self._store[column]
-        flat <<= self._shift
+            flat *= self.n
         step_of = np.repeat(np.arange(len(steps)), counts)
         out = np.empty((len(kids), self.length), self.dtype)
         rows = max(1, _GROUP_ENTRIES // self.length)
         for lo in range(0, len(kids), rows):
             idx = flat[step_of[lo:lo + rows]]
-            idx |= self._store[kids[lo:lo + rows, -1]]
+            idx += self._store[kids[lo:lo + rows, -1]]
             self._lookup(name, idx, out[lo:lo + rows])
         return kids, out
 
@@ -784,7 +762,8 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     A one-variable _TableSearch with the n constant maps seeded beside
     x0 at level 0, so that level d holds the unary polynomial maps of
     depth d.  The bijective tables are the generators, sorted, and their
-    composition closure is the group.  transitive reports whether the
+    composition closure is the group, which raises SearchBudgetExceeded
+    past quasigroups.CLOSURE_BUDGET maps.  transitive reports whether the
     closure acts transitively on the carrier.  The search's table budget
     is _TRANSLATION_MAPS.  truncated is set when the table or candidate
     budget ran out; the search charges candidates per slab, so the maps

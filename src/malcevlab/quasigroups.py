@@ -24,13 +24,18 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .algebras import FiniteAlgebra
-from .errors import FlavorMismatch, NoRightUnit, NotLatin, Record
+from .errors import (FlavorMismatch, NoRightUnit, NotLatin, Record,
+                     SearchBudgetExceeded)
 from .terms import (App, Signature, Term, Var, assignment_columns,
                     compile_evaluator)
 
 QUASIGROUP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2)))
 
 _FLAVORS = ("groupoid", "quasigroup", "right_eloop", "left_eloop")
+
+# the most maps composition_closure holds before it stops: S9 (362,880
+# maps) closes, while S10 would hold 3.6 million tuples
+CLOSURE_BUDGET = 1_000_000
 
 
 class LatinSquare(Record):
@@ -160,7 +165,9 @@ def composition_closure(maps, size: int) -> frozenset:
     closure is re-closed under every kept generator.  Bijections generate
     a permutation group G (some power of each is its inverse), which
     each kept generator at least doubles, so the cost is about |G| times
-    the kept generators, however many the others.
+    the kept generators, however many the others.  Raises
+    SearchBudgetExceeded once the closure holds more than CLOSURE_BUDGET
+    maps.
     """
     closure = {tuple(range(size))}
     # composing g with h reads g at h: one itemgetter per kept generator
@@ -171,6 +178,10 @@ def composition_closure(maps, size: int) -> frozenset:
         readers.append(itemgetter(*h))
         work = list(closure)
         for g in work:
+            if len(closure) > CLOSURE_BUDGET:
+                raise SearchBudgetExceeded(
+                    f"composition closure exceeds its budget of "
+                    f"{CLOSURE_BUDGET} maps with {len(closure)} maps")
             for read in readers:
                 comp = read(g)
                 if comp not in closure:

@@ -632,7 +632,9 @@ def naive_presented_algebra(generators: Sequence[FiniteAlgebra], rank: int,
             return known
         if len(elements) >= size_bound:
             raise SizeBound(
-                f"presented algebra exceeds the size bound {size_bound}")
+                f"presented algebra reached {size_bound + 1} elements, "
+                f"past the size bound {size_bound}; a larger --max-product "
+                f"raises it")
         index[elem] = len(elements)
         elements.append(elem)
         steps.append(step)

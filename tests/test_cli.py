@@ -540,6 +540,20 @@ def test_budget_exhaustion_is_exit_three(capsys):
     assert "size bound 3" in err
 
 
+@pytest.mark.parametrize("command", ["free", "present"])
+def test_generated_past_the_size_bound_names_the_count_and_flag(
+        command, tmp_path, capsys):
+    # the 5^2 assignment tuples pass the bound of 30, so the generated
+    # carrier, not the tuple count, runs past it
+    cls = tmp_path / "tangle5.cls"
+    cls.write_text(f"algebra {ROOT / 'demos/data/tangle5.alg'}\n")
+    code, out, err = run([command, str(cls), "--rank", "2",
+                          "--max-product", "30"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: presented algebra reached 31 elements, past the "
+                   "size bound 30; a larger --max-product raises it\n")
+
+
 def test_lattice_budget_is_exit_three(tmp_path, capsys):
     # Bell(12), about 4.2 million congruences: every partition is stable
     alg = tmp_path / "set12.alg"

@@ -19,8 +19,8 @@ from malcevlab import (App, FiniteAlgebra, Signature, Var,
                        malcev_from_biternary, malcev_search, parse_term,
                        print_term, term_key, term_size, to_algebra,
                        translation_group)
-from malcevlab.malcev import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
-                              _TableSearch)
+from malcevlab.malcev import (_PAIR_MIN, DEFAULT_CANDIDATE_BUDGET,
+                              DEFAULT_TABLE_BUDGET, _TableSearch)
 
 from conftest import (GROUP_SIG, MEET_SIG, binary_beside_ternary,
                       chain_semilattice, cyclic_group, groupoid_from_rows,
@@ -94,19 +94,19 @@ def test_table_search_invariants(alg, depth, cap):
     search = _TableSearch(alg, 3, candidate_budget=1000, max_term_size=cap)
     assignments = list(product(range(alg.size), repeat=3))
     for level in range(1, depth + 1):
-        search.run_level(level)
-        # keys() settles the tables it reads before any term is read
+        new = search.run_level(level)
+        # least() settles the tables it reads before any term is read
         tables = list(range(len(search)))
-        keys = search.keys(tables)
+        least = [search.least(tables), search.least(list(new) or tables)]
         for i in tables:
             term = search.term(i)
             assert search.sizes[i] == term_size(term)
             assert cap is None or search.sizes[i] <= cap
             values = [eval_term(term, a, alg) for a in assignments]
             assert values == search.tables[i].tolist()
-        assert sorted(tables, key=keys.__getitem__) == \
-            np.argsort(search.ranks()).tolist() == \
-            sorted(tables, key=lambda i: term_key(search.term(i), alg.sig))
+        assert least == [
+            min(among, key=lambda i: term_key(search.term(i), alg.sig))
+            for among in (tables, list(new) or tables)]
         if search.truncated:
             break
 
@@ -352,7 +352,7 @@ def test_reading_a_term_settles_only_its_table(s3):
     tables = np.concatenate(search._pending)[:, 0].tolist()
     assert len(tables) == 42 and len(set(tables)) == 39
     t = next(t for t in tables if tables.count(t) == 1)
-    settled.ranks()
+    settled._settle()
     assert search.term(t) == settled.term(t)
     left = np.concatenate(search._pending)[:, 0].tolist()
     assert len(left) == 41 and t not in left
@@ -620,6 +620,27 @@ def test_translation_group_over_more_than_256_elements():
     grp = translation_group(max_chain(257), 2)
     assert grp.closure == frozenset({tuple(range(257))})
     assert not grp.transitive and not grp.truncated
+
+
+def test_ternary_operation_on_six_elements_looks_up_two_bytes():
+    # its flat indices end at 6^3 - 1 = 215, so they fit in uint8, and a
+    # stretch of rows of 216 entries takes the two-byte path
+    rng = random.Random(6)
+    alg = FiniteAlgebra(Signature((("t", 3),)), 6,
+                        {"t": tuple(rng.randrange(6) for _ in range(216))})
+    seen = []
+    lookup = _TableSearch._lookup
+
+    def recorded(self, name, idx, out):
+        seen.append((idx.dtype, idx.size))
+        lookup(self, name, idx, out)
+
+    with patch.object(_TableSearch, "_lookup", recorded):
+        fast = assert_matches_naive_engine(alg, 3, None, 3000,
+                                           DEFAULT_TABLE_BUDGET, depth=2)
+    assert fast.exhausted == "candidate"
+    assert any(dtype == np.uint8 and size >= _PAIR_MIN
+               for dtype, size in seen)
 
 
 def test_search_witness_is_canonically_least(z4):

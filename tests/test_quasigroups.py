@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from malcevlab import (QUASIGROUP_SIGNATURE, equasigroup_from_latin,
-                       eval_term, latin_square, malcev_polynomial,
-                       multiplication_group, parse_term, print_term,
-                       rectification_check, to_algebra)
+from malcevlab import (QUASIGROUP_SIGNATURE, composition_closure,
+                       equasigroup_from_latin, eval_term, latin_square,
+                       malcev_polynomial, multiplication_group, parse_term,
+                       print_term, rectification_check, to_algebra)
 from malcevlab import quasigroups
-from malcevlab.cli import _closed_under_generators
-from malcevlab.errors import FlavorMismatch, NoRightUnit, NotLatin
+from malcevlab.cli import _closed_under_generators, main
+from malcevlab.errors import (FlavorMismatch, NoRightUnit, NotLatin,
+                              SearchBudgetExceeded)
+from malcevlab.fileformat import save_algebra
 from malcevlab.quasigroups import malcev_identities_hold
 
 from conftest import (UNIT_FREE_ROWS, all_latin_squares, random_square)
@@ -124,6 +126,30 @@ def test_closure_check_rejects_a_group_missing_one_element():
     for missing in grp.closure:
         assert not _closed_under_generators(grp.closure - {missing},
                                             grp.generators)
+
+
+def test_closure_budget_stops_the_group_and_is_exit_three(
+        monkeypatch, tmp_path, capsys):
+    # every multiplication group of this order-5 square is S5, 120 maps
+    q = q_from(random_square(random.Random(7), 5))
+    generators = multiplication_group(q, side="left").generators
+    monkeypatch.setattr(quasigroups, "CLOSURE_BUDGET", 120)
+    assert len(composition_closure(generators, 5)) == 120
+    monkeypatch.setattr(quasigroups, "CLOSURE_BUDGET", 100)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="^composition closure exceeds its budget of "
+                             "100 maps with 1\\d\\d maps$"):
+        multiplication_group(q, side="both")
+    path = str(tmp_path / "s5.alg")
+    save_algebra(to_algebra(q), path)
+    for argv in (["quasigroup", "mulgroup", path, "--side", "left"],
+                 ["translations", path]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: composition closure exceeds its "
+                              "budget of 100 maps")
+        assert err.count("\n") == 1
 
 
 def test_multiplication_group_of_cyclic_table_is_regular():
