@@ -149,6 +149,28 @@ def naive_composition_closure(maps, size: int) -> frozenset:
     return frozenset(closure)
 
 
+def naive_orbit_count(maps, size: int, arity: int) -> int:
+    """The number of orbits, on arity-tuples over 0..size-1, of the
+    group that the permutations maps generate: each orbit is closed from
+    its first tuple by applying every map until nothing new appears."""
+    seen: set = set()
+    orbits = 0
+    for start in product(range(size), repeat=arity):
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        work = [start]
+        while work:
+            p = work.pop()
+            for m in maps:
+                q = tuple(m[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    work.append(q)
+    return orbits
+
+
 def naive_translation_group(alg: FiniteAlgebra, max_depth: int = 4, *,
                             max_maps: int = 100_000,
                             candidate_budget: int = 2_000_000

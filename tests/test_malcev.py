@@ -15,19 +15,26 @@ from malcevlab import (App, FiniteAlgebra, Signature, Var,
                        check_permutability_theorem, composition_closure,
                        detect_biternary, direct_product,
                        equasigroup_from_latin, eval_term,
-                       find_biternary_pair, find_malcev_term, latin_square,
+                       find_biternary_pair, find_homomorphisms,
+                       find_malcev_term, latin_square,
                        malcev_from_biternary, malcev_search, parse_term,
                        print_term, term_key, term_size, to_algebra,
                        translation_group)
-from malcevlab.malcev import (_PAIR_MIN, DEFAULT_CANDIDATE_BUDGET,
-                              DEFAULT_TABLE_BUDGET, _TableSearch)
+from malcevlab.errors import SearchBudgetExceeded
+from malcevlab.malcev import (_PAIR_MIN, _SLAB, DEFAULT_CANDIDATE_BUDGET,
+                              DEFAULT_TABLE_BUDGET, _orbit_positions,
+                              _TableSearch)
+from malcevlab.terms import compile_evaluator
 
-from conftest import (GROUP_SIG, MEET_SIG, binary_beside_ternary,
+from conftest import (GROUP_SIG, GROUPOID_SIG, MEET_SIG,
+                      all_latin_squares, binary_beside_ternary,
                       chain_semilattice, cyclic_group, groupoid_from_rows,
-                      klein_group, random_square, signatures,
-                      small_algebras, symmetric_group_3, systems, tangle5)
+                      klein_group, random_algebra, random_square,
+                      signatures, small_algebras, symmetric_group_3,
+                      systems, tangle5)
 from oracles_local import (NaiveTableSearch, naive_composition_closure,
-                           naive_translation_group)
+                           naive_orbit_count, naive_translation_group)
+from test_algebras import relabel
 
 
 def assert_malcev_identities(alg, term):
@@ -656,6 +663,184 @@ def test_find_malcev_term_respects_depth_bound():
     assert find_malcev_term(cyclic_group(5), max_depth=1) is None
     term = find_malcev_term(cyclic_group(5), max_depth=2)
     assert term is not None
+
+
+# ---------------------------------------------------------------------------
+# malcev_search on one assignment per automorphism orbit
+
+def s3_by_z2():
+    return direct_product([symmetric_group_3(), cyclic_group(2)])
+
+
+def additive(n):
+    """Z_n under + alone: a Mal'cev term needs a deep multiple for -y."""
+    return FiniteAlgebra(GROUPOID_SIG, n,
+                         {"mul": cyclic_group(n).op_tables["mul"]})
+
+
+ORBIT_ALGEBRAS = {
+    "s3": symmetric_group_3, "s3xz2": s3_by_z2,
+    "z24": lambda: cyclic_group(24),
+    "z2^3": lambda: direct_product([cyclic_group(2)] * 3),
+    "z8+": lambda: additive(8)}
+
+
+def keep_every_position(alg, digits):
+    return None
+
+
+def spy_on_orbit_cut():
+    """The kept count of each _orbit_positions call (None: all kept),
+    and the patch that records them."""
+    kept = []
+
+    def spy(alg, digits):
+        cols = _orbit_positions(alg, digits)
+        kept.append(None if cols is None else len(cols))
+        return cols
+    return kept, patch("malcevlab.malcev._orbit_positions", spy)
+
+
+def assert_orbit_cut_changes_nothing(alg, depth=4, **budgets):
+    """malcev_search cut to one assignment per orbit and kept whole agree
+    on term, tables_explored, truncated and exhausted; returns the kept
+    counts of the cut run."""
+    kept, spy = spy_on_orbit_cut()
+    with spy:
+        cut = malcev_search(alg, depth, **budgets)
+    with patch("malcevlab.malcev._orbit_positions", keep_every_position):
+        whole = malcev_search(alg, depth, **budgets)
+    assert cut == whole
+    return kept
+
+
+@pytest.mark.parametrize("name,budgets,kept", [
+    ("s3", {}, [49]),
+    ("s3", {"max_term_size": 7}, []),
+    ("s3", {"max_term_size": 11}, [49]),
+    ("s3", {"candidate_budget": 5_000}, [49]),
+    ("s3", {"candidate_budget": 20_000}, [49]),
+    ("s3", {"table_budget": 2_000}, []),
+    ("s3", {"table_budget": 5_000}, [49]),
+    ("s3xz2", {}, [252]),
+    ("s3xz2", {"max_term_size": 7}, []),
+    ("s3xz2", {"max_term_size": 11}, [252]),
+    ("s3xz2", {"candidate_budget": 5_000}, [252]),
+    ("s3xz2", {"candidate_budget": 20_000}, [252]),
+    ("s3xz2", {"table_budget": 2_000}, []),
+    ("s3xz2", {"table_budget": 5_000}, [252]),
+    # found at level 2, before the search walks a slab of candidates
+    ("z24", {}, []),
+    ("z24", {"max_term_size": 7}, []),
+    ("z2^3", {}, []),
+    ("z2^3", {"max_term_size": 7}, []),
+    ("z8+", {}, [148]),
+    ("z8+", {"max_term_size": 13}, []),
+    ("z8+", {"candidate_budget": 5_000}, [148]),
+])
+def test_orbit_cut_keeps_witness_and_counts(name, budgets, kept):
+    # the budgets stop S3 and S3 x Z2 in the middle of level 3, before
+    # or after the cut
+    alg = ORBIT_ALGEBRAS[name]()
+    assert assert_orbit_cut_changes_nothing(alg, **budgets) == kept
+
+
+def test_orbit_cut_keeps_witness_and_counts_on_relabelled_squares():
+    # A x A always has the automorphism that swaps the coordinates; the
+    # relabelling hides which elements are diagonal.  Squares of
+    # 3-element algebras with a binary operation mostly walk past a slab
+    rng = random.Random(28)
+    squares = cut = 0
+    while squares < 15:
+        a = random_algebra(rng, max_size=3)
+        if a.size < 3 or all(arity != 2 for _, arity in a.sig.ops):
+            continue
+        squares += 1
+        perm = list(range(9))
+        rng.shuffle(perm)
+        alg = relabel(direct_product([a, a]), perm)
+        for cap in (None, 7):
+            kept = assert_orbit_cut_changes_nothing(
+                alg, 3, max_term_size=cap, candidate_budget=20_000,
+                table_budget=5_000)
+            cut += any(kept)
+    assert cut >= 8
+
+
+@pytest.mark.parametrize("name,orbits", [("s3", 49), ("s3xz2", 252)])
+def test_kept_rows_are_term_values_at_one_triple_per_orbit(name, orbits):
+    alg = ORBIT_ALGEBRAS[name]()
+    # every automorphism is listed, so one triple per orbit is kept
+    autos = find_homomorphisms(alg, alg, strong=True)
+    assert len(autos) < _SLAB
+    assert naive_orbit_count(autos, alg.size, 3) == orbits
+    # every row of a capped search, every 16th of the whole clone
+    for cap, count, stride in ((11, 3452, 1), (None, 14531, 16)):
+        search = _TableSearch(alg, 3, max_term_size=cap, by_orbit=True)
+        for _ in search.walk(3):
+            pass
+        assert search.length == len(search.digits[0]) == orbits
+        assert search.tables.shape == (count, orbits)
+        columns = [tuple(digit.tolist()) for digit in search.digits]
+        for i in range(0, count, stride):
+            values = compile_evaluator(search.term(i), alg, 3)(columns)
+            assert list(values) == search.tables[i].tolist()
+
+
+def test_two_listed_automorphisms_keep_witness_and_counts():
+    # with the identity and one more automorphism, more triples are kept
+    # than one per orbit, and nothing else changes
+    def two(*args, **kwargs):
+        return find_homomorphisms(*args, **{**kwargs, "limit": 2})
+
+    with patch("malcevlab.malcev.find_homomorphisms", two):
+        for alg, orbits in ((symmetric_group_3(), 49), (s3_by_z2(), 252)):
+            kept = assert_orbit_cut_changes_nothing(alg)
+            assert len(kept) == 1 and orbits < kept[0] < alg.size**3
+
+
+def test_small_searches_list_no_automorphisms(z4, chain3):
+    # the cut waits until the search has walked a slab of candidates,
+    # which none of these do: listing automorphisms would cost them
+    # more than it saves (Z131 at depth 0 would take seconds)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return find_homomorphisms(*args, **kwargs)
+
+    identity = tuple(range(4))
+    squares = [rows for rows in all_latin_squares(4)
+               if identity in rows or identity in zip(*rows)]
+    with patch("malcevlab.malcev.find_homomorphisms", counted):
+        assert print_term(find_malcev_term(z4)) == \
+            "mul(inv(x1), mul(x0, x2))"
+        assert malcev_search(chain3).term is None
+        for rows in squares:
+            alg = to_algebra(equasigroup_from_latin(latin_square(rows)),
+                             "quasigroup")
+            assert malcev_search(alg).term is not None
+        assert malcev_search(cyclic_group(64), 3).term is not None
+        assert malcev_search(cyclic_group(131), 0).tables_explored == 3
+    assert len(squares) == 176 and calls == []
+
+
+def test_automorphisms_past_their_budget_keep_every_column():
+    # mul takes only the values 0, 1 and 2, so 3, 4, 5 and 6 are among
+    # the generators, and their 7^4 images exceed the budget of 7^3
+    rng = random.Random(7)
+    alg = groupoid_from_rows([[rng.randrange(3) for _ in range(7)]
+                              for _ in range(7)])
+    with pytest.raises(SearchBudgetExceeded):
+        find_homomorphisms(alg, alg, strong=True, budget=7**3)
+    budgets = dict(table_budget=5_000, candidate_budget=20_000)
+    search = _TableSearch(alg, 3, **budgets, by_orbit=True)
+    kept, spy = spy_on_orbit_cut()
+    with spy:
+        for _ in search.walk(4):
+            pass
+    assert kept == [None] and search.tables.shape[1] == 7**3
+    assert assert_orbit_cut_changes_nothing(alg, **budgets) == [None]
 
 
 # every name the package exported when its search names were still
