@@ -5,10 +5,12 @@ term depth: level 0 holds the variable projections, and level d+1 holds
 every basic operation applied to tables of earlier levels.  Each derived
 operation is kept once, as a row of one 2-D store found again through a
 hash of the row (as words of up to 8 bytes) that a full comparison
-confirms.  Each table is represented by the canonically least term
-among the candidates of the level that first produced it, a choice
-settled only when the table's key or term is read; terms are built from
-the tables' derivations only for the tables a caller asks about.
+confirms.  A level's candidates are deduplicated in groups that span
+its operations, each with one pass through the hash index.  Each table
+is represented by the canonically least term among the candidates of
+the level that first produced it, a choice settled only when the
+table's key or term is read; terms are built from the tables'
+derivations only for the tables a caller asks about.
 Qualification (the Mal'cev or the biternary identities) depends only on
 the value table and is tested on each level's new tables at once, so
 the search is exact as a decision procedure within the depth bound;
@@ -44,7 +46,8 @@ search nothing start without numpy.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -150,9 +153,11 @@ class _TableSearch:
 
     walk(max_depth) drives the levels for every search: it ends at the
     depth bound, at the first level that adds no table, or at a budget.
-    A level is walked in steps (_steps), each charged to the candidate
-    budget as one _spend, and steps that cannot run a budget out are
-    looked up, hashed and deduplicated together (_expand).
+    A level is walked in one stream of steps over all its operations
+    (_level_steps), each charged to the candidate budget as one _spend.
+    Consecutive steps that cannot run a budget out, of one operation or
+    of several, are looked up and hashed as one group, which one pass
+    through the hash index deduplicates (_expand, _add_rows).
 
     Each table keeps the canonically least term among the candidates of
     its discovery level, compared by key: size, head, then the rank of
@@ -430,19 +435,19 @@ class _TableSearch:
         start = self._level_start[depth] = self.count
         self._settle()
         self._rank_tables(start)
-        for op_index, (name, arity) in enumerate(self.alg.sig.ops):
-            if self.truncated:
-                break
-            head = _OP_HEAD + op_index
-            if arity == 0:
-                if depth == 1 and self._spend(1):
-                    vec = np.full(self.length, self.alg.op_tables[name][0],
-                                  dtype=self.dtype)
-                    self._offer(vec, self._hash(vec[None])[0], 1, (1, head))
-            else:
-                self._expand(name, head, depth,
-                             self._steps(arity, frontier_start, start))
+        self._expand(depth, self._level_steps(depth, frontier_start, start))
         return range(start, self.count)
+
+    def _level_steps(self, depth, f0, r):
+        """(count, op, step) per step of a level (_steps), operations by
+        signature index in signature order; a nullary operation has one
+        step, None, at depth 1."""
+        for op, (_, arity) in enumerate(self.alg.sig.ops):
+            if arity:
+                for count, step in self._steps(arity, f0, r):
+                    yield count, op, step
+            elif depth == 1:
+                yield 1, op, None
 
     def walk(self, max_depth: int):
         """Level 0's tables, then each new level's, as index ranges.  It
@@ -512,81 +517,107 @@ class _TableSearch:
                 <= self.candidate_budget
                 and self.count + pending <= self.table_budget)
 
-    def _expand(self, name, head, depth, steps) -> None:
-        """Offer the candidates of steps in order, charging each step as
-        one _spend.  Consecutive steps that cannot run a budget out are
-        charged and added together, up to a group of _SLAB candidates (or
-        fewer for long tables); a step that may is charged alone.  A
-        search made with by_orbit cuts its tables to the assignments
-        _orbit_positions keeps before the step that takes it past _SLAB
-        candidates in all: listing up to _SLAB automorphisms costs about
-        what that many candidates do, and searches that stay small never
-        list them."""
+    def _expand(self, depth, steps) -> None:
+        """Offer the candidates of a level's steps (_level_steps) in order,
+        charging each step as one _spend.  Consecutive steps that cannot
+        run a budget out are charged and added together, across
+        operations, up to a group of _SLAB candidates (or fewer for long
+        tables); a step that may is charged alone, after the group before
+        it, as is a nullary operation's constant, which takes the exact
+        path (_offer).  A search made with by_orbit cuts its tables to
+        the assignments _orbit_positions keeps before the step that takes
+        it past _SLAB candidates in all: listing up to _SLAB automorphisms
+        costs about what that many candidates do, and searches that stay
+        small never list them."""
         limit = min(_SLAB, max(1, _GROUP_ENTRIES // self.length))
         group: list = []
         pending = 0
-        for count, step in steps:
-            if self._by_orbit and \
+        for count, op, step in steps:
+            if self._by_orbit and step is not None and \
                     self.candidates_used + pending + count > _SLAB:
                 # the steps of group are looked up after the cut
                 self._by_orbit = False
                 self._keep_columns(_orbit_positions(self.alg, self.digits))
                 limit = min(_SLAB, max(1, _GROUP_ENTRIES // self.length))
-            if pending and (pending + count > limit
+            if pending and (step is None or pending + count > limit
                             or not self._fits(pending, count)):
                 self.candidates_used += pending
-                self._add_rows(head, depth, *self._rows(name, group))
+                self._add_rows(depth, *self._rows(group))
                 group, pending = [], 0
-            if self._fits(pending, count):
-                group.append(step)
+            if step is None:
+                if not self._spend(1):
+                    return
+                name = self.alg.sig.ops[op][0]
+                vec = np.full(self.length, self.alg.op_tables[name][0],
+                              dtype=self.dtype)
+                self._offer(vec, self._hash(vec[None])[0], 1,
+                            (1, _OP_HEAD + op))
+            elif self._fits(pending, count):
+                group.append((op, step))
                 pending += count
             elif self._spend(count):
-                self._add_rows(head, depth, *self._rows(name, [step]))
+                self._add_rows(depth, *self._rows([(op, step)]))
             else:
                 return
         if pending:
             self.candidates_used += pending
-            self._add_rows(head, depth, *self._rows(name, group))
+            self._add_rows(depth, *self._rows(group))
 
-    def _rows(self, name, steps):
-        """The children and tables of steps (prefix, lasts), in order, each
-        table looked up at the flat index prefix * n + last, a stretch of
-        rows at a time; prefix * n (x0 most significant) is computed once
-        per step, in the narrowest type that holds every index."""
-        counts = [len(lasts) for _, lasts in steps]
-        prefixes = np.array([prefix for prefix, _ in steps], np.int64)
-        kids = np.column_stack((np.repeat(prefixes, counts, axis=0),
-                                np.concatenate([ls for _, ls in steps])))
-        width = prefixes.shape[1]
-        flat = np.zeros((len(steps), self.length),
-                        np.min_scalar_type(self.n**(width + 1) - 1))
-        for column in prefixes.T:
-            flat += self._store[column]
-            flat *= self.n
-        step_of = np.repeat(np.arange(len(steps)), counts)
-        out = np.empty((len(kids), self.length), self.dtype)
+    def _rows(self, steps):
+        """The derivation and value rows of steps (op, (prefix, lasts)),
+        in order, in one buffer each.  Each run of one operation's steps
+        writes its children, their term size and its head, and looks its
+        tables up at the flat index prefix * n + last, a stretch of rows
+        at a time; prefix * n (x0 most significant) is computed once per
+        step, in the narrowest type that holds every index."""
+        total = sum(len(lasts) for _, (_, lasts) in steps)
+        deriv = np.full((total, self._deriv.shape[1]), -1, np.int64)
+        out = np.empty((total, self.length), self.dtype)
         rows = max(1, _GROUP_ENTRIES // self.length)
-        for lo in range(0, len(kids), rows):
-            idx = flat[step_of[lo:lo + rows]]
-            idx += self._store[kids[lo:lo + rows, -1]]
-            self._lookup(name, idx, out[lo:lo + rows])
-        return kids, out
+        hi = 0
+        for op, run in groupby(steps, itemgetter(0)):
+            run = [step for _, step in run]
+            name, arity = self.alg.sig.ops[op]
+            counts = [len(lasts) for _, lasts in run]
+            lo, hi = hi, hi + sum(counts)
+            prefixes = np.array([prefix for prefix, _ in run], np.int64)
+            kids = deriv[lo:hi, 2:2 + arity]
+            kids[:, :-1] = np.repeat(prefixes, counts, axis=0)
+            kids[:, -1] = np.concatenate([lasts for _, lasts in run])
+            deriv[lo:hi, 0] = 1 + self._deriv[kids, 0].sum(axis=1)
+            deriv[lo:hi, 1] = _OP_HEAD + op
+            flat = np.zeros((len(run), self.length),
+                            np.min_scalar_type(self.n**arity - 1))
+            for column in prefixes.T:
+                flat += self._store[column]
+                flat *= self.n
+            step_of = np.repeat(np.arange(len(run)), counts)
+            values = out[lo:hi]
+            for j in range(0, hi - lo, rows):
+                idx = flat[step_of[j:j + rows]]
+                idx += self._store[kids[j:j + rows, -1]]
+                self._lookup(name, idx, values[j:j + rows])
+        return deriv, out
 
-    def _add_rows(self, head, depth, kids, out) -> None:
-        """Offer the tables out, row j reached by head(kids[j]), with the
-        outcome of _offer row by row, deduplicating all rows at once."""
+    def _add_rows(self, depth, deriv, out) -> None:
+        """Offer the tables out, row j derived by deriv[j], with the
+        outcome of _offer row by row.  One pass through the hash index
+        files each unseen hash as the next table and takes every other
+        row for a repeat, which a full comparison of the rows confirms;
+        on a collision the pass's entries are withdrawn and every row
+        takes the exact path."""
         hashes = self._hash(out)
-        uniq, first, inverse = np.unique(hashes, return_index=True,
-                                         return_inverse=True)
-        get = self._index.get
-        target = np.array([get(h, -1) for h in uniq.tolist()], np.int64)
-        new = np.flatnonzero(target < 0)
-        new = new[np.argsort(first[new])]
-        start, end = self.count, self.count + len(new)
-        target[new] = np.arange(start, end)
-        target = target[inverse.ravel()]
-        made = first[new]
-        self._reserve(len(new))
+        start = end = self.count
+        setdefault = self._index.setdefault
+        made, target = [], []
+        for j, h in enumerate(hashes.tolist()):
+            i = setdefault(h, end)
+            if i == end:
+                made.append(j)
+                end += 1
+            target.append(i)
+        target = np.array(target, np.int64)
+        self._reserve(end - start)
         np.take(out, made, axis=0, out=self._store[start:end], mode="clip")
         rest = np.ones(len(out), bool)
         rest[made] = False
@@ -596,28 +627,20 @@ class _TableSearch:
             part = rest[lo:lo + step]
             if not np.array_equal(self._store[target[part]], out[part]):
                 # a hash collision
-                sizes = 1 + self._deriv[kids, 0].sum(axis=1)
-                for j, row in enumerate(kids.tolist()):
-                    self._offer(out[j], hashes[j], depth,
-                                (int(sizes[j]), head, *row))
+                for h in hashes[made].tolist():
+                    del self._index[h]
+                for j in range(len(out)):
+                    self._offer(out[j], hashes[j], depth, deriv[j])
                 return
-        self._index.update(zip(uniq[new].tolist(), range(start, end)))
         self.count = end
         self._levels[start:end] = depth
-        # records of the new tables, whose rows they become, then of the
-        # other rows on tables of this level, which wait (as a copy that
-        # frees the rest) until they outnumber the level's tables
-        rest = rest[self._levels[target[rest]] == depth]
-        j = np.concatenate((made, rest))
-        records = np.full((len(j), 1 + self._deriv.shape[1]), -1, np.int64)
-        records[:, 0] = target[j]
-        kids = kids[j]
-        records[:, 1] = 1 + self._deriv[kids, 0].sum(axis=1)
-        records[:, 2] = head
-        records[:, 3:3 + kids.shape[1]] = kids
-        self._deriv[start:end] = records[:len(made), 1:]
+        self._deriv[start:end] = deriv[made]
+        # repeats of tables of this level wait as records (table, *row)
+        # until they outnumber the level's tables
+        rest = rest[target[rest] >= self._level_start[depth]]
         if len(rest):
-            self._pending.append(records[len(made):].copy())
+            self._pending.append(
+                np.column_stack((target[rest], deriv[rest])))
         if sum(map(len, self._pending)) > end - self._level_start[depth]:
             self._settle()
 

@@ -213,6 +213,51 @@ def test_candidate_budget_runs_out_inside_a_wide_uncapped_level():
     assert search.candidates_used == 2940 + 2 * 2883
 
 
+def first_value_hash(self, rows):
+    # three hash values; every m(xi, xj) of the algebra below takes the
+    # one that no variable does
+    return rows[:, 0].astype(np.uint64)
+
+
+@pytest.mark.parametrize("row_hash", [None, colliding_hash, first_value_hash],
+                         ids=["plain", "colliding", "first-value"])
+def test_a_group_spans_operations_up_to_a_nullary_one(row_hash):
+    # level 1 offers m's 9 candidates, then the constant c, which comes
+    # after m's group, then u's 3; level 2 walks m's 187 candidates and
+    # then u's 11 in one step, which the budget cannot hold next to m's
+    # group or alone.  A first-value hash files m's first candidate as
+    # new and collides on the next, so the pass withdraws its entry
+    alg = FiniteAlgebra(Signature((("m", 2), ("c", 0), ("u", 1))), 3, {
+        "m": (1, 0, 2, 2, 1, 0, 0, 2, 1), "c": (2,), "u": (1, 2, 0)})
+    with patch.object(_TableSearch, "_hash", row_hash) if row_hash \
+            else nullcontext():
+        search = assert_matches_naive_engine(alg, 3, None, 205,
+                                             DEFAULT_TABLE_BUDGET)
+    assert search.exhausted == "candidate"
+    assert search.candidates_used == 13 + 187 + 11
+    assert search.levels[-1] == 2
+
+
+def test_one_dedupe_per_group_across_operations():
+    # the quasigroup's mul, ldiv and rdiv candidates of a level are
+    # deduplicated together, one group per level
+    rows = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1))
+    alg = to_algebra(equasigroup_from_latin(latin_square(rows)),
+                     "quasigroup")
+    calls = []
+    add_rows = _TableSearch._add_rows
+
+    def counted(self, depth, deriv, out):
+        calls.append(depth)
+        add_rows(self, depth, deriv, out)
+
+    with patch.object(_TableSearch, "_add_rows", counted):
+        res = malcev_search(alg)
+    assert calls == [1, 2]
+    assert print_term(res.term) == "mul(x0, ldiv(x1, x2))"
+    assert res.tables_explored == 56
+
+
 def test_sixteen_hash_values_keep_the_s3_witness(s3):
     # with every row colliding, S3's 14531 tables would take minutes;
     # sixteen hash values still send nearly every slab down the exact path
@@ -331,8 +376,8 @@ def test_pending_records_stay_within_the_level(s3, z4):
     pending = []
     add_rows = _TableSearch._add_rows
 
-    def checked(self, head, depth, kids, out):
-        add_rows(self, head, depth, kids, out)
+    def checked(self, depth, deriv, out):
+        add_rows(self, depth, deriv, out)
         pending.append(sum(map(len, self._pending)))
         assert pending[-1] <= self.count - self._level_start[depth]
 
