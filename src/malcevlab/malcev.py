@@ -5,8 +5,9 @@ term depth: level 0 holds the variable projections, and level d+1 holds
 every basic operation applied to tables of earlier levels.  Each derived
 operation is kept once, as a row of one 2-D store found again through a
 hash of the row (as words of up to 8 bytes) that a full comparison
-confirms.  A level's candidates are deduplicated in groups that span
-its operations, each with one pass through the hash index.  Each table
+confirms.  The variables are deduplicated as one group, and a level's
+candidates in groups that span its operations, each with one pass
+through the hash index.  Each table
 is represented by the canonically least term among the candidates of
 the level that first produced it, a choice settled only when the
 table's key or term is read; terms are built from the tables'
@@ -144,12 +145,14 @@ class _TableSearch:
     (variable or operation), then the child tables, padded with -1 to
     the largest arity.  A dict from a 64-bit row hash to the first table
     with that hash finds repeats; every hit is confirmed by comparing
-    the full rows, and a genuine collision takes the exact path
-    (_offer), which looks each table up one at a time (find).  A search
-    made with by_orbit cuts every table, and digits, to the assignments
-    _orbit_positions keeps (one per orbit when it lists every
-    automorphism) once it has walked _SLAB candidates (_expand), and
-    files the tables found so far by their new hashes.
+    the full rows, and a genuine collision looks each table up one at a
+    time (find).  Every table enters the store through _add_rows: the
+    variables (and any seeded after them) in one call at level 0, and a
+    level's candidates, nullary constants among them, a group at a time.
+    A search made with by_orbit cuts every table, and digits, to the
+    assignments _orbit_positions keeps (one per orbit when it lists
+    every automorphism) once it has walked _SLAB candidates (_expand),
+    and files the tables found so far by their new hashes.
 
     walk(max_depth) drives the levels for every search: it ends at the
     depth bound, at the first level that adds no table, or at a budget.
@@ -202,7 +205,7 @@ class _TableSearch:
         # the ranks of the tables before the current level, then -1,
         # which the children's padding (-1) picks
         self._rank = np.full(1, -1, np.int64)
-        self._level_start: dict[int, int] = {}
+        self._level_start = {0: 0}
         # records (table, *derivation row) of the latest level
         self._pending: list[np.ndarray] = []
         # per operation name, the table that looks up two byte indices
@@ -215,8 +218,7 @@ class _TableSearch:
                               self.n**(self.k - 1 - i)), self.n**i)
             for i in range(self.k)]
         self._vars = 0
-        for digit in self.digits:
-            self.add_variable(digit)
+        self.add_variables(self.digits)
 
     def __len__(self) -> int:
         return self.count
@@ -255,10 +257,14 @@ class _TableSearch:
         self._settle(tables)
         return tables[self._order(self._deriv[tables])[0]]
 
-    def add_variable(self, vec: np.ndarray) -> None:
-        """Offer vec at level 0 as the table of the next variable."""
-        self._offer(vec, self._hash(vec[None])[0], 0, (1, self._vars))
-        self._vars += 1
+    def add_variables(self, vecs) -> None:
+        """Add the tables vecs at level 0, as the next variables."""
+        vecs = np.array(vecs, self.dtype)
+        deriv = np.full((len(vecs), self._deriv.shape[1]), -1, np.int64)
+        deriv[:, 0] = 1
+        deriv[:, 1] = range(self._vars, self._vars + len(vecs))
+        self._vars += len(vecs)
+        self._add_rows(0, deriv, vecs)
 
     def _spend(self, count: int) -> bool:
         """Charge the candidate budget; False once a budget is exhausted."""
@@ -354,15 +360,9 @@ class _TableSearch:
         lead[1:] = t[1:] != t[:-1]
         return records[order[lead]]
 
-    def _keep_least(self, records: np.ndarray) -> None:
-        """Derive each table of records by the least of them and its own."""
-        t = records[:, :1]
-        own = np.concatenate((t, self._deriv[t[:, 0]]), axis=1)
-        best = self._least(np.concatenate((own, records)))
-        self._deriv[best[:, 0]] = best[:, 1:]
-
     def _settle(self, tables=slice(None)) -> None:
-        """Apply the pending records of tables (by default, of all)."""
+        """Apply the pending records of tables (by default, of all): each
+        table is derived by the least of its records and its own row."""
         if self._pending:
             records = np.concatenate(self._pending)
             mark = np.zeros(self.count, bool)
@@ -370,27 +370,10 @@ class _TableSearch:
             mark = mark[records[:, 0]]
             self._pending = [] if mark.all() else [records[~mark]]
             if mark.any():
-                self._keep_least(records[mark])
-
-    def _offer(self, vec: np.ndarray, h, level: int, row) -> None:
-        """The exact path: add table vec, with hash h, derived by row
-        (size, head, children), unless the store holds it; if it does, at
-        this level, keep the lesser key."""
-        h = int(h)
-        padded = np.full(self._deriv.shape[1], -1, np.int64)
-        padded[:len(row)] = row
-        i = self.find(vec, h)
-        if i is not None:
-            if self._levels[i] == level:
-                self._keep_least(np.append(i, padded)[None])
-            return
-        self._reserve(1)
-        i = self.count
-        self._store[i] = vec
-        self._levels[i] = level
-        self._deriv[i] = padded
-        self.count += 1
-        self._file(h, i)
+                t = records[mark, :1]
+                own = np.concatenate((t, self._deriv[t[:, 0]]), axis=1)
+                best = self._least(np.concatenate((own, records[mark])))
+                self._deriv[best[:, 0]] = best[:, 1:]
 
     def _file(self, h: int, i: int) -> None:
         """Let find reach table i, whose row hash is h."""
@@ -431,23 +414,23 @@ class _TableSearch:
 
     def run_level(self, depth: int) -> range:
         """Expand one level; returns indices of newly found tables."""
-        frontier_start = 0 if depth == 1 else self._level_start[depth - 1]
+        f0 = self._level_start[depth - 1]
         start = self._level_start[depth] = self.count
         self._settle()
         self._rank_tables(start)
-        self._expand(depth, self._level_steps(depth, frontier_start, start))
+        self._expand(depth, self._level_steps(depth, f0, start))
         return range(start, self.count)
 
     def _level_steps(self, depth, f0, r):
         """(count, op, step) per step of a level (_steps), operations by
         signature index in signature order; a nullary operation has one
-        step, None, at depth 1."""
+        step of one candidate, with no children, at depth 1."""
         for op, (_, arity) in enumerate(self.alg.sig.ops):
             if arity:
                 for count, step in self._steps(arity, f0, r):
                     yield count, op, step
             elif depth == 1:
-                yield 1, op, None
+                yield 1, op, ((), range(1))
 
     def walk(self, max_depth: int):
         """Level 0's tables, then each new level's, as index ranges.  It
@@ -481,7 +464,8 @@ class _TableSearch:
                 continue
             if size_of is None:
                 lasts = np.arange(*spans[-1])
-                slabs = np.split(lasts, range(_SLAB, len(lasts), _SLAB))
+                slabs = [lasts[c:c + _SLAB]
+                         for c in range(0, len(lasts), _SLAB)]
                 for prefix in product(*(range(*span) for span in spans[:-1])):
                     for batch in slabs:
                         yield len(batch), (prefix, batch)
@@ -506,8 +490,8 @@ class _TableSearch:
                 prefixes = extend(prefixes, p)
             for prefix, left in prefixes:
                 lasts = children(arity - 1, left)
-                for c0 in range(0, len(lasts), _SLAB):
-                    batch = lasts[c0:c0 + _SLAB]
+                for c in range(0, len(lasts), _SLAB):
+                    batch = lasts[c:c + _SLAB]
                     yield len(batch), (prefix, batch)
 
     def _fits(self, pending: int, count: int) -> bool:
@@ -518,41 +502,32 @@ class _TableSearch:
                 and self.count + pending <= self.table_budget)
 
     def _expand(self, depth, steps) -> None:
-        """Offer the candidates of a level's steps (_level_steps) in order,
+        """Add the candidates of a level's steps (_level_steps) in order,
         charging each step as one _spend.  Consecutive steps that cannot
         run a budget out are charged and added together, across
         operations, up to a group of _SLAB candidates (or fewer for long
         tables); a step that may is charged alone, after the group before
-        it, as is a nullary operation's constant, which takes the exact
-        path (_offer).  A search made with by_orbit cuts its tables to
-        the assignments _orbit_positions keeps before the step that takes
-        it past _SLAB candidates in all: listing up to _SLAB automorphisms
+        it.  A search made with by_orbit cuts its tables to the
+        assignments _orbit_positions keeps before the step that takes it
+        past _SLAB candidates in all: listing up to _SLAB automorphisms
         costs about what that many candidates do, and searches that stay
         small never list them."""
         limit = min(_SLAB, max(1, _GROUP_ENTRIES // self.length))
         group: list = []
         pending = 0
         for count, op, step in steps:
-            if self._by_orbit and step is not None and \
+            if self._by_orbit and \
                     self.candidates_used + pending + count > _SLAB:
                 # the steps of group are looked up after the cut
                 self._by_orbit = False
                 self._keep_columns(_orbit_positions(self.alg, self.digits))
                 limit = min(_SLAB, max(1, _GROUP_ENTRIES // self.length))
-            if pending and (step is None or pending + count > limit
+            if pending and (pending + count > limit
                             or not self._fits(pending, count)):
                 self.candidates_used += pending
                 self._add_rows(depth, *self._rows(group))
                 group, pending = [], 0
-            if step is None:
-                if not self._spend(1):
-                    return
-                name = self.alg.sig.ops[op][0]
-                vec = np.full(self.length, self.alg.op_tables[name][0],
-                              dtype=self.dtype)
-                self._offer(vec, self._hash(vec[None])[0], 1,
-                            (1, _OP_HEAD + op))
-            elif self._fits(pending, count):
+            if self._fits(pending, count):
                 group.append((op, step))
                 pending += count
             elif self._spend(count):
@@ -567,9 +542,10 @@ class _TableSearch:
         """The derivation and value rows of steps (op, (prefix, lasts)),
         in order, in one buffer each.  Each run of one operation's steps
         writes its children, their term size and its head, and looks its
-        tables up at the flat index prefix * n + last, a stretch of rows
-        at a time; prefix * n (x0 most significant) is computed once per
-        step, in the narrowest type that holds every index."""
+        tables up at the flat index prefix * n + last (0 for a nullary
+        operation), a stretch of rows at a time; prefix * n (x0 most
+        significant) is computed once per step, in the narrowest type
+        that holds every index."""
         total = sum(len(lasts) for _, (_, lasts) in steps)
         deriv = np.full((total, self._deriv.shape[1]), -1, np.int64)
         out = np.empty((total, self.length), self.dtype)
@@ -582,8 +558,9 @@ class _TableSearch:
             lo, hi = hi, hi + sum(counts)
             prefixes = np.array([prefix for prefix, _ in run], np.int64)
             kids = deriv[lo:hi, 2:2 + arity]
-            kids[:, :-1] = np.repeat(prefixes, counts, axis=0)
-            kids[:, -1] = np.concatenate([lasts for _, lasts in run])
+            if arity:
+                kids[:, :-1] = np.repeat(prefixes, counts, axis=0)
+                kids[:, -1] = np.concatenate([lasts for _, lasts in run])
             deriv[lo:hi, 0] = 1 + self._deriv[kids, 0].sum(axis=1)
             deriv[lo:hi, 1] = _OP_HEAD + op
             flat = np.zeros((len(run), self.length),
@@ -595,17 +572,19 @@ class _TableSearch:
             values = out[lo:hi]
             for j in range(0, hi - lo, rows):
                 idx = flat[step_of[j:j + rows]]
-                idx += self._store[kids[j:j + rows, -1]]
+                if arity:
+                    idx += self._store[kids[j:j + rows, -1]]
                 self._lookup(name, idx, values[j:j + rows])
         return deriv, out
 
     def _add_rows(self, depth, deriv, out) -> None:
-        """Offer the tables out, row j derived by deriv[j], with the
-        outcome of _offer row by row.  One pass through the hash index
-        files each unseen hash as the next table and takes every other
-        row for a repeat, which a full comparison of the rows confirms;
-        on a collision the pass's entries are withdrawn and every row
-        takes the exact path."""
+        """Add the tables out at level depth, row j derived by deriv[j], in
+        order: each table the store lacks is filed as the next table, and
+        each repeat of a table of this level waits as a record.  One pass
+        through the hash index files each unseen hash as the next table
+        and takes every other row for a repeat, which a full comparison
+        of the rows confirms; on a collision the pass's entries are
+        withdrawn and each row is looked up in turn (find)."""
         hashes = self._hash(out)
         start = end = self.count
         setdefault = self._index.setdefault
@@ -629,9 +608,19 @@ class _TableSearch:
                 # a hash collision
                 for h in hashes[made].tolist():
                     del self._index[h]
-                for j in range(len(out)):
-                    self._offer(out[j], hashes[j], depth, deriv[j])
-                return
+                self._reserve(len(out))
+                made, end = [], start
+                for j, h in enumerate(hashes.tolist()):
+                    i = self.find(out[j], h)
+                    if i is None:
+                        i = end
+                        self._store[i] = out[j]
+                        self._file(h, i)
+                        made.append(j)
+                        end += 1
+                    target[j] = i
+                rest = np.setdiff1d(np.arange(len(out)), made)
+                break
         self.count = end
         self._levels[start:end] = depth
         self._deriv[start:end] = deriv[made]
@@ -886,9 +875,8 @@ def translation_group(alg: FiniteAlgebra, max_depth: int = DEFAULT_DEPTH, *,
     nullary = sum(1 for _, arity in alg.sig.ops if arity == 0)
     search = _TableSearch(alg, 1, _TRANSLATION_MAPS,
                           candidate_budget + nullary)
-    for c in range(n):
-        # the constants as extra variables, keyed after x0
-        search.add_variable(np.full(n, c, dtype=search.dtype))
+    # the constants as extra variables, keyed after x0
+    search.add_variables([np.full(n, c) for c in range(n)])
     for _ in search.walk(max_depth):
         pass
     tables = search.tables

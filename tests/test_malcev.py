@@ -134,14 +134,15 @@ def assert_same_search(fast, naive):
 def assert_matches_naive_engine(alg, variables, cap, candidates, tables,
                                 depth=3):
     """Both engines level by level over 1 or 3 variables, or over x0 and
-    the constants as translation_group seeds them."""
+    the constants as translation_group seeds them: all at once, and one
+    at a time into the naive engine."""
     k = 1 if variables == "constants" else variables
     fast, naive = (engine(alg, k, tables, candidates, cap)
                    for engine in (_TableSearch, NaiveTableSearch))
     if variables == "constants":
-        for engine in (fast, naive):
-            for c in range(alg.size):
-                engine.add_variable(np.full(alg.size, c, dtype=engine.dtype))
+        fast.add_variables([np.full(alg.size, c) for c in range(alg.size)])
+        for c in range(alg.size):
+            naive.add_variable(np.full(alg.size, c, dtype=naive.dtype))
     assert_same_search(fast, naive)
     for level in range(1, depth + 1):
         assert fast.run_level(level) == naive.run_level(level)
@@ -219,16 +220,26 @@ def first_value_hash(self, rows):
     return rows[:, 0].astype(np.uint64)
 
 
+def latin4():
+    rows = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1))
+    return to_algebra(equasigroup_from_latin(latin_square(rows)),
+                      "quasigroup")
+
+
+def nullary_between():
+    return FiniteAlgebra(Signature((("m", 2), ("c", 0), ("u", 1))), 3, {
+        "m": (1, 0, 2, 2, 1, 0, 0, 2, 1), "c": (2,), "u": (1, 2, 0)})
+
+
 @pytest.mark.parametrize("row_hash", [None, colliding_hash, first_value_hash],
                          ids=["plain", "colliding", "first-value"])
 def test_a_group_spans_operations_up_to_a_nullary_one(row_hash):
-    # level 1 offers m's 9 candidates, then the constant c, which comes
-    # after m's group, then u's 3; level 2 walks m's 187 candidates and
-    # then u's 11 in one step, which the budget cannot hold next to m's
-    # group or alone.  A first-value hash files m's first candidate as
-    # new and collides on the next, so the pass withdraws its entry
-    alg = FiniteAlgebra(Signature((("m", 2), ("c", 0), ("u", 1))), 3, {
-        "m": (1, 0, 2, 2, 1, 0, 0, 2, 1), "c": (2,), "u": (1, 2, 0)})
+    # level 1 adds m's 9 candidates, the constant c and u's 3 as one
+    # group; level 2 walks m's 187 candidates and then u's 11 in one
+    # step, which the budget cannot hold next to m's group or alone.  A
+    # first-value hash files m's first candidate as new and collides on
+    # the next, so the pass withdraws its entry
+    alg = nullary_between()
     with patch.object(_TableSearch, "_hash", row_hash) if row_hash \
             else nullcontext():
         search = assert_matches_naive_engine(alg, 3, None, 205,
@@ -238,12 +249,14 @@ def test_a_group_spans_operations_up_to_a_nullary_one(row_hash):
     assert search.levels[-1] == 2
 
 
-def test_one_dedupe_per_group_across_operations():
-    # the quasigroup's mul, ldiv and rdiv candidates of a level are
-    # deduplicated together, one group per level
-    rows = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1))
-    alg = to_algebra(equasigroup_from_latin(latin_square(rows)),
-                     "quasigroup")
+@pytest.mark.parametrize("alg,depth,term,tables", [
+    (latin4(), 4, "mul(x0, ldiv(x1, x2))", 56),
+    (nullary_between(), 2, "m(x0, m(x1, x2))", 65)],
+    ids=["quasigroup", "nullary-between"])
+def test_one_dedupe_per_group_across_operations(alg, depth, term, tables):
+    # the variables are added in one group, and the candidates of a
+    # level in one more, across its operations: the quasigroup's mul,
+    # ldiv and rdiv, or m, the constant c and u
     calls = []
     add_rows = _TableSearch._add_rows
 
@@ -252,15 +265,16 @@ def test_one_dedupe_per_group_across_operations():
         add_rows(self, depth, deriv, out)
 
     with patch.object(_TableSearch, "_add_rows", counted):
-        res = malcev_search(alg)
-    assert calls == [1, 2]
-    assert print_term(res.term) == "mul(x0, ldiv(x1, x2))"
-    assert res.tables_explored == 56
+        res = malcev_search(alg, depth)
+    assert calls == [0, 1, 2]
+    assert print_term(res.term) == term
+    assert res.tables_explored == tables
 
 
 def test_sixteen_hash_values_keep_the_s3_witness(s3):
     # with every row colliding, S3's 14531 tables would take minutes;
-    # sixteen hash values still send nearly every slab down the exact path
+    # sixteen hash values still send nearly every slab through the
+    # collision branch of _add_rows
     row_hash = _TableSearch._hash
     with patch.object(_TableSearch, "_hash",
                       lambda self, rows: row_hash(self, rows) & np.uint64(15)):
